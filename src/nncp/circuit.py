@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError
 
@@ -304,8 +305,20 @@ class FixingPattern:
 
     @property
     def trivial(self) -> bool:
-        """True iff the stabilizer is trivial (every class effectively fixed)."""
-        return self.group_order == 1
+        """True iff the stabilizer is trivial (every class effectively fixed),
+        i.e. ``group_order == 1``, without computing f!."""
+        return self.p == 0 and self.f <= 1
+
+    @cached_property
+    def class_index(self) -> tuple[int, ...]:
+        """``class_index[q]`` is the position in ``classes`` of qubit q's
+        class.  Built once per pattern; the classes list their members in
+        ascending order."""
+        index = [0] * sum(len(cl) for cl in self.classes)
+        for ci, cl in enumerate(self.classes):
+            for q in cl:
+                index[q] = ci
+        return tuple(index)
 
 
 def fixing_pattern(c: Circuit) -> FixingPattern:

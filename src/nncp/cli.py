@@ -4,7 +4,7 @@ Subcommands: ``solve`` (reduced / baseline / dp / all with cross-check),
 ``stats`` (model sizes and reduction factors), ``decompose`` (library gates
 to two-qubit form), ``verify`` (re-check a saved schedule) and ``random``
 (seeded benchmark instances).  Exit codes: 1 parse/usage, 2 a size cap was
-hit, 3 the solver failed, 4 verification failed.
+hit or memory ran out, 3 the solver failed, 4 verification failed.
 
 ``--circuit`` accepts a ``.real`` file path or a generator descriptor
 ``classI:N:M`` / ``classII:N:M`` (combined with ``--seed``)."""
@@ -251,6 +251,10 @@ def main(argv=None) -> int:
         return 1
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy raises a subclass with a readable message; a bare one has none
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Error taxonomy shared across the toolkit.
 
 The CLI maps these onto stable exit codes: parse errors → 1, cap/feasibility
-guards → 2, solver failures → 3, verification mismatches → 4.
+guards → 2, solver failures → 3, verification mismatches → 4.  A MemoryError
+(the instance outgrew the machine) also exits 2, like a size cap.
 """
 
 

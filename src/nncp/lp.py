@@ -309,7 +309,9 @@ def solve_reduced(q: QuotientGraph):
         raise SolverError(f"simplex finished with status {sol.status}")
     aut_order = q.coupling.aut.order
     for v in sol.values:
-        if v - 1e-6 > aut_order:
+        # a Python float against the exact int: numpy float64 raises
+        # OverflowError once |Aut| passes the float range
+        if float(v) - 1e-6 > aut_order:
             raise SolverError(f"variable exceeds implied bound: {v} > {aut_order}")
     opt = round(sol.objective)
     if abs(sol.objective - opt) > 1e-6:

@@ -5,6 +5,15 @@ identified with every aτb⁻¹ for a in the gate-side stabilizer S_n(F) (qubit
 relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
 (location relabelings).  This module computes
 
+  * canonical forms — the lexicographically smallest member of
+    S_n(F)·τ·Aut.  S_n(F) is *every* relabeling inside the pattern classes,
+    so the left S_n(F)-orbit of an order is exactly the set of orders with
+    the same class word (location → class of its qubit), and its smallest
+    member hands out each class's qubits in ascending order along the
+    locations.  The canonical form is that greedy fill minimized over the
+    location side: per side of a star/biclique directly, by a scan of the
+    enumerated group for cycle/general.  S_n(F), of order 2^p·f!, is never
+    enumerated, so idle qubits and isolated pairs cost nothing extra;
   * B_τ — the subgroup of coupling automorphisms that setwise stabilize the
     pattern classes pulled back through τ; its order gives orbit sizes via
     orbit–stabilizer, and its edge classes give the arc multiplicities;
@@ -15,19 +24,23 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
   * the quotient graph: orbit nodes, orbital arcs with in/out degrees, and
     per-gate compliance marks.  All layers share one node/arc structure since
     the layers are identical copies; only the compliance marks vary by gate.
+
+`snf_elements` still lists S_n(F) outright, as an enumeration oracle for
+tests; nothing on the solve path calls it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import BICLIQUE, CYCLE, STAR, CouplingGraph, canonical_right
 from .errors import CapError
-from .perm import Permutation, Transposition, compose, identity, inverse
+from .perm import Permutation, Transposition, identity, inverse
 
 ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
@@ -41,7 +54,8 @@ Edge = tuple[int, int]
 def snf_elements(fp: FixingPattern, n: int) -> list[Permutation]:
     """All qubit relabelings that setwise stabilize every fixing-pattern
     class: independent swaps of the p pairs times permutations of the free
-    set, 2^p·f! elements in total."""
+    set, 2^p·f! elements in total.  An enumeration oracle for tests; the
+    solve path works with class words instead (see `canonical_form`)."""
     if fp.group_order > SNF_ELEMENT_CAP:
         raise CapError(
             f"stabilizer S_n(F) has {fp.group_order} elements, cap is {SNF_ELEMENT_CAP}")
@@ -164,7 +178,6 @@ def _edge_orbits_under(elements: list[Permutation], edges: list[Edge]) -> list[l
 class OrbitNode:
     rep: Permutation
     orbit_size: int
-    compliant: dict[int, bool] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -177,38 +190,84 @@ class OrbitalArc:
     d_in: int
 
 
-def canonical_form(tau: Permutation, snf: list[Permutation], g: CouplingGraph
+def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
                    ) -> tuple[Permutation, Permutation]:
     """Canonical representative of the full orbit S_n(F)·τ·Aut(Coup(E)):
-    the minimum over the left-multiplied coset canonical forms.  Returns the
-    representative and a witness ``b`` with ``rep == compose(a, compose(tau,
-    inverse(b)))`` for some qubit relabeling ``a`` (``a`` never matters
-    downstream: it moves qubit labels, not locations)."""
-    if len(snf) == 1:
+    its lexicographically smallest member.  Returns the representative and
+    a witness ``b`` with ``rep == compose(a, compose(tau, inverse(b)))`` for
+    some qubit relabeling ``a`` in S_n(F) (``a`` never matters downstream:
+    it moves qubit labels, not locations).
+
+    The left S_n(F)-orbit of τ·b⁻¹ is the set of orders sharing its class
+    word, and the smallest of them fills each location with the smallest
+    unused qubit of that location's class.  For star/biclique, where Aut is
+    every side-preserving relabeling, only the count of each class on each
+    side survives: the small side takes the smallest members of each class,
+    and each side is sorted (O(n log n)).  For cycle/general the greedy fill
+    is minimized over the enumerated Aut (O(|Aut|·n)).  S_n(F) itself is
+    never listed.  A trivial pattern is plain coset canonicalization."""
+    if fp.trivial:
         return canonical_right(tau, g)
+    cls = fp.class_index
+    word = [cls[q] for q in tau.images]     # location -> class of its qubit
+    if g.split is not None:
+        return _canonical_sides(word, fp, g)
+
     best = None
     best_b = None
-    for a in snf:
-        cand, b = canonical_right(compose(a, tau), g)
-        if best is None or cand.images < best.images:
+    for b, b_inv in zip(g.aut.elements, g.aut.inverses()):
+        cand = _fill([word[y] for y in b_inv.images], fp.classes)
+        if best is None or cand < best:
             best, best_b = cand, b
-    return best, best_b
+    return Permutation(best), best_b
+
+
+def _fill(word: list[int], classes) -> tuple[int, ...]:
+    """Smallest order with the given class word: each class's qubits in
+    ascending order along the locations."""
+    used = [0] * len(classes)
+    out = []
+    for c in word:
+        out.append(classes[c][used[c]])
+        used[c] += 1
+    return tuple(out)
+
+
+def _canonical_sides(word: list[int], fp: FixingPattern, g: CouplingGraph
+                     ) -> tuple[Permutation, Permutation]:
+    """`canonical_form` on a star/biclique, from τ's class word."""
+    m, n = g.split, g.n
+    take = Counter(word[:m])                # class -> its qubits on the small side
+    low = sorted(q for c, k in take.items() for q in fp.classes[c][:k])
+    low_set = set(low)
+    rep = low + [q for q in range(n) if q not in low_set]
+
+    # witness: pair τ's locations with rep's locations of the same side and
+    # class, in order (sort keys are class ids, offset on the large side)
+    cls = fp.class_index
+    off = len(fp.classes)
+    key_tau = word[:m] + [c + off for c in word[m:]]
+    key_rep = [cls[q] for q in low] + [cls[q] + off for q in rep[m:]]
+    b = [0] * n
+    for y, x in zip(sorted(range(n), key=key_tau.__getitem__),
+                    sorted(range(n), key=key_rep.__getitem__)):
+        b[y] = x
+    return Permutation(rep), Permutation(b)
 
 
 def layer_orbits(fp: FixingPattern, g: CouplingGraph,
                  _btau_cache: dict | None = None) -> list[OrbitNode]:
     """One canonical representative per orbit of a layer, orbit sizes by
     orbit–stabilizer.  Nodes are sorted by representative."""
-    snf = snf_elements(fp, g.n)
     moves = sorted(g.edges)
-    start, _ = canonical_form(identity(g.n), snf, g)
+    start, _ = canonical_form(identity(g.n), fp, g)
     seen = {start.images}
     stack = [start]
     reps = [start]
     while stack:
         rep = stack.pop()
         for i, j in moves:
-            cand, _ = canonical_form(rep.swap(i, j), snf, g)
+            cand, _ = canonical_form(rep.swap(i, j), fp, g)
             if cand.images not in seen:
                 if len(seen) >= ORBIT_NODE_CAP:
                     raise CapError(
@@ -235,7 +294,6 @@ def layer_orbitals(nodes: list[OrbitNode], fp: FixingPattern, g: CouplingGraph,
                    _btau_cache: dict | None = None) -> list[OrbitalArc]:
     """One arc per (source orbit, B_τ edge class); destination and reverse
     degree found by canonicalizing the moved representative."""
-    snf = snf_elements(fp, g.n)
     cache = _btau_cache if _btau_cache is not None else {}
     index = {node.rep.images: i for i, node in enumerate(nodes)}
 
@@ -251,7 +309,7 @@ def layer_orbitals(nodes: list[OrbitNode], fp: FixingPattern, g: CouplingGraph,
         bt = bt_of(node.rep)
         for ci, (u, v) in enumerate(bt.representative_edges):
             d_out = len(bt.edge_orbits[ci])
-            dst_rep, b = canonical_form(node.rep.swap(u, v), snf, g)
+            dst_rep, b = canonical_form(node.rep.swap(u, v), fp, g)
             j = index[dst_rep.images]
             x, y = b.images[u], b.images[v]
             back = (x, y) if x < y else (y, x)
@@ -284,7 +342,6 @@ class QuotientGraph:
     out_arcs: list[list[int]]
     arc_lookup: dict[tuple[int, Edge], int]
     edge_class_rep: list[dict[Edge, Edge]]
-    _snf: list[Permutation]
     _node_index: dict[tuple, int]
 
     @property
@@ -296,7 +353,7 @@ class QuotientGraph:
         return self.circuit.m
 
     def canonical(self, tau: Permutation) -> tuple[Permutation, Permutation]:
-        return canonical_form(tau, self._snf, self.coupling)
+        return canonical_form(tau, self.fp, self.coupling)
 
     def node_id(self, rep: Permutation) -> int:
         return self._node_index[rep.images]
@@ -321,22 +378,16 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
         edge_class_rep.append({e: bt.class_rep(e) for e in bt.class_of})
 
     compliant: list[list[int]] = []
-    inv_reps = [inverse(node.rep) for node in nodes]
-    for k, gate in enumerate(c.gates):
+    inv_reps = [inverse(node.rep).images for node in nodes]
+    for gate in c.gates:
         q1, q2 = gate.pair
-        ids = []
-        for i, node in enumerate(nodes):
-            a, b = inv_reps[i].images[q1], inv_reps[i].images[q2]
-            ok = g.has_edge(a, b)
-            node.compliant[k] = ok
-            if ok:
-                ids.append(i)
-        compliant.append(ids)
+        compliant.append([i for i, loc in enumerate(inv_reps)
+                          if g.has_edge(loc[q1], loc[q2])])
 
     return QuotientGraph(
         circuit=c, coupling=g, fp=fp, nodes=nodes, arcs=arcs,
         compliant=compliant, out_arcs=out_arcs, arc_lookup=arc_lookup,
-        edge_class_rep=edge_class_rep, _snf=snf_elements(fp, g.n),
+        edge_class_rep=edge_class_rep,
         _node_index={node.rep.images: i for i, node in enumerate(nodes)})
 
 

@@ -167,6 +167,27 @@ def test_exit_code_cap_error(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_idle_qubits_hit_no_cap(capsys):
+    # 3 gates on 20 qubits leave at least 14 idle: S_n(F) has >= 14! elements
+    code, out, err = run(capsys, "solve", "--circuit", "classI:20:3",
+                         "--coupling", "star", "--method", "all", "--out", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["methods"]["reduced"] == data["methods"]["dp"]
+
+
+def test_exit_code_out_of_memory(capsys, monkeypatch):
+    def out_of_memory(q):
+        raise MemoryError("Unable to allocate 1.58 GiB for an array")
+
+    monkeypatch.setattr("nncp.cli.solve_reduced", out_of_memory)
+    code, out, err = run(capsys, "solve", "--circuit", "classI:5:4",
+                         "--coupling", "star")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 1.58 GiB for an array\n"
+
+
 def test_bad_coupling_descriptor(capsys):
     code, _, err = run(capsys, "solve", "--circuit", "classI:5:4",
                        "--coupling", "torus")

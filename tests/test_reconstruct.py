@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import nncp.symmetry
 from nncp.baseline import solve_spp
-from nncp.circuit import CNOT, RawGate, decompose
+from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
 from nncp.coupling import make
+from nncp.dp import solve_star_dp
 from nncp.errors import SolverError
 from nncp.lp import ReducedPath, solve_reduced
 from nncp.perm import Permutation, Transposition
@@ -49,6 +52,96 @@ def test_reconstruct_matches_baseline_optimum():
         schedule = reconstruct(q, sol)
         assert verify(schedule, c, g)["ok"]
         assert schedule.opt == solve_spp(c, g).opt
+
+
+# --- idle qubits and isolated pairs ------------------------------------------
+
+# K_{3,4} as a plain edge list: the enumerated-group path, |Aut| = 144
+K34 = [(i, j) for i in range(3) for j in range(3, 7)]
+# triangle {0, 4, 5}, isolated pair {1, 2}, idle qubits 3 and 6
+SPARSE7 = [(0, 4), (1, 2), (4, 5), (0, 5), (1, 2), (0, 4)]
+
+
+@pytest.mark.parametrize("family, m_side", [
+    ("cycle", None), ("star", None), ("biclique", 3), ("general", K34)],
+    ids=["cycle", "star", "biclique3", "general-k34"])
+def test_solve_path_never_lists_the_pattern_stabilizer(family, m_side, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("snf_elements called on the solve path")
+
+    monkeypatch.setattr(nncp.symmetry, "snf_elements", boom)
+    c = circ(7, SPARSE7)
+    fp = fixing_pattern(c)
+    assert fp.p == 1 and fp.f == 2
+    if family == "general":
+        g, _, _ = make("general", edges=m_side)
+    else:
+        g, _, _ = make(family, n=7, m_side=m_side)
+    q = quotient_graph(c, g)
+    opt, sol = solve_reduced(q)
+    schedule = reconstruct(q, sol)
+    assert verify(schedule, c, g)["ok"]
+    assert opt == schedule.opt == solve_spp(c, g).opt
+
+
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_triangle_on_a_large_star(n):
+    # 3 singleton classes and n - 3 idle qubits: S_n(F) has (n-3)! elements,
+    # and on n >= 172 |Aut| = (n-1)! no longer fits in a float
+    c = circ(n, [(3, 7), (7, n - 1), (3, n - 1)])
+    g, _, _ = make("star", n=n)
+    q = quotient_graph(c, g)
+    assert len(q.nodes) == 4
+    opt, sol = solve_reduced(q)
+    assert not isinstance(sol, ReducedPath)     # the LP path
+    schedule = reconstruct(q, sol)
+    assert verify(schedule, c, g)["ok"]
+    assert opt == schedule.opt == solve_star_dp(c).opt == 1
+
+
+@st.composite
+def sparse_instances(draw):
+    """A connected core of >= 3 qubits (or none), isolated pairs and idle
+    qubits, on a cycle, star, biclique or random connected graph, n <= 7."""
+    family = draw(st.sampled_from(["cycle", "star", "biclique", "general"]))
+    n = draw(st.integers(5, 7))
+    core = draw(st.sampled_from([0] + list(range(3, n))))
+    pairs = draw(st.integers(0, (n - core) // 2))
+    assume(core or pairs)
+    assume(pairs or n - core >= 2)                 # S_n(F) is nontrivial
+    labels = draw(st.permutations(range(n)))
+    # a random tree on the core, up to two extra core gates, one gate per pair
+    gates = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, core)]
+    gates += [(labels[draw(st.integers(0, core - 1))], labels[draw(st.integers(0, core - 1))])
+              for _ in range(draw(st.integers(0, 2)) if core else 0)]
+    gates = [gt for gt in gates if gt[0] != gt[1]]
+    gates += [(labels[core + 2 * p], labels[core + 2 * p + 1]) for p in range(pairs)]
+    gates = draw(st.permutations(gates))
+
+    if family == "general":
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        edges |= set(draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda e: e[0] < e[1]), max_size=3)))
+        g, _, _ = make("general", edges=sorted(edges))
+    else:
+        m_side = draw(st.integers(2, (n - 1) // 2)) if family == "biclique" else None
+        g, _, _ = make(family, n=n, m_side=m_side)
+    return circ(n, gates), g
+
+
+@settings(max_examples=15, deadline=None)
+@given(sparse_instances())
+def test_reduced_matches_baseline_with_idle_qubits_and_pairs(instance):
+    c, g = instance
+    q = quotient_graph(c, g)
+    # the dense simplex is cubic in the m·orbits conservation rows: one
+    # 1080-row draw took over a minute, so large models stay out of this test
+    assume(q.m * len(q.nodes) <= 150)
+    opt, sol = solve_reduced(q)
+    schedule = reconstruct(q, sol)
+    assert verify(schedule, c, g)["ok"]
+    assert opt == schedule.opt == solve_spp(c, g).opt
 
 
 def test_reconstruct_empty_circuit():

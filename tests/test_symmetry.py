@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from nncp.baseline import brute_pattern_stabilizer
 from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
 from nncp.coupling import make
 from nncp.errors import CapError
@@ -20,8 +21,21 @@ PATTERNS = {
     "trivial": [(0, 1), (1, 2), (2, 3), (3, 4)],
     "pairs": [(0, 1), (2, 3)],
     "mixed": [(0, 1), (1, 2), (3, 4)],
+    "idle": [(1, 3)],                   # one pair, qubits 0, 2, 4 idle
 }
-FAMILIES = [("cycle", None), ("star", None), ("biclique", 2)]
+# (family, biclique small side or general graph name)
+FAMILIES = [("cycle", None), ("star", None), ("biclique", 2), ("general", "bowtie")]
+# two triangles sharing location 0, given as an edge list: |Aut| = 8
+GENERAL_GRAPHS = {"bowtie": [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]}
+
+
+def family_graph(family, arg, n):
+    if family == "general":
+        g, _, _ = make("general", edges=GENERAL_GRAPHS[arg])
+        assert g.n == n
+        return g
+    g, _, _ = make(family, n=n, m_side=arg)
+    return g
 
 
 def brute_b_tau(tau, fp, g):
@@ -50,7 +64,7 @@ def test_b_tau_against_brute_filter(family, m_side, pattern):
     n = 5
     c = circuit_with_pattern(n, PATTERNS[pattern])
     fp = fixing_pattern(c)
-    g, _, _ = make(family, n=n, m_side=m_side)
+    g = family_graph(family, m_side, n)
     for tau in itertools.islice(all_permutations(n), 0, None, 11):
         bt = b_tau(tau, fp, g)
         brute = brute_b_tau(tau, fp, g)
@@ -97,19 +111,24 @@ def test_snf_cap():
 
 @pytest.mark.parametrize("family, m_side", FAMILIES)
 def test_canonical_form_is_brute_minimum(family, m_side):
+    # oracle: both groups found by filtering all n! permutations, never
+    # through snf_elements or the structural Aut groups
     n = 5
-    c = circuit_with_pattern(n, PATTERNS["pairs"])
-    fp = fixing_pattern(c)
-    g, _, _ = make(family, n=n, m_side=m_side)
-    snf = snf_elements(fp, n)
+    g = family_graph(family, m_side, n)
     auts = brute_aut(g)
-    for tau in itertools.islice(all_permutations(n), 0, None, 13):
-        rep, b = canonical_form(tau, snf, g)
-        brute = min(compose(compose(a, tau), inverse(bb))
-                    for a in snf for bb in auts)
-        assert rep == brute
-        # the witness maps the canonical frame back to tau's frame
-        assert any(compose(compose(a, tau), inverse(b)) == rep for a in snf)
+    for pattern in sorted(PATTERNS):
+        c = circuit_with_pattern(n, PATTERNS[pattern])
+        fp = fixing_pattern(c)
+        stab = brute_pattern_stabilizer(c)
+        for tau in all_permutations(n):
+            rep, b = canonical_form(tau, fp, g)
+            brute = min(compose(compose(a, tau), inverse(bb))
+                        for a in stab for bb in auts)
+            assert rep == brute, (pattern, tau)
+            # the witness is an automorphism mapping the canonical frame
+            # back to tau's frame
+            assert b in auts
+            assert any(compose(compose(a, tau), inverse(b)) == rep for a in stab)
 
 
 # --- layer orbits and orbitals -------------------------------------------------
@@ -163,7 +182,7 @@ def test_table_sizes_star_and_cycle_n6():
 def test_compliance_is_orbit_invariant(family, m_side):
     n = 5
     c = circuit_with_pattern(n, PATTERNS["pairs"])
-    g, _, _ = make(family, n=n, m_side=m_side)
+    g = family_graph(family, m_side, n)
     q = quotient_graph(c, g)
     snf = snf_elements(q.fp, n)
     auts = brute_aut(g)
