@@ -1,23 +1,27 @@
-"""Reduced LP model and solvers for the quotient graph.
+"""Reduced models over the quotient graph, and the solver.
 
 Variables follow the orbital structure: one λ̄ per (layer, intra-layer
 orbital) and one θ̄ per (layer boundary, compliant orbit).  The scaled model
 divides the orbital sizes by |Aut(Coup(E))|, which turns every coefficient
 into a small rational (at most 2^p·f!·|E|) regardless of how factorially
 large the group is; coefficients are assembled exactly as Fractions and only
-then converted to floats.  Upper bounds are omitted — the two degree rows
-bound everything — and re-checked after solving.
+then converted to floats.  Upper bounds are omitted: the two degree rows
+bound everything.  `build_gnfp` gives the same model as a
+generalized network flow with arc multipliers; `write_lp` exports either.
 
-When every orbital has in/out degree 1 (trivial qubit-side stabilizer, or
-more generally trivial B_τ everywhere), the model *is* a shortest-path
-problem: intra-layer arcs cost one SWAP each, boundary arcs are free, and a
-0-1 BFS over (layer, orbit) states replaces the simplex.
+`solve_reduced` never builds these models.  The group acts on every layer
+by coupling automorphisms and compliance is orbit-invariant, so the
+orbit-to-orbit distances of the layered graph are BFS distances in the
+quotient, whatever the orbitals' in/out multipliers: intra-layer arcs cost
+one SWAP each, boundary arcs are free, and a 0-1 BFS over (layer, orbit)
+states finds the optimum.  `simplex_solve` (float64, in `simplex.py`) solves
+the LP and flow models where they are studied on their own.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -61,26 +65,13 @@ class LpSolution:
     var_tags: list[Tag]
     residual: float = 0.0
 
-    def support(self, threshold: float = 1e-6):
-        """(lam_support, theta_support) as sets of tag tails."""
-        lam, theta = set(), set()
-        for tag, v in zip(self.var_tags, self.values):
-            if v > threshold:
-                if tag[0] == "lam":
-                    lam.add((tag[1], tag[2]))
-                else:
-                    theta.add((tag[1], tag[2]))
-        return lam, theta
-
 
 @dataclass(eq=False)
 class ReducedPath:
-    """Integral quotient-path solution from the shortest-path fast path."""
+    """A shortest path through the quotient: its length and its moves."""
 
     opt: int
     steps: list[tuple]                      # ("enter", u) / ("swap", k, arc) / ("cross", k, u)
-    lam_support: set = field(default_factory=set)     # {(layer, arc_id)}
-    theta_support: set = field(default_factory=set)   # {(boundary, orbit_id)}
 
 
 # ---------------------------------------------------------------------------
@@ -282,41 +273,16 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
         state = prev
     steps.reverse()
     steps.append(("cross", m, end[1]))
-
-    path = ReducedPath(opt=dist[end[0]][end[1]], steps=steps)
-    for move in steps:
-        if move[0] == "enter":
-            path.theta_support.add((0, move[1]))
-        elif move[0] == "cross":
-            path.theta_support.add((move[1], move[2]))
-        else:
-            path.lam_support.add((move[1], move[2]))
-    return path
+    return ReducedPath(opt=dist[end[0]][end[1]], steps=steps)
 
 
-def solve_reduced(q: QuotientGraph):
-    """Solve the reduced model: shortest path when every orbital multiplier
-    is 1, otherwise the scaled LP via the simplex.  Returns (opt, solution)
-    where the solution is a ReducedPath or an LpSolution."""
+def solve_reduced(q: QuotientGraph) -> tuple[int, ReducedPath]:
+    """Solve the reduced model by 0-1 BFS on the quotient.  Returns
+    (opt, path); `reconstruct` replays the path's steps as a schedule."""
     if q.m == 0:
-        return 0, ReducedPath(opt=0, steps=[], theta_support={(0, 0)})
-    if all(arc.d_out == 1 and arc.d_in == 1 for arc in q.arcs):
-        path = _shortest_quotient_path(q)
-        return path.opt, path
-
-    sol = simplex_solve(build_rspp_scaled(q))
-    if sol.status != simplex.OPTIMAL:
-        raise SolverError(f"simplex finished with status {sol.status}")
-    aut_order = q.coupling.aut.order
-    for v in sol.values:
-        # a Python float against the exact int: numpy float64 raises
-        # OverflowError once |Aut| passes the float range
-        if float(v) - 1e-6 > aut_order:
-            raise SolverError(f"variable exceeds implied bound: {v} > {aut_order}")
-    opt = round(sol.objective)
-    if abs(sol.objective - opt) > 1e-6:
-        raise SolverError(f"reduced optimum {sol.objective} is not integral")
-    return opt, sol
+        return 0, ReducedPath(opt=0, steps=[])
+    path = _shortest_quotient_path(q)
+    return path.opt, path
 
 
 # ---------------------------------------------------------------------------

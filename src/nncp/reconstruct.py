@@ -1,12 +1,13 @@
-"""Turn quotient-level solutions back into concrete SWAP schedules.
+"""Turn quotient-level shortest paths back into concrete SWAP schedules.
 
-The LP (or shortest-path) solution lives on orbits and orbitals.  Because
-the averaged solution spreads flow uniformly over each orbit, *any* walk
-that stays inside the support corresponds to a concrete shortest path: start
-at the representative of a supported source orbit, and at each layer either
-cross to the next gate (when the current orbit's boundary variable is
-supported) or apply the lexicographically smallest coupling edge whose
-orbital carries flow.  Each applied edge is one SWAP.
+`solve_reduced` returns the steps of a 0-1 BFS path through the quotient:
+enter at a source orbit, take orbital arcs (one SWAP each) and cross to the
+next gate.  `reconstruct` replays them on concrete qubit orders.  It starts
+at the entry orbit's representative.  For each swap step it canonicalizes
+the current order, τ ↦ (rep, b), and applies the coupling edge b⁻¹ maps onto
+the arc's representative edge.  The moved order lies in the arc's target
+orbit, because the group acts by automorphisms, so the walk stays on the
+path and every crossing order is compliant.
 
 `verify` re-checks a finished schedule against nothing but the problem
 statement: gate-by-gate compliance of the qubit orders, and that the listed
@@ -21,11 +22,9 @@ from dataclasses import dataclass
 from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
-from .lp import LpSolution, ReducedPath
+from .lp import ReducedPath
 from .perm import Permutation, Transposition, inverse
 from .symmetry import QuotientGraph
-
-SUPPORT_TOL = 1e-6
 
 SCHEMA_VERSION = 1
 
@@ -71,58 +70,38 @@ class NncpSolution:
         return cls.from_json_dict(json.loads(text))
 
 
-def _support(solution) -> tuple[set, set, int]:
-    if isinstance(solution, ReducedPath):
-        return solution.lam_support, solution.theta_support, solution.opt
-    if isinstance(solution, LpSolution):
-        lam, theta = solution.support(SUPPORT_TOL)
-        return lam, theta, round(solution.objective)
-    raise TypeError(f"cannot reconstruct from {type(solution).__name__}")
-
-
-def reconstruct(q: QuotientGraph, solution) -> NncpSolution:
-    """Walk the support of a reduced solution into a concrete schedule."""
+def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
+    """Replay the steps of a quotient shortest path as a concrete schedule."""
     if q.m == 0:
         return NncpSolution(opt=0, orders=[], swaps=[])
-    lam, theta, opt = _support(solution)
-
-    starts = sorted(u for (k, u) in theta if k == 0)
-    if not starts:
-        raise SolverError("solution support has no source orbit")
-    tau = q.nodes[starts[0]].rep
-    edges = sorted(q.coupling.edges)
-
+    tau = None
     orders: list[Permutation] = []
     swaps: list[tuple[int, Transposition]] = []
-    k = 1
-    while k <= q.m:
-        rep, b = q.canonical(tau)
-        u = q.node_id(rep)
-        if (k, u) in theta:
+    for step in path.steps:
+        if step[0] == "enter":
+            tau = q.nodes[step[1]].rep
+        elif tau is None:
+            raise SolverError(f"path starts with {step[0]!r}, not at a source orbit")
+        elif step[0] == "cross":
             orders.append(tau)
-            k += 1
-            continue
-        if len(swaps) >= opt:
-            raise SolverError(
-                f"support walk exceeded the optimum of {opt} swaps at gate {k}")
-        for (i, j) in edges:
-            x, y = b(i), b(j)
-            if x > y:
-                x, y = y, x
-            class_rep = q.edge_class_rep[u][(x, y)]
-            arc_id = q.arc_lookup[(u, class_rep)]
-            if (k, arc_id) in lam:
-                swaps.append((k - 1, Transposition(i, j)))
-                tau = tau.swap(i, j)
-                break
         else:
-            raise SolverError(
-                f"support walk dead-ends at gate {k} after {len(swaps)} swaps "
-                f"(orbit {u})")
-    if len(swaps) != opt:
+            _, k, ai = step
+            arc = q.arcs[ai]
+            rep, b = q.canonical(tau)
+            u = q.node_id(rep)
+            if u != arc.src:
+                raise SolverError(
+                    f"swap step at gate {k} takes arc {ai} out of orbit "
+                    f"{arc.src}, but the order is in orbit {u}")
+            b_inv = inverse(b)
+            t = Transposition(b_inv(arc.edge_class_rep.i), b_inv(arc.edge_class_rep.j))
+            swaps.append((k - 1, t))
+            tau = tau.swap(t.i, t.j)
+    if len(orders) != q.m or len(swaps) != path.opt:
         raise SolverError(
-            f"support walk used {len(swaps)} swaps, expected {opt}")
-    return NncpSolution(opt=opt, orders=orders, swaps=swaps)
+            f"path replays to {len(orders)} orders and {len(swaps)} swaps, "
+            f"expected {q.m} and {path.opt}")
+    return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
 
 
 def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) -> dict:

@@ -93,9 +93,6 @@ class BTau:
     def class_size(self, e: Edge) -> int:
         return len(self.edge_orbits[self.class_of[e]])
 
-    def class_rep(self, e: Edge) -> Edge:
-        return self.representative_edges[self.class_of[e]]
-
 
 def _finish(order, groups, elements=None) -> BTau:
     """Package edge classes deterministically (sorted by representative)."""
@@ -340,8 +337,6 @@ class QuotientGraph:
     arcs: list[OrbitalArc]
     compliant: list[list[int]]
     out_arcs: list[list[int]]
-    arc_lookup: dict[tuple[int, Edge], int]
-    edge_class_rep: list[dict[Edge, Edge]]
     _node_index: dict[tuple, int]
 
     @property
@@ -368,14 +363,8 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     arcs = layer_orbitals(nodes, fp, g, _btau_cache=btaus)
 
     out_arcs: list[list[int]] = [[] for _ in nodes]
-    arc_lookup: dict[tuple[int, Edge], int] = {}
     for ai, arc in enumerate(arcs):
         out_arcs[arc.src].append(ai)
-        arc_lookup[(arc.src, (arc.edge_class_rep.i, arc.edge_class_rep.j))] = ai
-    edge_class_rep = []
-    for node in nodes:
-        bt = btaus[node.rep.images]
-        edge_class_rep.append({e: bt.class_rep(e) for e in bt.class_of})
 
     compliant: list[list[int]] = []
     inv_reps = [inverse(node.rep).images for node in nodes]
@@ -386,8 +375,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
 
     return QuotientGraph(
         circuit=c, coupling=g, fp=fp, nodes=nodes, arcs=arcs,
-        compliant=compliant, out_arcs=out_arcs, arc_lookup=arc_lookup,
-        edge_class_rep=edge_class_rep,
+        compliant=compliant, out_arcs=out_arcs,
         _node_index={node.rep.images: i for i, node in enumerate(nodes)})
 
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 from nncp import simplex
 from nncp.baseline import solve_spp
 from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
-from nncp.lp import (LpSolution, ReducedPath, build_gnfp, build_rspp_scaled,
+from nncp.lp import (ReducedPath, build_gnfp, build_rspp_scaled,
                      gnfp_lp, simplex_solve, solve_reduced, write_lp)
 from nncp.symmetry import quotient_graph
 
@@ -70,35 +72,71 @@ def test_builders_reject_empty_circuits():
     assert solve_reduced(q)[0] == 0
 
 
+def has_multipliers(q):
+    return any(arc.d_out != 1 or arc.d_in != 1 for arc in q.arcs)
+
+
+def linprog_objective(lp):
+    c, cols, b, lb, ub = lp.float_arrays()
+    A = np.zeros((len(b), lp.n_vars))
+    for j, col in enumerate(cols):
+        for i, coef in col:
+            A[i, j] = coef
+    res = scipy.optimize.linprog(
+        c, A_eq=A, b_eq=b,
+        bounds=[(lo, None if hi == float("inf") else hi) for lo, hi in zip(lb, ub)],
+        method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
 def test_fast_path_used_only_without_multipliers():
     _, _, q = instance(5, CHAIN6[:4], "cycle")      # trivial pattern
     opt, sol = solve_reduced(q)
     assert isinstance(sol, ReducedPath)
     _, _, q = instance(4, [(0, 1), (2, 3), (0, 1)], "star")  # pair pattern
+    assert has_multipliers(q)
     opt, sol = solve_reduced(q)
-    assert isinstance(sol, LpSolution)
-    assert opt == 2
+    assert isinstance(sol, ReducedPath)             # the same BFS, multipliers or not
+    assert opt == sol.opt == 2
 
 
 def test_fast_path_agrees_with_simplex_on_the_same_model():
-    for pairs in ([(0, 2), (1, 3), (0, 1)], [(0, 1), (1, 2), (0, 4)]):
-        _, _, q = instance(5, pairs, "cycle")
+    # (n, pairs, family, m_side, some orbital multiplier != 1)
+    cases = [
+        (5, [(0, 2), (1, 3), (0, 1)], "cycle", None, False),
+        (5, [(0, 1), (1, 2), (0, 4)], "cycle", None, False),
+        # pair patterns and idle qubits: in/out multipliers other than 1
+        (4, [(0, 1), (2, 3), (0, 1)], "star", None, True),
+        (6, [(0, 1), (2, 3), (4, 5), (0, 1)], "star", None, True),
+        (6, [(0, 2), (2, 4), (0, 4)], "star", None, True),
+        (5, [(0, 1), (2, 3), (1, 4)], "biclique", 2, True),
+        (6, [(0, 3), (1, 2), (3, 4), (0, 4)], "biclique", 2, True),
+        (6, [(0, 1), (2, 3), (4, 5)], "cycle", None, True),
+        (6, [(1, 4), (2, 5), (1, 4)], "cycle", None, True),
+    ]
+    for n, pairs, family, m_side, multipliers in cases:
+        _, _, q = instance(n, pairs, family, m_side)
+        assert has_multipliers(q) == multipliers, (n, pairs, family)
         opt, sol = solve_reduced(q)
         assert isinstance(sol, ReducedPath)
-        ref = simplex_solve(build_rspp_scaled(q))
+        lp = build_rspp_scaled(q)
+        ref = simplex_solve(lp)
         assert ref.status == simplex.OPTIMAL
-        assert round(ref.objective) == opt
-        assert abs(ref.objective - opt) < 1e-9
+        assert round(ref.objective) == opt, (n, pairs, family)
+        assert abs(ref.objective - opt) < 1e-9, (n, pairs, family)
+        assert abs(linprog_objective(lp) - opt) < 1e-6, (n, pairs, family)
 
 
 def test_reduced_path_support_shape():
     _, _, q = instance(5, [(0, 2), (2, 4), (1, 3), (0, 1)], "cycle")
     opt, path = solve_reduced(q)
     assert isinstance(path, ReducedPath)
-    assert len(path.lam_support) == opt
-    boundaries = sorted(k for k, _ in path.theta_support)
-    assert boundaries[0] == 0 and boundaries[-1] == q.m
+    kinds = [step[0] for step in path.steps]
+    assert kinds.count("swap") == opt
+    assert [step[1] for step in path.steps if step[0] == "cross"] == list(range(1, q.m + 1))
     assert path.steps[0][0] == "enter" and path.steps[-1][0] == "cross"
+    assert kinds.count("enter") == 1
 
 
 @pytest.mark.parametrize("n, pairs, family, m_side", [

@@ -204,14 +204,9 @@ def test_quotient_lookup_tables():
     g, _, _ = make("cycle", n=n)
     q = quotient_graph(c, g)
     for ai, arc in enumerate(q.arcs):
-        assert q.arc_lookup[(arc.src, (arc.edge_class_rep.i, arc.edge_class_rep.j))] == ai
         assert ai in q.out_arcs[arc.src]
     for u, node in enumerate(q.nodes):
         assert q.node_id(node.rep) == u
-        # every coupling edge maps to some arc through the class table
-        for e in g.edges:
-            rep_edge = q.edge_class_rep[u][e]
-            assert (u, rep_edge) in q.arc_lookup
 
 
 def test_reduction_stats_formulas():
