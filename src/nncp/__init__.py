@@ -25,8 +25,8 @@ from .perm import (Permutation, Transposition, all_permutations, compose,
                    one_line_str)
 from .reconstruct import NncpSolution, reconstruct, verify
 from .symmetry import (BTau, OrbitNode, OrbitalArc, QuotientGraph, b_tau,
-                       canonical_form, layer_orbitals, layer_orbits,
-                       quotient_graph, reduction_stats)
+                       canonical_form, layer_orbits, quotient_graph,
+                       reduction_stats)
 
 __version__ = "0.1.0"
 

@@ -25,10 +25,8 @@ from .errors import CapError, NncpError, ParseError, SolverError, VerificationEr
 from .generate import random_class_i, random_class_ii, to_real
 from .lp import solve_reduced
 from .perm import one_line_str
-from .reconstruct import NncpSolution, reconstruct, verify
+from .reconstruct import SCHEMA_VERSION, NncpSolution, reconstruct, verify
 from .symmetry import quotient_graph, reduction_stats
-
-SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -171,7 +169,7 @@ def cmd_verify(solution_path: str, cfg: RunConfig) -> int:
     coupling = coupling_from_descriptor(cfg.coupling, circuit.n)
     try:
         sol = NncpSolution.from_json(Path(solution_path).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read solution file: {exc}")
     report = verify(sol, circuit, coupling)
     print(json.dumps({"schema": SCHEMA_VERSION, **report}, indent=2))

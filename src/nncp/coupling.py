@@ -1,8 +1,8 @@
 """Coupling-graph families, their SWAP transposition sets, and automorphism
 groups.
 
-The structured families carry their automorphism group *symbolically* (order
-and generators only), so canonicalizing a qubit order against a star on 100
+The structured families carry their automorphism group *symbolically* (its
+order only), so canonicalizing a qubit order against a star on 100
 locations never enumerates the (n-1)! group elements: the coset minimum is
 obtained by sorting images inside each side of the bipartition.  The cycle
 group (order 2n) and GENERAL groups (backtracking search, small n only) are
@@ -42,7 +42,6 @@ class AutGroup:
     """
 
     order: int
-    generators: list[Permutation]
     family: str
     elements: list[Permutation] | None = None
     _inverses: list[Permutation] | None = field(default=None, repr=False)
@@ -147,9 +146,7 @@ def _make_cycle(n: int) -> CouplingGraph:
         elements.append(Permutation([(s - x) % n for x in range(n)]))       # reflections
     elements.sort(key=lambda p: p.images)
     assert all(_is_automorphism(b, edges) for b in elements)
-    gens = [Permutation([(x + 1) % n for x in range(n)]),
-            Permutation([(-x) % n for x in range(n)])]
-    aut = AutGroup(order=2 * n, generators=gens, family=CYCLE, elements=elements)
+    aut = AutGroup(order=2 * n, family=CYCLE, elements=elements)
     return CouplingGraph(n=n, edges=edges, family=CYCLE, aut=aut)
 
 
@@ -157,24 +154,13 @@ def _make_biclique(n: int, m: int) -> CouplingGraph:
     """K_{M,N} with M = ``m`` < N = n - m; m = 1 is the star K_{1,N}."""
     if n is None or m is None:
         raise ValueError("biclique needs n and the small-side size")
-    if not 1 <= m < n - m:
-        raise ValueError(f"biclique needs 1 <= M < N, got M={m}, N={n - m}")
     if m == 1 and n - 1 < 2:
         raise ValueError("star needs at least 2 leaves")
+    if not 1 <= m < n - m:
+        raise ValueError(f"biclique needs 1 <= M < N, got M={m}, N={n - m}")
     edges = frozenset((i, j) for i in range(m) for j in range(m, n))
-    gens = []
-    for i in range(m - 1):
-        p = list(range(n))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append(Permutation(p))
-    for i in range(m, n - 1):
-        p = list(range(n))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append(Permutation(p))
-    assert all(_is_automorphism(b, edges) for b in gens)
     family = STAR if m == 1 else BICLIQUE
-    aut = AutGroup(order=math.factorial(m) * math.factorial(n - m),
-                   generators=gens, family=family)
+    aut = AutGroup(order=math.factorial(m) * math.factorial(n - m), family=family)
     return CouplingGraph(n=n, edges=edges, family=family, aut=aut, split=m)
 
 
@@ -190,8 +176,7 @@ def _make_general(edge_list) -> CouplingGraph:
         raise CapError(f"general automorphism search capped at n <= {GENERAL_N_CAP}, got n={n}")
     elements = _enumerate_automorphisms(n, edges)
     elements.sort(key=lambda p: p.images)
-    aut = AutGroup(order=len(elements), generators=list(elements),
-                   family=GENERAL, elements=elements)
+    aut = AutGroup(order=len(elements), family=GENERAL, elements=elements)
     return CouplingGraph(n=n, edges=edges, family=GENERAL, aut=aut)
 
 
@@ -233,34 +218,39 @@ def _enumerate_automorphisms(n: int, edges: frozenset) -> list[Permutation]:
 
 def coupling_from_descriptor(desc: str, n: int) -> CouplingGraph:
     """CLI descriptor → coupling graph: ``star``, ``cycle``, ``biclique:M``,
-    or ``file:PATH`` (1-based "u v" edge lines)."""
-    if desc == STAR:
-        return _make_biclique(n, 1)
-    if desc == CYCLE:
-        return _make_cycle(n)
-    if desc.startswith("biclique:"):
-        try:
-            m = int(desc.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad biclique descriptor {desc!r}")
-        return _make_biclique(n, m)
-    if desc.startswith("file:"):
-        path = desc.split(":", 1)[1]
-        edge_list = []
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    u, v = map(int, line.split())
-                except ValueError:
-                    raise ParseError(f"bad edge line {line!r}", line=lineno)
-                edge_list.append((u - 1, v - 1))
-        g = _make_general(edge_list)
-        if g.n != n:
-            raise ParseError(f"coupling file covers {g.n} locations, circuit has {n} qubits")
-        return g
+    or ``file:PATH`` (1-based "u v" edge lines).  A graph the family rejects
+    or an unreadable file raises ParseError."""
+    try:
+        if desc == STAR:
+            return _make_biclique(n, 1)
+        if desc == CYCLE:
+            return _make_cycle(n)
+        if desc.startswith("biclique:"):
+            try:
+                m = int(desc.split(":", 1)[1])
+            except ValueError:
+                raise ParseError(f"bad biclique descriptor {desc!r}")
+            return _make_biclique(n, m)
+        if desc.startswith("file:"):
+            path = desc.split(":", 1)[1]
+            edge_list = []
+            with open(path) as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    try:
+                        u, v = map(int, line.split())
+                    except ValueError:
+                        raise ParseError(f"bad edge line {line!r}", line=lineno)
+                    edge_list.append((u - 1, v - 1))
+            g = _make_general(edge_list)
+            if g.n != n:
+                raise ParseError(
+                    f"coupling file covers {g.n} locations, circuit has {n} qubits")
+            return g
+    except (ValueError, OSError) as exc:    # ParseError is neither
+        raise ParseError(f"coupling {desc!r}: {exc}") from None
     raise ParseError(f"unknown coupling descriptor {desc!r}")
 
 

@@ -56,18 +56,34 @@ class NncpSolution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NncpSolution":
+        """Inverse of `to_json_dict`; raises ValueError on any malformed
+        shape (a missing key, a list where a number belongs, ...)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"solution must be a JSON object, not {type(data).__name__}")
         if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValueError(f"unsupported solution schema {data['schema']!r}")
-        orders = [Permutation(tuple(x - 1 for x in images))
-                  for images in data["orders"]]
-        swaps = [(entry["after_gate"],
-                  Transposition(entry["swap"][0] - 1, entry["swap"][1] - 1))
-                 for entry in data["swaps"]]
-        return cls(opt=int(data["opt"]), orders=orders, swaps=swaps)
+        try:
+            orders = [Permutation(tuple(_integer(x) - 1 for x in images))
+                      for images in data["orders"]]
+            swaps = []
+            for entry in data["swaps"]:
+                i, j = entry["swap"]
+                swaps.append((_integer(entry["after_gate"]),
+                              Transposition(_integer(i) - 1, _integer(j) - 1)))
+            opt = _integer(data["opt"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed solution: {type(exc).__name__}: {exc}") from None
+        return cls(opt=opt, orders=orders, swaps=swaps)
 
     @classmethod
     def from_json(cls, text: str) -> "NncpSolution":
         return cls.from_json_dict(json.loads(text))
+
+
+def _integer(x) -> int:
+    if type(x) is not int:      # int() would truncate a float, and bool is an int
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:

@@ -17,10 +17,11 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
   * B_τ — the subgroup of coupling automorphisms that setwise stabilize the
     pattern classes pulled back through τ; its order gives orbit sizes via
     orbit–stabilizer, and its edge classes give the arc multiplicities;
-  * one canonical representative per orbit (DFS over canonical forms,
-    right-multiplying by the SWAP transpositions — T is closed under
-    conjugation by coupling automorphisms, so right moves alone reach every
-    orbit);
+  * orbits and orbitals in one worklist pass: each orbit's representative
+    is moved along the first edge of each B_τ edge class and canonicalized
+    once, which gives the arc, its in-degree, and any new orbit.  One edge
+    per class is enough, because τ·b = a·τ (a in S_n(F)) for b in B_τ, so
+    moves along e and b(e) land in the same orbit;
   * the quotient graph: orbit nodes, orbital arcs with in/out degrees, and
     per-gate compliance marks.  All layers share one node/arc structure since
     the layers are identical copies; only the compliance marks vary by gate.
@@ -87,14 +88,13 @@ class BTau:
     order: int
     edge_orbits: list[list[Edge]]
     representative_edges: list[Edge]
-    elements: list[Permutation] | None = None
     class_of: dict[Edge, int] = field(default_factory=dict, repr=False)
 
     def class_size(self, e: Edge) -> int:
         return len(self.edge_orbits[self.class_of[e]])
 
 
-def _finish(order, groups, elements=None) -> BTau:
+def _finish(order, groups) -> BTau:
     """Package edge classes deterministically (sorted by representative)."""
     orbits = sorted((sorted(g) for g in groups), key=lambda cl: cl[0])
     class_of = {}
@@ -103,7 +103,7 @@ def _finish(order, groups, elements=None) -> BTau:
             class_of[e] = ci
     return BTau(order=order, edge_orbits=[list(cl) for cl in orbits],
                 representative_edges=[cl[0] for cl in orbits],
-                elements=elements, class_of=class_of)
+                class_of=class_of)
 
 
 def b_tau(tau: Permutation, fp: FixingPattern, g: CouplingGraph) -> BTau:
@@ -145,7 +145,7 @@ def b_tau(tau: Permutation, fp: FixingPattern, g: CouplingGraph) -> BTau:
     kept = [b for b in g.aut.elements
             if all(frozenset(b.images[x] for x in cl) == cl for cl in loc_classes)]
     groups = _edge_orbits_under(kept, edges)
-    return _finish(len(kept), groups, elements=kept)
+    return _finish(len(kept), groups)
 
 
 def _edge_orbits_under(elements: list[Permutation], edges: list[Edge]) -> list[list[Edge]]:
@@ -252,70 +252,64 @@ def _canonical_sides(word: list[int], fp: FixingPattern, g: CouplingGraph
     return Permutation(rep), Permutation(b)
 
 
-def layer_orbits(fp: FixingPattern, g: CouplingGraph,
-                 _btau_cache: dict | None = None) -> list[OrbitNode]:
-    """One canonical representative per orbit of a layer, orbit sizes by
-    orbit–stabilizer.  Nodes are sorted by representative."""
-    moves = sorted(g.edges)
+def layer_orbits(fp: FixingPattern, g: CouplingGraph
+                 ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
+    """Orbits of a layer and their orbitals, in one worklist pass.
+
+    B_τ is computed once per orbit, when the orbit is found.  Per B_τ edge
+    class, one canonicalization of the representative moved along the
+    class's first edge names the destination orbit (new if unseen); its
+    witness b carries that edge into the destination's frame, where the
+    destination's B_τ gives ``d_in``.  Nodes come out sorted by
+    representative (orbit sizes by orbit–stabilizer), arcs by source node
+    and then by edge class."""
+    group_order = fp.group_order * g.aut.order
     start, _ = canonical_form(identity(g.n), fp, g)
-    seen = {start.images}
-    stack = [start]
     reps = [start]
-    while stack:
-        rep = stack.pop()
-        for i, j in moves:
-            cand, _ = canonical_form(rep.swap(i, j), fp, g)
-            if cand.images not in seen:
-                if len(seen) >= ORBIT_NODE_CAP:
+    btaus = [b_tau(start, fp, g)]
+    index = {start.images: 0}
+    # per orbit (by discovery id): (dst id, class rep, d_out, d_in) per class
+    moves: list[list[tuple[int, Edge, int, int]]] = []
+    for rep, bt in zip(reps, btaus):        # both grow as orbits are found
+        row = []
+        for (u, v), cl in zip(bt.representative_edges, bt.edge_orbits):
+            dst_rep, b = canonical_form(rep.swap(u, v), fp, g)
+            j = index.get(dst_rep.images)
+            if j is None:
+                if len(reps) >= ORBIT_NODE_CAP:
                     raise CapError(
                         f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
                         "use a more symmetric coupling family or smaller n")
-                seen.add(cand.images)
-                reps.append(cand)
-                stack.append(cand)
-    reps.sort(key=lambda p: p.images)
-
-    group_order = fp.group_order * g.aut.order
-    nodes = []
-    for rep in reps:
-        bt = b_tau(rep, fp, g)
-        if _btau_cache is not None:
-            _btau_cache[rep.images] = bt
-        size, remainder = divmod(group_order, bt.order)
-        assert remainder == 0
-        nodes.append(OrbitNode(rep=rep, orbit_size=size))
-    return nodes
-
-
-def layer_orbitals(nodes: list[OrbitNode], fp: FixingPattern, g: CouplingGraph,
-                   _btau_cache: dict | None = None) -> list[OrbitalArc]:
-    """One arc per (source orbit, B_τ edge class); destination and reverse
-    degree found by canonicalizing the moved representative."""
-    cache = _btau_cache if _btau_cache is not None else {}
-    index = {node.rep.images: i for i, node in enumerate(nodes)}
-
-    def bt_of(rep: Permutation) -> BTau:
-        bt = cache.get(rep.images)
-        if bt is None:
-            bt = b_tau(rep, fp, g)
-            cache[rep.images] = bt
-        return bt
-
-    arcs = []
-    for i, node in enumerate(nodes):
-        bt = bt_of(node.rep)
-        for ci, (u, v) in enumerate(bt.representative_edges):
-            d_out = len(bt.edge_orbits[ci])
-            dst_rep, b = canonical_form(node.rep.swap(u, v), fp, g)
-            j = index[dst_rep.images]
+                j = len(reps)
+                index[dst_rep.images] = j
+                reps.append(dst_rep)
+                btaus.append(b_tau(dst_rep, fp, g))
             x, y = b.images[u], b.images[v]
-            back = (x, y) if x < y else (y, x)
-            d_in = bt_of(dst_rep).class_size(back)
-            size = node.orbit_size * d_out
-            assert size == nodes[j].orbit_size * d_in
-            arcs.append(OrbitalArc(src=i, dst=j, edge_class_rep=Transposition(u, v),
+            d_in = btaus[j].class_size((x, y) if x < y else (y, x))
+            row.append((j, (u, v), len(cl), d_in))
+        moves.append(row)
+
+    order = sorted(range(len(reps)), key=lambda i: reps[i].images)
+    new_id = {i: k for k, i in enumerate(order)}
+    nodes = []
+    for i in order:
+        size, remainder = divmod(group_order, btaus[i].order)
+        assert remainder == 0
+        nodes.append(OrbitNode(rep=reps[i], orbit_size=size))
+    arcs = []
+    for i in order:
+        src = new_id[i]
+        for j, (u, v), d_out, d_in in moves[i]:
+            dst = new_id[j]
+            size = nodes[src].orbit_size * d_out
+            assert size == nodes[dst].orbit_size * d_in
+            arcs.append(OrbitalArc(src=src, dst=dst, edge_class_rep=Transposition(u, v),
                                    size=size, d_out=d_out, d_in=d_in))
-    return arcs
+    return nodes, arcs
+
+
+# perfbench/spans.py wraps this name; nothing calls it
+layer_orbitals = layer_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +352,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     if c.n != g.n:
         raise ValueError(f"circuit has {c.n} qubits, coupling {g.n} locations")
     fp = fixing_pattern(c)
-    btaus: dict = {}
-    nodes = layer_orbits(fp, g, _btau_cache=btaus)
-    arcs = layer_orbitals(nodes, fp, g, _btau_cache=btaus)
+    nodes, arcs = layer_orbits(fp, g)
 
     out_arcs: list[list[int]] = [[] for _ in nodes]
     for ai, arc in enumerate(arcs):

@@ -192,3 +192,37 @@ def test_bad_coupling_descriptor(capsys):
     code, _, err = run(capsys, "solve", "--circuit", "classI:5:4",
                        "--coupling", "torus")
     assert code == 1
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("circuit, coupling", [
+    ("classI:2:1", "star"),             # a star needs at least 2 leaves
+    ("classI:6:5", "biclique:3"),       # the small side must be the smaller
+    ("classI:4:2", "file:/nonexistent"),
+    ("classI:4:2", "file:{tmp}/disconnected.edges"),
+    ("classI:2:1", "file:{tmp}/self_loop.edges"),
+])
+def test_bad_coupling_exits_1(capsys, tmp_path, circuit, coupling):
+    (tmp_path / "disconnected.edges").write_text("1 2\n3 4\n")
+    (tmp_path / "self_loop.edges").write_text("1 1\n")
+    assert_one_error_line(*run(capsys, "solve", "--circuit", circuit,
+                               "--coupling", coupling.format(tmp=tmp_path)))
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],                                                     # not an object
+    {"opt": 0, "orders": 5, "swaps": []},                       # orders not a list
+    {"opt": 1, "orders": [[1, 2, 3, 4], [2, 1, 3, 4]],
+     "swaps": [{"after_gate": 1, "swap": [1]}]},                # one-point swap
+])
+def test_malformed_solution_file_exits_1(capsys, tmp_path, data):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(data))
+    assert_one_error_line(*run(capsys, "verify", "--solution", str(sol),
+                               "--circuit", "classI:4:2", "--coupling", "star"))

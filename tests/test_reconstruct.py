@@ -202,6 +202,18 @@ def test_json_schema_guard():
         NncpSolution.from_json_dict(data)
 
 
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"opt": 0, "orders": 5, "swaps": []},
+    {"opt": 1, "orders": [[1, 2, 3]], "swaps": [{"after_gate": 1, "swap": [1]}]},
+    {"opt": 0, "orders": [[1.0, 2, 3]], "swaps": []},
+    {"opt": 0.5, "orders": [[1, 2, 3]], "swaps": []},
+])
+def test_json_malformed_shape_is_value_error(data):
+    with pytest.raises(ValueError):
+        NncpSolution.from_json_dict(data)
+
+
 # --- verification catches tampering --------------------------------------------
 
 def good_instance():

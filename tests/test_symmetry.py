@@ -6,6 +6,7 @@ from nncp.baseline import brute_pattern_stabilizer
 from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
 from nncp.coupling import make
 from nncp.errors import CapError
+from nncp import symmetry
 from nncp.perm import Permutation, all_permutations, compose, inverse
 from nncp.symmetry import (b_tau, canonical_form, layer_orbits,
                            quotient_graph, reduction_stats, snf_elements)
@@ -138,7 +139,7 @@ def test_cycle6_orbit_count_matches_brute_canonicalization():
     c = circuit_with_pattern(n, PATTERNS["trivial"] + [(4, 5)])
     g, _, _ = make("cycle", n=n)
     fp = fixing_pattern(c)
-    nodes = layer_orbits(fp, g)
+    nodes, _ = layer_orbits(fp, g)
     assert len(nodes) == 60          # 720 permutations / dihedral 12
 
     auts = brute_aut(g)
@@ -158,7 +159,7 @@ def test_orbit_sizes_partition_all_permutations(family, m_side, pattern):
     c = circuit_with_pattern(n, PATTERNS[pattern])
     fp = fixing_pattern(c)
     g, _, _ = make(family, n=n, m_side=m_side)
-    nodes = layer_orbits(fp, g)
+    nodes, _ = layer_orbits(fp, g)
     assert sum(nd.orbit_size for nd in nodes) == 120    # partition of S_5
     q = quotient_graph(c, g)
     # arc sizes partition the concrete intra-layer arcs
@@ -166,6 +167,27 @@ def test_orbit_sizes_partition_all_permutations(family, m_side, pattern):
     for a in q.arcs:
         assert a.size == q.nodes[a.src].orbit_size * a.d_out
         assert a.size == q.nodes[a.dst].orbit_size * a.d_in
+    # every member of an orbit has |E| out-moves and |E| in-moves
+    for u in range(len(q.nodes)):
+        assert sum(a.d_out for a in q.arcs if a.src == u) == len(g.edges)
+        assert sum(a.d_in for a in q.arcs if a.dst == u) == len(g.edges)
+
+
+@pytest.mark.parametrize("family, arg", FAMILIES)
+@pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
+def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypatch):
+    # one call for the start order, then one per (orbit, B_tau edge class)
+    calls = []
+    real = symmetry.canonical_form
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(symmetry, "canonical_form", counting)
+    c = circuit_with_pattern(5, PATTERNS[pattern])
+    q = quotient_graph(c, family_graph(family, arg, 5))
+    assert len(calls) == 1 + len(q.arcs)
 
 
 def test_table_sizes_star_and_cycle_n6():
