@@ -2,9 +2,9 @@
 
 The pipeline: parse/decompose a circuit into two-qubit gates, build the
 coupling graph and its automorphisms, quotient the layered search graph by
-the combined qubit/location symmetry, solve the reduced model by 0-1 BFS
-on the quotient, and replay the path as a concrete SWAP schedule, then
-verify it.
+the combined qubit/location symmetry, solve the reduced model by one BFS
+pass per gate on the quotient, and replay the path as a concrete SWAP
+schedule, then verify it.
 """
 
 from .baseline import (LayeredGraphX, jt_distance, reynolds_check, solve_spp)

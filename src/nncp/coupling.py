@@ -244,11 +244,11 @@ def coupling_from_descriptor(desc: str, n: int) -> CouplingGraph:
                     except ValueError:
                         raise ParseError(f"bad edge line {line!r}", line=lineno)
                     edge_list.append((u - 1, v - 1))
-            g = _make_general(edge_list)
-            if g.n != n:
+            size = max((max(e) + 1 for e in edge_list), default=n)
+            if size != n:               # before the automorphism search and its cap
                 raise ParseError(
-                    f"coupling file covers {g.n} locations, circuit has {n} qubits")
-            return g
+                    f"coupling file covers {size} locations, circuit has {n} qubits")
+            return _make_general(edge_list)
     except (ValueError, OSError) as exc:    # ParseError is neither
         raise ParseError(f"coupling {desc!r}: {exc}") from None
     raise ParseError(f"unknown coupling descriptor {desc!r}")

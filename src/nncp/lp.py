@@ -12,15 +12,18 @@ generalized network flow with arc multipliers; `write_lp` exports either.
 `solve_reduced` never builds these models.  The group acts on every layer
 by coupling automorphisms and compliance is orbit-invariant, so the
 orbit-to-orbit distances of the layered graph are BFS distances in the
-quotient, whatever the orbitals' in/out multipliers: intra-layer arcs cost
-one SWAP each, boundary arcs are free, and a 0-1 BFS over (layer, orbit)
-states finds the optimum.  `simplex_solve` (float64, in `simplex.py`) solves
-the LP and flow models where they are studied on their own.
+quotient, whatever the orbitals' in/out multipliers.  Distance passes
+between gates only through compliant orbits, so each gate gets one
+level-synchronous BFS from the previous gate's compliant orbits, injected
+at their potentials; it stops once this gate's are settled and keeps only
+their potentials and origins.  The chain back from the cheapest orbit of the
+last gate is then found again by a single-pair BFS per gate.
+`simplex_solve` (float64, in `simplex.py`) solves the LP and flow models.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,55 +233,74 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
                       var_tags=list(lp.var_tags), residual=residual)
 
 
+def _level_bfs(succ: list[list[int]], sources: dict[int, int], targets: set[int]
+               ) -> tuple[dict[int, int], dict[int, int]]:
+    """Level-synchronous BFS over the quotient from `sources` (orbit ->
+    potential), each injected when the level reaches its potential.  Stops
+    once every target is settled.  Returns the level of each settled target
+    and the parent of each settled orbit (a source is its own parent)."""
+    pending = sorted(sources, key=sources.get, reverse=True)   # lowest last
+    parent: dict[int, int] = {}
+    level: dict[int, int] = {}
+    frontier: list[int] = []            # settled at level d - 1; none at first
+    while len(level) < len(targets) and (frontier or pending):
+        if not frontier:
+            d = sources[pending[-1]]
+        reached = []
+        for u in frontier:
+            for v in succ[u]:
+                if v not in parent:
+                    parent[v] = u
+                    reached.append(v)
+        while pending and sources[pending[-1]] == d:
+            s = pending.pop()
+            if s not in parent:
+                parent[s] = s
+                reached.append(s)
+        level.update((v, d) for v in reached if v in targets)
+        frontier = reached
+        d += 1
+    return level, parent
+
+
+def _root(parent: dict[int, int], v: int) -> int:
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
 def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
-    """0-1 BFS over (layer, orbit): intra arcs cost 1, boundary arcs 0."""
-    m, nnodes = q.m, len(q.nodes)
-    compl = [set(ids) for ids in q.compliant]
-    INF = float("inf")
-    dist = [[INF] * nnodes for _ in range(m + 1)]
-    parent: dict[tuple[int, int], tuple] = {}
-    dq = deque()
-    for u in range(nnodes):
-        dist[1][u] = 0
-        parent[(1, u)] = (None, ("enter", u))
-        dq.append((0, 1, u))
-
-    end = None
-    while dq:
-        d, k, u = dq.popleft()
-        if d > dist[k][u]:
-            continue
-        if u in compl[k - 1]:
-            if k == m:
-                end = (k, u)
-                break
-            if d < dist[k + 1][u]:
-                dist[k + 1][u] = d
-                parent[(k + 1, u)] = ((k, u), ("cross", k, u))
-                dq.appendleft((d, k + 1, u))
-        for ai in q.out_arcs[u]:
-            v = q.arcs[ai].dst
-            if d + 1 < dist[k][v]:
-                dist[k][v] = d + 1
-                parent[(k, v)] = ((k, u), ("swap", k, ai))
-                dq.append((d + 1, k, v))
-    if end is None:
+    """One BFS pass per gate, from the previous gate's compliant orbits at
+    their potentials to this gate's; then the cheapest chain is replayed."""
+    succ = [[q.arcs[ai].dst for ai in out] for out in q.out_arcs]
+    pot = dict.fromkeys(q.compliant[0], 0)
+    came_from: list[array] = []         # per gate k >= 2, along q.compliant[k-1]
+    for targets in q.compliant[1:]:
+        pot, parent = _level_bfs(succ, pot, set(targets))
+        came_from.append(array("i", (_root(parent, t) if t in pot else -1
+                                     for t in targets)))
+    if not pot:
         raise SolverError("no compliant path through the quotient graph")
-
-    steps: list[tuple] = []
-    state = end
-    while state is not None:
-        prev, move = parent[state]
-        steps.append(move)
-        state = prev
-    steps.reverse()
-    steps.append(("cross", m, end[1]))
-    return ReducedPath(opt=dist[end[0]][end[1]], steps=steps)
+    opt, end = min((p, u) for u, p in pot.items())
+    chain = [end]                       # the chosen orbit of each gate, last first
+    for k in range(q.m - 1, 0, -1):
+        chain.append(came_from[k - 1][q.compliant[k].index(chain[-1])])
+    chain.reverse()
+    steps: list[tuple] = [("enter", chain[0]), ("cross", 1, chain[0])]
+    for k, (s, t) in enumerate(zip(chain, chain[1:]), start=2):
+        _, parent = _level_bfs(succ, {s: 0}, {t})
+        swaps, v = [], t
+        while v != s:                   # parent hops back to s, one arc each
+            u = parent[v]
+            swaps.append(("swap", k, q.out_arcs[u][succ[u].index(v)]))
+            v = u
+        steps += swaps[::-1] + [("cross", k, t)]
+    return ReducedPath(opt=opt, steps=steps)
 
 
 def solve_reduced(q: QuotientGraph) -> tuple[int, ReducedPath]:
-    """Solve the reduced model by 0-1 BFS on the quotient.  Returns
-    (opt, path); `reconstruct` replays the path's steps as a schedule."""
+    """Solve the reduced model by one BFS pass per gate over the quotient.
+    Returns (opt, path); `reconstruct` replays the path's steps as a schedule."""
     if q.m == 0:
         return 0, ReducedPath(opt=0, steps=[])
     path = _shortest_quotient_path(q)

@@ -1,13 +1,13 @@
 """Turn quotient-level shortest paths back into concrete SWAP schedules.
 
-`solve_reduced` returns the steps of a 0-1 BFS path through the quotient:
-enter at a source orbit, take orbital arcs (one SWAP each) and cross to the
-next gate.  `reconstruct` replays them on concrete qubit orders.  It starts
-at the entry orbit's representative.  For each swap step it canonicalizes
-the current order, τ ↦ (rep, b), and applies the coupling edge b⁻¹ maps onto
-the arc's representative edge.  The moved order lies in the arc's target
-orbit, because the group acts by automorphisms, so the walk stays on the
-path and every crossing order is compliant.
+`solve_reduced` returns a shortest quotient path as steps, gate by gate:
+enter at an orbit, take orbital arcs (one SWAP each) and cross each gate at
+a compliant orbit.  `reconstruct` replays them on concrete qubit orders.
+It starts at the entry orbit's representative.  For each swap step it
+canonicalizes the current order, τ ↦ (rep, b), and applies the coupling
+edge b⁻¹ maps onto the arc's representative edge.  The moved order lies in
+the arc's target orbit, because the group acts by automorphisms, so the
+walk stays on the path and every crossing order is compliant.
 
 `verify` re-checks a finished schedule against nothing but the problem
 statement: gate-by-gate compliance of the qubit orders, and that the listed

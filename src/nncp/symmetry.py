@@ -320,9 +320,9 @@ class QuotientGraph:
     """Shared per-layer orbit/orbital structure plus per-gate compliance.
 
     ``compliant[k]`` lists the orbit ids whose members put gate k's qubits on
-    adjacent locations; the source arcs (one per orbit, out-degree = orbit
-    size) and sink arcs (one per compliant orbit of the last gate, in-degree
-    = orbit size) are implicit."""
+    adjacent locations; gates on one qubit pair share the list.  The source
+    arcs (one per orbit, out-degree = orbit size) and sink arcs (one per
+    compliant orbit of the last gate, in-degree = orbit size) are implicit."""
 
     circuit: Circuit
     coupling: CouplingGraph
@@ -358,12 +358,10 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     for ai, arc in enumerate(arcs):
         out_arcs[arc.src].append(ai)
 
-    compliant: list[list[int]] = []
     inv_reps = [inverse(node.rep).images for node in nodes]
-    for gate in c.gates:
-        q1, q2 = gate.pair
-        compliant.append([i for i, loc in enumerate(inv_reps)
-                          if g.has_edge(loc[q1], loc[q2])])
+    by_pair = {(a, b): [i for i, loc in enumerate(inv_reps) if g.has_edge(loc[a], loc[b])]
+               for a, b in {gate.pair for gate in c.gates}}
+    compliant = [by_pair[gate.pair] for gate in c.gates]     # one list per pair
 
     return QuotientGraph(
         circuit=c, coupling=g, fp=fp, nodes=nodes, arcs=arcs,

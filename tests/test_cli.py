@@ -215,6 +215,17 @@ def test_bad_coupling_exits_1(capsys, tmp_path, circuit, coupling):
                                "--coupling", coupling.format(tmp=tmp_path)))
 
 
+def test_coupling_file_of_the_wrong_size_exits_1(capsys, tmp_path):
+    # 11 locations: over the automorphism-search cap, but the size mismatch
+    # with a 4-qubit circuit is reported first
+    path = tmp_path / "path11.edges"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 11)))
+    code, out, err = run(capsys, "solve", "--circuit", "classI:4:2",
+                         "--coupling", f"file:{path}")
+    assert_one_error_line(code, out, err)
+    assert "covers 11 locations, circuit has 4 qubits" in err
+
+
 @pytest.mark.parametrize("data", [
     [1, 2],                                                     # not an object
     {"opt": 0, "orders": 5, "swaps": []},                       # orders not a list

@@ -8,7 +8,7 @@ from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
 from nncp.dp import solve_star_dp, star_solution
 from nncp.lp import solve_reduced
-from nncp.reconstruct import verify
+from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import quotient_graph
 
 
@@ -69,4 +69,28 @@ def test_random_star_instances_match_reduced(seed):
     table = solve_star_dp(c)
     opt, _ = solve_reduced(quotient_graph(c, g))
     assert table.opt == opt
+    assert verify(star_solution(c, table), c, g)["ok"]
+
+
+def sparse_class_i(n, used, m, seed):
+    """m random gates on the first `used` qubits; the other n - used idle."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(used), 2)) for _ in range(m)]
+
+
+@pytest.mark.parametrize("n, used, m, seed", [
+    (30, 30, 300, 1),
+    (100, 100, 150, 0),        # 4 qubits stay idle by chance
+    (100, 100, 400, 7),        # 1 idle qubit
+    (200, 40, 200, 3),         # 160 idle qubits
+], ids=["n30", "n100-idle", "n100", "n200-idle"])
+def test_large_stars_match_star_dp(n, used, m, seed):
+    c = circ(n, sparse_class_i(n, used, m, seed))
+    g, _, _ = make("star", n=n)
+    q = quotient_graph(c, g)
+    opt, path = solve_reduced(q)
+    schedule = reconstruct(q, path)
+    assert verify(schedule, c, g)["ok"]
+    table = solve_star_dp(c)
+    assert opt == schedule.opt == table.opt
     assert verify(star_solution(c, table), c, g)["ok"]

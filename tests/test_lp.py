@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +11,10 @@ from nncp import simplex
 from nncp.baseline import solve_spp
 from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
+from nncp.generate import random_class_i
 from nncp.lp import (ReducedPath, build_gnfp, build_rspp_scaled,
                      gnfp_lp, simplex_solve, solve_reduced, write_lp)
+from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import quotient_graph
 
 
@@ -195,3 +200,109 @@ def test_write_lp_format():
     # fractional coefficients keep 12 significant digits
     lp.objective[0] = Fraction(1, 3)
     assert "0.333333333333 " in write_lp(lp)
+
+
+# --- the per-gate solver against the global (layer, orbit) 0-1 BFS -------------
+
+def global_01_bfs(q):
+    """The solver this package used before the per-gate passes: one 0-1 BFS
+    over (layer, orbit) states, intra-layer arcs cost 1, boundary arcs 0.
+    O(m·orbits) time and memory; an oracle only."""
+    m, nnodes = q.m, len(q.nodes)
+    compl = [set(ids) for ids in q.compliant]
+    INF = float("inf")
+    dist = [[INF] * nnodes for _ in range(m + 1)]
+    parent = {}
+    dq = deque()
+    for u in range(nnodes):
+        dist[1][u] = 0
+        parent[(1, u)] = (None, ("enter", u))
+        dq.append((0, 1, u))
+
+    end = None
+    while dq:
+        d, k, u = dq.popleft()
+        if d > dist[k][u]:
+            continue
+        if u in compl[k - 1]:
+            if k == m:
+                end = (k, u)
+                break
+            if d < dist[k + 1][u]:
+                dist[k + 1][u] = d
+                parent[(k + 1, u)] = ((k, u), ("cross", k, u))
+                dq.appendleft((d, k + 1, u))
+        for ai in q.out_arcs[u]:
+            v = q.arcs[ai].dst
+            if d + 1 < dist[k][v]:
+                dist[k][v] = d + 1
+                parent[(k, v)] = ((k, u), ("swap", k, ai))
+                dq.append((d + 1, k, v))
+    assert end is not None
+
+    steps = []
+    state = end
+    while state is not None:
+        prev, move = parent[state]
+        steps.append(move)
+        state = prev
+    steps.reverse()
+    steps.append(("cross", m, end[1]))
+    return ReducedPath(opt=dist[end[0]][end[1]], steps=steps)
+
+
+BOWTIE = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
+WHEEL7 = [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)]
+
+
+def random_deep_instance(seed):
+    """20-60 random gates on a random subset of the qubits (the rest idle),
+    sometimes plus an isolated pair, on one of six coupling families."""
+    rng = random.Random(seed)
+    family, arg, n = rng.choice([
+        ("cycle", None, 6), ("cycle", None, 7), ("star", None, 9),
+        ("biclique", 3, 7), ("general", BOWTIE, 5), ("general", WHEEL7, 7)])
+    qubits = rng.sample(range(n), rng.randint(3, n))
+    pairs = [tuple(rng.sample(qubits, 2)) for _ in range(rng.randint(20, 60))]
+    spare = [x for x in range(n) if x not in qubits]
+    if len(spare) >= 2 and rng.random() < 0.5:
+        pairs += [tuple(spare[:2])] * rng.randint(1, 3)
+        rng.shuffle(pairs)
+    c = decompose([RawGate(CNOT, p) for p in pairs], n=n)
+    if family == "general":
+        g, _, _ = make("general", edges=arg)
+    else:
+        g, _, _ = make(family, n=n, m_side=arg)
+    return c, g
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_per_gate_solver_matches_global_bfs(seed):
+    c, g = random_deep_instance(seed)
+    q = quotient_graph(c, g)
+    opt, path = solve_reduced(q)
+    ref = global_01_bfs(q)
+    assert opt == path.opt == ref.opt
+    for p in (path, ref):
+        schedule = reconstruct(q, p)
+        assert verify(schedule, c, g)["ok"]
+        assert schedule.opt == opt
+
+
+def test_solve_memory_is_linear_in_compliant_orbits():
+    # cycle-7, 1500 gates: 360 orbits, about 120 compliant per gate.  The
+    # solve keeps one origin per compliant orbit plus O(orbits + arcs) of
+    # scratch; the global BFS kept a dist row and a parent entry per
+    # (layer, orbit) state and peaked above 150 MB here.
+    c = decompose(random_class_i(7, 1500, 5), n=7)
+    g, _, _ = make("cycle", n=7)
+    q = quotient_graph(c, g)
+    total = sum(len(ids) for ids in q.compliant)
+    tracemalloc.start()
+    try:
+        opt, path = solve_reduced(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * total + 2**20, (peak, total, q.m * len(q.nodes))
+    assert verify(reconstruct(q, path), c, g)["ok"]

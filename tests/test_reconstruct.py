@@ -104,7 +104,8 @@ def test_triangle_on_a_large_star(n):
 @st.composite
 def sparse_instances(draw):
     """A connected core of >= 3 qubits (or none), isolated pairs and idle
-    qubits, on a cycle, star, biclique or random connected graph, n <= 7."""
+    qubits, on a cycle, star, biclique or random connected graph, n <= 7,
+    with up to 40 gates."""
     family = draw(st.sampled_from(["cycle", "star", "biclique", "general"]))
     n = draw(st.integers(5, 7))
     core = draw(st.sampled_from([0] + list(range(3, n))))
@@ -118,6 +119,10 @@ def sparse_instances(draw):
               for _ in range(draw(st.integers(0, 2)) if core else 0)]
     gates = [gt for gt in gates if gt[0] != gt[1]]
     gates += [(labels[core + 2 * p], labels[core + 2 * p + 1]) for p in range(pairs)]
+    # deeper circuits repeat those gates, which keeps the pattern; the n! x m
+    # layered oracle caps the depth at 40 below n = 7 and at 16 on n = 7
+    depth = draw(st.integers(len(gates), 40 if n < 7 else 16))
+    gates += [draw(st.sampled_from(gates)) for _ in range(depth - len(gates))]
     gates = draw(st.permutations(gates))
 
     if family == "general":

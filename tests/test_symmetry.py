@@ -220,6 +220,24 @@ def test_compliance_is_orbit_invariant(family, m_side):
                     assert (e in g.edges) == expected
 
 
+@pytest.mark.parametrize("family, arg", FAMILIES)
+@pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
+def test_compliance_matches_per_gate_recomputation(family, arg, pattern):
+    # each pair occurs three times, once with its qubits the other way round
+    pairs = PATTERNS[pattern] + [(b, a) for a, b in PATTERNS[pattern]][::-1]
+    c = circuit_with_pattern(5, pairs + PATTERNS[pattern])
+    g = family_graph(family, arg, 5)
+    q = quotient_graph(c, g)
+    for k, gate in enumerate(c.gates):
+        a, b = gate.pair
+        expected = []
+        for u, node in enumerate(q.nodes):
+            loc = inverse(node.rep)
+            if tuple(sorted((loc(a), loc(b)))) in g.edges:
+                expected.append(u)
+        assert q.compliant[k] == expected, (k, gate.pair)
+
+
 def test_quotient_lookup_tables():
     n = 5
     c = circuit_with_pattern(n, PATTERNS["mixed"])
