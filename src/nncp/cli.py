@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # numpy raises a subclass with a readable message; a bare one has none
+        # the instance outgrew the machine; a bare MemoryError has no message
         print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -20,23 +20,20 @@ INF = float("inf")
 
 @dataclass(eq=False)
 class DpTable:
-    """Per-gate costs N(k, q) with the optimal centre sequence read back."""
+    """The optimal SWAP count and the centre qubit at each gate."""
 
     opt: int
     centers: list[int]
-    table: list[dict[int, int]]
 
 
 def solve_star_dp(circuit: Circuit) -> DpTable:
     """Minimum SWAP count on a star, independent of the reduced pipeline."""
     m = circuit.m
     if m == 0:
-        return DpTable(opt=0, centers=[], table=[])
+        return DpTable(opt=0, centers=[])
 
-    table: list[dict[int, int]] = []
     back: list[dict[int, int]] = []
     prev: dict[int, int] = {q: 0 for q in circuit.gates[0].pair}
-    table.append(dict(prev))
     back.append({q: q for q in prev})
 
     for k in range(1, m):
@@ -52,7 +49,6 @@ def solve_star_dp(circuit: Circuit) -> DpTable:
                 cur[q], bp[q] = stay, q
             else:
                 cur[q], bp[q] = move, via
-        table.append(cur)
         back.append(bp)
         prev = cur
 
@@ -62,7 +58,7 @@ def solve_star_dp(circuit: Circuit) -> DpTable:
     for k in range(m - 1, -1, -1):
         centers[k] = center
         center = back[k][center]
-    return DpTable(opt=int(opt), centers=centers, table=table)
+    return DpTable(opt=int(opt), centers=centers)
 
 
 def star_solution(circuit: Circuit, table: DpTable) -> NncpSolution:

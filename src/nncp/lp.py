@@ -18,7 +18,8 @@ level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials; it stops once this gate's are settled and keeps only
 their potentials and origins.  The chain back from the cheapest orbit of the
 last gate is then found again by a single-pair BFS per gate.
-`simplex_solve` (float64, in `simplex.py`) solves the LP and flow models.
+`simplex_solve` solves the LP and flow models with the float64 simplex in
+`simplex.py`, the package's one numpy user; a singular basis is a `SolverError`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import simplex
 from .errors import SolverError
@@ -220,10 +219,7 @@ def gnfp_lp(model: GnfpModel) -> LinearProgram:
 
 def simplex_solve(lp: LinearProgram) -> LpSolution:
     c, cols, b, lb, ub = lp.float_arrays()
-    try:
-        status, x, obj = simplex.solve(c, cols, b, lb, ub)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"basis factorization failed: {exc}") from exc
+    status, x, obj = simplex.solve(c, cols, b, lb, ub)
     residual = 0.0
     if status == simplex.OPTIMAL:
         for row, beta in zip(lp.rows, lp.rhs):

@@ -10,14 +10,16 @@ pivots, which guarantees termination.  The basis inverse is kept explicitly
 (dense) and refactorized periodically.
 
 The engine works on plain arrays and sparse columns; the model/solution
-wrappers live in :mod:`nncp.lp`.
+wrappers live in :mod:`nncp.lp`.  It is the one numpy user in the package:
+`solve` imports numpy when called, so importing :mod:`nncp` never loads it.
+A singular basis raises `SolverError`.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
+from .errors import SolverError
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -37,6 +39,8 @@ def solve(c, cols, b, lb, ub):
     """Run the simplex.  ``cols[j]`` is the sparse column [(row, coef), ...];
     ``ub`` entries may be ``math.inf``.  Returns (status, x, objective) with
     x covering the structural variables only."""
+    import numpy as np
+
     nrows = len(b)
     nstruct = len(c)
     b = np.asarray(b, dtype=float).copy()
@@ -82,7 +86,10 @@ def solve(c, cols, b, lb, ub):
             for r, a in cols[v]:
                 bmat[r, i] = a
         nonlocal binv
-        binv = np.linalg.inv(bmat)
+        try:
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"basis factorization failed: {exc}") from exc
         recompute_basics()
 
     recompute_basics()

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from nncp.cli import main
+from nncp.lp import build_rspp_scaled, simplex_solve
 
 REAL = """\
 .version 2.0
@@ -186,6 +188,21 @@ def test_exit_code_out_of_memory(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: out of memory: Unable to allocate 1.58 GiB for an array\n"
+
+
+def test_exit_code_solver_error(capsys, monkeypatch):
+    # the LP path's singular-basis failure, raised where solve_reduced runs
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr("nncp.cli.solve_reduced",
+                        lambda q: simplex_solve(build_rspp_scaled(q)))
+    code, out, err = run(capsys, "solve", "--circuit", "classI:5:4",
+                         "--coupling", "star")
+    assert code == 3
+    assert out == ""
+    assert err == "error: basis factorization failed: Singular matrix\n"
 
 
 def test_bad_coupling_descriptor(capsys):

@@ -11,6 +11,7 @@ from nncp import simplex
 from nncp.baseline import solve_spp
 from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
+from nncp.errors import SolverError
 from nncp.generate import random_class_i
 from nncp.lp import (ReducedPath, build_gnfp, build_rspp_scaled,
                      gnfp_lp, simplex_solve, solve_reduced, write_lp)
@@ -131,6 +132,16 @@ def test_fast_path_agrees_with_simplex_on_the_same_model():
         assert round(ref.objective) == opt, (n, pairs, family)
         assert abs(ref.objective - opt) < 1e-9, (n, pairs, family)
         assert abs(linprog_objective(lp) - opt) < 1e-6, (n, pairs, family)
+
+
+def test_singular_basis_is_a_solver_error(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    _, _, q = instance(5, CHAIN6[:4], "cycle")
+    with pytest.raises(SolverError, match="basis factorization failed: Singular matrix"):
+        simplex_solve(build_rspp_scaled(q))
 
 
 def test_reduced_path_support_shape():

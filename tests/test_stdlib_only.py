@@ -1,0 +1,69 @@
+"""The runtime needs only the standard library: importing nncp, every CLI
+subcommand and the library's solve path never load numpy (only
+`simplex_solve`, for the LP and flow models, does)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = [("classI:7:30", "cycle"), ("classI:12:40", "star")]
+
+CLI_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None             # any `import numpy` now fails
+import nncp
+from nncp.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+for k, (circuit, coupling) in enumerate(INSTANCES):
+    inst = ("--circuit", circuit, "--coupling", coupling)
+    solved = json.loads(run("solve", *inst, "--out", "json"))
+    assert solved["methods"] == {"reduced": solved["opt"]}
+    path = f"{sys.argv[1]}/sol{k}.json"
+    with open(path, "w") as f:
+        json.dump(solved, f)
+    assert json.loads(run("verify", "--solution", path, *inst))["ok"]
+    assert json.loads(run("stats", *inst, "--out", "json"))["m"] == solved["m"]
+"""
+
+SOLVE_PATH = """
+import sys
+import nncp
+from nncp import (decompose, make, quotient_graph, random_class_i,
+                  reconstruct, solve_reduced, verify)
+
+for circuit, family in INSTANCES:
+    n, m = (int(v) for v in circuit.split(":")[1:])
+    c = decompose(random_class_i(n, m, 0), n=n)
+    g, _, _ = make(family, n=n)
+    q = quotient_graph(c, g)
+    opt, path = solve_reduced(q)
+    sol = reconstruct(q, path)
+    assert sol.opt == opt and verify(sol, c, g)["ok"]
+assert "numpy" not in sys.modules, "the solve path loaded numpy"
+"""
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter, with INSTANCES defined."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", f"INSTANCES = {INSTANCES!r}\n{code}",
+                           *map(str, args)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_runs_with_numpy_unimportable(tmp_path):
+    run_python(CLI_WITHOUT_NUMPY, tmp_path)
+
+
+def test_solve_path_never_loads_numpy():
+    run_python(SOLVE_PATH)
