@@ -4,7 +4,9 @@ Subcommands: ``solve`` (reduced / baseline / dp / all with cross-check),
 ``stats`` (model sizes and reduction factors), ``decompose`` (library gates
 to two-qubit form), ``verify`` (re-check a saved schedule) and ``random``
 (seeded benchmark instances).  Exit codes: 1 parse/usage, 2 a size cap was
-hit or memory ran out, 3 the solver failed, 4 verification failed.
+hit or memory ran out, 3 the solver failed, 4 verification failed, 141
+(128 + SIGPIPE) the reader closed stdout early, as ``| head`` does; then
+nothing is printed to stderr.
 
 ``--circuit`` accepts a ``.real`` file path or a generator descriptor
 ``classI:N:M`` / ``classII:N:M`` (combined with ``--seed``)."""
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,22 +231,33 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _dispatch(args) -> int:
+    if args.command == "solve":
+        return cmd_solve(RunConfig(args.circuit, args.coupling,
+                                   args.method, args.seed, args.out))
+    if args.command == "stats":
+        return cmd_stats(RunConfig(args.circuit, args.coupling, "reduced",
+                                   args.seed, args.out))
+    if args.command == "decompose":
+        return cmd_decompose(RunConfig(args.circuit, "", seed=args.seed))
+    if args.command == "verify":
+        return cmd_verify(args.solution,
+                          RunConfig(args.circuit, args.coupling,
+                                    seed=args.seed))
+    return cmd_random(args.klass, args.n, args.m, args.seed)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(RunConfig(args.circuit, args.coupling,
-                                       args.method, args.seed, args.out))
-        if args.command == "stats":
-            return cmd_stats(RunConfig(args.circuit, args.coupling, "reduced",
-                                       args.seed, args.out))
-        if args.command == "decompose":
-            return cmd_decompose(RunConfig(args.circuit, "", seed=args.seed))
-        if args.command == "verify":
-            return cmd_verify(args.solution,
-                              RunConfig(args.circuit, args.coupling,
-                                        seed=args.seed))
-        return cmd_random(args.klass, args.n, args.m, args.seed)
+        code = _dispatch(args)
+        sys.stdout.flush()          # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,8 @@ order only), so canonicalizing a qubit order against a star on 100
 locations never enumerates the (n-1)! group elements: the coset minimum is
 obtained by sorting images inside each side of the bipartition.  The cycle
 group (order 2n) and GENERAL groups (backtracking search, small n only) are
-enumerated outright.
+enumerated outright, and canonicalization walks their stabilizer chain
+(`AutGroup.chain`) instead of scanning the elements.
 
 Location conventions are fixed once: star center = location 0, biclique
 small side = the first M locations, cycle = 0..n-1 in ring order.  Bicliques
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapError, ParseError
-from .perm import Permutation, Transposition, compose, identity, inverse
+from .perm import Permutation, Transposition, identity, inverse, unchecked
 
 CYCLE = "cycle"
 STAR = "star"
@@ -45,6 +46,7 @@ class AutGroup:
     family: str
     elements: list[Permutation] | None = None
     _inverses: list[Permutation] | None = field(default=None, repr=False)
+    _chain: dict | int | None = field(default=None, repr=False)
 
     def inverses(self) -> list[Permutation]:
         """Element inverses aligned with ``elements`` (enumerated groups only)."""
@@ -53,6 +55,25 @@ class AutGroup:
         if self._inverses is None:
             self._inverses = [inverse(b) for b in self.elements]
         return self._inverses
+
+    def chain(self) -> dict | int:
+        """Stabilizer chain (Sims) of the enumerated group, as a trie of the
+        inverse images: level k is a dict keyed by b⁻¹(k), over the elements
+        that agree on b⁻¹(0..k-1).  A subtree holding a single element is
+        that element's index in ``elements``.  Built once, on first use."""
+        if self._chain is None:
+            inv = [b.images for b in self.inverses()]
+
+            def build(ids: list[int], k: int) -> dict | int:
+                if len(ids) == 1:
+                    return ids[0]
+                groups: dict[int, list[int]] = {}
+                for i in ids:
+                    groups.setdefault(inv[i][k], []).append(i)
+                return {y: build(sub, k + 1) for y, sub in groups.items()}
+
+            self._chain = build(list(range(len(inv))), 0)
+        return self._chain
 
 
 @dataclass(eq=False)
@@ -263,22 +284,26 @@ def canonical_right(tau: Permutation, g: CouplingGraph) -> tuple[Permutation, Pe
 
     For star/biclique the minimum is reached by sorting the images inside
     each side of the bipartition (the group is exactly the side-preserving
-    permutations); for cycle/general it is a scan over the enumerated group.
+    permutations).  For cycle/general it is a greedy walk down the group's
+    stabilizer chain: τ·b⁻¹ puts qubit τ(b⁻¹(k)) at location k, and τ is
+    injective, so each level has one child y with the smallest τ(y), and
+    the walk ends at the unique minimizing element (O(n·depth), not
+    O(|Aut|·n)).
     """
+    im = tau.images
     if g.split is not None:
-        im = tau.images
         m = g.split
-        star_im = tuple(sorted(im[:m])) + tuple(sorted(im[m:]))
-        if star_im == im:
+        rep = tuple(sorted(im[:m])) + tuple(sorted(im[m:]))
+        if rep == im:
             return tau, identity(g.n)
-        tau_star = Permutation(star_im)
-        return tau_star, compose(inverse(tau_star), tau)
+        rank = [0] * g.n                    # rank[q] = location of qubit q in rep
+        for k, q in enumerate(rep):
+            rank[q] = k
+        return unchecked(rep), unchecked(tuple(map(rank.__getitem__, im)))
 
-    best = None
-    best_b = None
-    inverses = g.aut.inverses()
-    for b, b_inv in zip(g.aut.elements, inverses):
-        cand = compose(tau, b_inv)
-        if best is None or cand.images < best.images:
-            best, best_b = cand, b
-    return best, best_b
+    aut = g.aut
+    node = aut.chain()
+    while node.__class__ is dict:
+        node = node[min(node, key=im.__getitem__)]
+    rep = tuple(map(im.__getitem__, aut.inverses()[node].images))
+    return unchecked(rep), aut.elements[node]

@@ -58,9 +58,7 @@ class Permutation:
         at positions i and j (the qubits at locations i and j)."""
         im = list(self.images)
         im[i], im[j] = im[j], im[i]
-        p = object.__new__(Permutation)
-        object.__setattr__(p, "images", tuple(im))
-        return p
+        return unchecked(tuple(im))
 
 
 class Transposition:
@@ -100,6 +98,14 @@ class Transposition:
         return Permutation(im)
 
 
+def unchecked(images: tuple[int, ...]) -> Permutation:
+    """Wrap a tuple already known to be a permutation, skipping the
+    O(n log n) check of the constructor."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def identity(n: int) -> Permutation:
     return Permutation(range(n))
 
@@ -109,18 +115,14 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.n != q.n:
         raise ValueError(f"degree mismatch: {p.n} vs {q.n}")
     pi = p.images
-    r = object.__new__(Permutation)
-    object.__setattr__(r, "images", tuple(pi[x] for x in q.images))
-    return r
+    return unchecked(tuple(pi[x] for x in q.images))
 
 
 def inverse(p: Permutation) -> Permutation:
     im = [0] * p.n
     for x, y in enumerate(p.images):
         im[y] = x
-    r = object.__new__(Permutation)
-    object.__setattr__(r, "images", tuple(im))
-    return r
+    return unchecked(tuple(im))
 
 
 def conjugate_transposition(t: Transposition, b: Permutation) -> Transposition:
@@ -166,6 +168,4 @@ def all_permutations(n: int) -> Iterable[Permutation]:
     import itertools
 
     for im in itertools.permutations(range(n)):
-        p = object.__new__(Permutation)
-        object.__setattr__(p, "images", im)
-        yield p
+        yield unchecked(im)

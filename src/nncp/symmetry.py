@@ -11,9 +11,10 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     the same class word (location → class of its qubit), and its smallest
     member hands out each class's qubits in ascending order along the
     locations.  The canonical form is that greedy fill minimized over the
-    location side: per side of a star/biclique directly, by a scan of the
-    enumerated group for cycle/general.  S_n(F), of order 2^p·f!, is never
-    enumerated, so idle qubits and isolated pairs cost nothing extra;
+    location side: per side of a star/biclique directly, by a walk down the
+    stabilizer chain of the enumerated group for cycle/general.  S_n(F), of
+    order 2^p·f!, is never enumerated, so idle qubits and isolated pairs
+    cost nothing extra;
   * B_τ — the subgroup of coupling automorphisms that setwise stabilize the
     pattern classes pulled back through τ; its order gives orbit sizes via
     orbit–stabilizer, and its edge classes give the arc multiplicities;
@@ -41,7 +42,7 @@ from fractions import Fraction
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import BICLIQUE, CYCLE, STAR, CouplingGraph, canonical_right
 from .errors import CapError
-from .perm import Permutation, Transposition, identity, inverse
+from .perm import Permutation, Transposition, identity, inverse, unchecked
 
 ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
@@ -201,8 +202,10 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
     every side-preserving relabeling, only the count of each class on each
     side survives: the small side takes the smallest members of each class,
     and each side is sorted (O(n log n)).  For cycle/general the greedy fill
-    is minimized over the enumerated Aut (O(|Aut|·n)).  S_n(F) itself is
-    never listed.  A trivial pattern is plain coset canonicalization."""
+    is minimized down Aut's stabilizer chain (`AutGroup.chain`), keeping
+    every child that ties for the smallest next qubit; of the minimizing
+    elements the witness is the first in ``aut.elements``.  S_n(F) itself
+    is never listed.  A trivial pattern is plain coset canonicalization."""
     if fp.trivial:
         return canonical_right(tau, g)
     cls = fp.class_index
@@ -210,24 +213,34 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
     if g.split is not None:
         return _canonical_sides(word, fp, g)
 
-    best = None
-    best_b = None
-    for b, b_inv in zip(g.aut.elements, g.aut.inverses()):
-        cand = _fill([word[y] for y in b_inv.images], fp.classes)
-        if best is None or cand < best:
-            best, best_b = cand, b
-    return Permutation(best), best_b
-
-
-def _fill(word: list[int], classes) -> tuple[int, ...]:
-    """Smallest order with the given class word: each class's qubits in
-    ascending order along the locations."""
+    # Walk the stabilizer chain with the frontier of tied nodes.  Every
+    # survivor has put the same qubits on locations 0..k-1, so ``used`` is
+    # shared, and child y is worth the next unused qubit of y's class.
+    aut = g.aut
+    inv = aut.inverses()
+    classes = fp.classes
     used = [0] * len(classes)
-    out = []
-    for c in word:
-        out.append(classes[c][used[c]])
-        used[c] += 1
-    return tuple(out)
+    rep = []
+    frontier = [aut.chain()]
+    for k in range(g.n):
+        best = None
+        survivors = []
+        for node in frontier:
+            # a collapsed leaf holds one element: its next inverse image
+            kids = node.items() if node.__class__ is dict else ((inv[node].images[k], node),)
+            for y, child in kids:
+                c = word[y]
+                q = classes[c][used[c]]
+                if best is None or q < best:
+                    best = q
+                    survivors = [child]
+                elif q == best:
+                    survivors.append(child)
+        rep.append(best)
+        used[cls[best]] += 1
+        frontier = survivors
+    # the survivors are leaves now; the witness is the first in aut.elements
+    return unchecked(tuple(rep)), aut.elements[min(frontier)]
 
 
 def _canonical_sides(word: list[int], fp: FixingPattern, g: CouplingGraph

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,19 @@ def test_malformed_solution_file_exits_1(capsys, tmp_path, data):
     sol.write_text(json.dumps(data))
     assert_one_error_line(*run(capsys, "verify", "--solution", str(sol),
                                "--circuit", "classI:4:2", "--coupling", "star"))
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # ~0.4 MB schedule outgrows the pipe buffer, so a later write hits EPIPE
+    root = Path(__file__).resolve().parent.parent
+    with subprocess.Popen(
+            [sys.executable, "-m", "nncp.cli", "solve", "--circuit", "classI:100:400",
+             "--coupling", "star", "--out", "json"],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
