@@ -25,6 +25,8 @@ def random_class_i(n: int, m: int, seed: int) -> list[RawGate]:
     """m CNOTs on uniformly random distinct qubit pairs."""
     if n < 2:
         raise ValueError("class I needs n >= 2")
+    if m < 0:
+        raise ValueError(f"gate count must be >= 0, got m={m}")
     rng = random.Random(seed)
     return [RawGate(CNOT, tuple(rng.sample(range(n), 2))) for _ in range(m)]
 
@@ -33,6 +35,8 @@ def random_class_ii(n: int, m: int, seed: int) -> list[RawGate]:
     """m gates drawn uniformly from the reversible library."""
     if n < 5:
         raise ValueError("class II needs n >= 5 (largest gate uses 5 lines)")
+    if m < 0:
+        raise ValueError(f"gate count must be >= 0, got m={m}")
     rng = random.Random(seed)
     gates = []
     for _ in range(m):

@@ -9,15 +9,16 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     S_n(F)·τ·Aut.  S_n(F) is *every* relabeling inside the pattern classes,
     so the left S_n(F)-orbit of an order is exactly the set of orders with
     the same class word (location → class of its qubit), and its smallest
-    member hands out each class's qubits in ascending order along the
-    locations.  The canonical form is that greedy fill minimized over the
-    location side: per side of a star/biclique directly, by a walk down the
-    stabilizer chain of the enumerated group for cycle/general.  S_n(F), of
-    order 2^p·f!, is never enumerated, so idle qubits and isolated pairs
-    cost nothing extra;
-  * B_τ — the subgroup of coupling automorphisms that setwise stabilize the
-    pattern classes pulled back through τ; its order gives orbit sizes via
-    orbit–stabilizer, and its edge classes give the arc multiplicities;
+    member, the word's fill, hands out each class's qubits in ascending
+    order along the locations.  The canonical form is that fill minimized
+    over the location side: on a star/biclique, fill and then sort each side
+    (`canonical_right`); on cycle/general, a walk down the stabilizer chain
+    of the enumerated group.  S_n(F), of order 2^p·f!, is never enumerated,
+    so idle qubits and isolated pairs cost nothing extra;
+  * B_τ — the stabilizer of τ's class word in Aut(Coup(E)); its order gives
+    orbit sizes via orbit–stabilizer, and its edge classes give the arc
+    multiplicities.  How the group is stored (`g.split` or `g.aut`) is the
+    only thing either computation asks of the coupling family;
   * orbits and orbitals in one worklist pass: each orbit's representative
     is moved along the first edge of each B_τ edge class and canonicalized
     once, which gives the arc, its in-degree, and any new orbit.  One edge
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circuit import Circuit, FixingPattern, fixing_pattern
-from .coupling import BICLIQUE, CYCLE, STAR, CouplingGraph, canonical_right
+from .coupling import CouplingGraph, canonical_right
 from .errors import CapError
 from .perm import Permutation, Transposition, identity, inverse, unchecked
 
@@ -79,17 +80,33 @@ def snf_elements(fp: FixingPattern, n: int) -> list[Permutation]:
 
 
 # ---------------------------------------------------------------------------
+# class words
+
+def _class_word(tau: Permutation, fp: FixingPattern) -> list[int]:
+    """τ's class word: location -> pattern class of the qubit placed there."""
+    cls = fp.class_index
+    return [cls[q] for q in tau.images]
+
+
+def _fill(word: list[int], fp: FixingPattern) -> Permutation:
+    """The smallest order with this class word: each class's qubits handed
+    out in ascending order along the locations."""
+    members = [iter(cl) for cl in fp.classes]
+    return unchecked(tuple(next(members[c]) for c in word))
+
+
+# ---------------------------------------------------------------------------
 # B_tau and its edge classes
 
 @dataclass(eq=False)
 class BTau:
-    """Stabilizer (inside Aut(Coup(E))) of the pattern classes pulled back
-    through τ, together with its orbit partition of the coupling edges."""
+    """Stabilizer (inside Aut(Coup(E))) of τ's class word, together with its
+    orbit partition of the coupling edges (each class listed from its
+    smallest edge)."""
 
     order: int
     edge_orbits: list[list[Edge]]
-    representative_edges: list[Edge]
-    class_of: dict[Edge, int] = field(default_factory=dict, repr=False)
+    class_of: dict[Edge, int] = field(repr=False)
 
     def class_size(self, e: Edge) -> int:
         return len(self.edge_orbits[self.class_of[e]])
@@ -102,51 +119,35 @@ def _finish(order, groups) -> BTau:
     for ci, cl in enumerate(orbits):
         for e in cl:
             class_of[e] = ci
-    return BTau(order=order, edge_orbits=[list(cl) for cl in orbits],
-                representative_edges=[cl[0] for cl in orbits],
-                class_of=class_of)
+    return BTau(order=order, edge_orbits=orbits, class_of=class_of)
 
 
 def b_tau(tau: Permutation, fp: FixingPattern, g: CouplingGraph) -> BTau:
+    """B_τ: the automorphisms b with ``word[b(y)] == word[y]`` for τ's class
+    word, i.e. those that map every pattern class pulled back through τ onto
+    itself, so that τ·b = a·τ for some a in S_n(F)."""
     edges = sorted(g.edges)
-    if fp.group_order == 1:
-        # every pattern class is a singleton: only the identity stabilizes
-        # all the pulled-back points, for any coupling family
+    if fp.trivial:
+        # every pattern class is a singleton: only the identity fixes them
         return _finish(1, [[e] for e in edges])
+    word = _class_word(tau, fp)
 
-    inv = inverse(tau)
-    loc_classes = [frozenset(inv.images[q] for q in cl) for cl in fp.classes]
-
-    if g.family in (STAR, BICLIQUE):
-        # the group is the direct product of the symmetric groups on each
-        # "pattern class ∩ side" part; order = Π part! = 2^(p-p̂)·f1!·f2!
-        part_id = [0] * g.n
-        sizes = []
-        for cl in loc_classes:
-            for side in (frozenset(x for x in cl if x < g.split),
-                         frozenset(x for x in cl if x >= g.split)):
-                if side:
-                    pid = len(sizes)
-                    sizes.append(len(side))
-                    for x in side:
-                        part_id[x] = pid
-        order = math.prod(math.factorial(s) for s in sizes)
-        groups: dict[tuple[int, int], list[Edge]] = {}
-        for e in edges:
-            groups.setdefault((part_id[e[0]], part_id[e[1]]), []).append(e)
+    if g.split is not None:
+        # Aut is every side-preserving relabeling, so B_τ is the direct
+        # product of the symmetric groups on the (class, side) parts
+        part = [(c, y < g.split) for y, c in enumerate(word)]
+        size = Counter(part)
+        groups: dict[tuple, list[Edge]] = {}
+        for u, v in edges:
+            groups.setdefault((part[u], part[v]), []).append((u, v))
         for (pu, pv), cl in groups.items():
-            assert len(cl) == sizes[pu] * sizes[pv]
-        return _finish(order, groups.values())
+            assert len(cl) == size[pu] * size[pv]
+        return _finish(math.prod(map(math.factorial, size.values())), groups.values())
 
-    if g.family == CYCLE and fp.c >= 3:
-        # three pulled-back fixed points pin down every rotation/reflection
-        return _finish(1, [[e] for e in edges])
-
-    # small enumerated groups (cycle with c < 3, or GENERAL): filter directly
+    # enumerated groups (cycle, general): filter directly
     kept = [b for b in g.aut.elements
-            if all(frozenset(b.images[x] for x in cl) == cl for cl in loc_classes)]
-    groups = _edge_orbits_under(kept, edges)
-    return _finish(len(kept), groups)
+            if all(word[x] == c for x, c in zip(b.images, word))]
+    return _finish(len(kept), _edge_orbits_under(kept, edges))
 
 
 def _edge_orbits_under(elements: list[Permutation], edges: list[Edge]) -> list[list[Edge]]:
@@ -197,27 +198,29 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
     it moves qubit labels, not locations).
 
     The left S_n(F)-orbit of τ·b⁻¹ is the set of orders sharing its class
-    word, and the smallest of them fills each location with the smallest
-    unused qubit of that location's class.  For star/biclique, where Aut is
-    every side-preserving relabeling, only the count of each class on each
-    side survives: the small side takes the smallest members of each class,
-    and each side is sorted (O(n log n)).  For cycle/general the greedy fill
-    is minimized down Aut's stabilizer chain (`AutGroup.chain`), keeping
-    every child that ties for the smallest next qubit; of the minimizing
-    elements the witness is the first in ``aut.elements``.  S_n(F) itself
-    is never listed.  A trivial pattern is plain coset canonicalization."""
+    word, and the smallest of them is that word's fill: each location takes
+    the smallest unused qubit of its class.  For star/biclique the fill of
+    τ's word is canonicalized by `canonical_right`, which sorts each side:
+    the fill already hands each side the smallest qubits of each class it
+    can get, so the sorted sides are the minimum over the group, and the
+    witness pairs each side's locations of one class in order
+    (O(n log n)).  For cycle/general the fill is minimized down Aut's
+    stabilizer chain (`AutGroup.chain`), keeping every child that ties for
+    the smallest next qubit; of the minimizing elements the witness is the
+    first in ``aut.elements``.  S_n(F) itself is never listed.  A trivial
+    pattern is plain coset canonicalization."""
     if fp.trivial:
         return canonical_right(tau, g)
-    cls = fp.class_index
-    word = [cls[q] for q in tau.images]     # location -> class of its qubit
+    word = _class_word(tau, fp)
     if g.split is not None:
-        return _canonical_sides(word, fp, g)
+        return canonical_right(_fill(word, fp), g)
 
     # Walk the stabilizer chain with the frontier of tied nodes.  Every
     # survivor has put the same qubits on locations 0..k-1, so ``used`` is
     # shared, and child y is worth the next unused qubit of y's class.
     aut = g.aut
     inv = aut.inverses()
+    cls = fp.class_index
     classes = fp.classes
     used = [0] * len(classes)
     rep = []
@@ -243,33 +246,12 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
     return unchecked(tuple(rep)), aut.elements[min(frontier)]
 
 
-def _canonical_sides(word: list[int], fp: FixingPattern, g: CouplingGraph
-                     ) -> tuple[Permutation, Permutation]:
-    """`canonical_form` on a star/biclique, from τ's class word."""
-    m, n = g.split, g.n
-    take = Counter(word[:m])                # class -> its qubits on the small side
-    low = sorted(q for c, k in take.items() for q in fp.classes[c][:k])
-    low_set = set(low)
-    rep = low + [q for q in range(n) if q not in low_set]
-
-    # witness: pair τ's locations with rep's locations of the same side and
-    # class, in order (sort keys are class ids, offset on the large side)
-    cls = fp.class_index
-    off = len(fp.classes)
-    key_tau = word[:m] + [c + off for c in word[m:]]
-    key_rep = [cls[q] for q in low] + [cls[q] + off for q in rep[m:]]
-    b = [0] * n
-    for y, x in zip(sorted(range(n), key=key_tau.__getitem__),
-                    sorted(range(n), key=key_rep.__getitem__)):
-        b[y] = x
-    return Permutation(rep), Permutation(b)
-
-
 def layer_orbits(fp: FixingPattern, g: CouplingGraph
                  ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
     """Orbits of a layer and their orbitals, in one worklist pass.
 
-    B_τ is computed once per orbit, when the orbit is found.  Per B_τ edge
+    B_τ is computed once per orbit, when the orbit is found (once in all
+    for a trivial pattern, where every B_τ is {1}).  Per B_τ edge
     class, one canonicalization of the representative moved along the
     class's first edge names the destination orbit (new if unseen); its
     witness b carries that edge into the destination's frame, where the
@@ -285,7 +267,8 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
     moves: list[list[tuple[int, Edge, int, int]]] = []
     for rep, bt in zip(reps, btaus):        # both grow as orbits are found
         row = []
-        for (u, v), cl in zip(bt.representative_edges, bt.edge_orbits):
+        for cl in bt.edge_orbits:
+            u, v = cl[0]
             dst_rep, b = canonical_form(rep.swap(u, v), fp, g)
             j = index.get(dst_rep.images)
             if j is None:
@@ -296,7 +279,7 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
                 j = len(reps)
                 index[dst_rep.images] = j
                 reps.append(dst_rep)
-                btaus.append(b_tau(dst_rep, fp, g))
+                btaus.append(btaus[0] if fp.trivial else b_tau(dst_rep, fp, g))
             x, y = b.images[u], b.images[v]
             d_in = btaus[j].class_size((x, y) if x < y else (y, x))
             row.append((j, (u, v), len(cl), d_in))

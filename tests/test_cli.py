@@ -236,6 +236,17 @@ def test_bad_coupling_exits_1(capsys, tmp_path, circuit, coupling):
                                "--coupling", coupling.format(tmp=tmp_path)))
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--circuit", "classI:5:-2", "--coupling", "cycle"),
+    ("solve", "--circuit", "classII:5:-1", "--coupling", "star"),
+    ("stats", "--circuit", "classI:5:-2", "--coupling", "cycle"),
+    ("random", "--class", "I", "--n", "3", "--m", "-1"),
+    ("random", "--class", "II", "--n", "5", "--m", "-3"),
+])
+def test_negative_gate_count_exits_1(capsys, argv):
+    assert_one_error_line(*run(capsys, *argv))
+
+
 def test_coupling_file_of_the_wrong_size_exits_1(capsys, tmp_path):
     # 11 locations: over the automorphism-search cap, but the size mismatch
     # with a 4-qubit circuit is reported first

@@ -41,6 +41,13 @@ def test_size_guards():
         random_class_ii(n=4, m=3, seed=0)
 
 
+@pytest.mark.parametrize("gen, n", [(random_class_i, 3), (random_class_ii, 5)])
+def test_negative_gate_count_is_rejected(gen, n):
+    with pytest.raises(ValueError, match="m=-1"):
+        gen(n=n, m=-1, seed=0)
+    assert gen(n=n, m=0, seed=0) == []
+
+
 def test_to_real_round_trip():
     gates = random_class_ii(n=8, m=30, seed=7)
     text = to_real(gates, n=8, comment="round trip")
