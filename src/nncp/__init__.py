@@ -7,7 +7,7 @@ pass per gate on the quotient, and replay the path as a concrete SWAP
 schedule, then verify it.
 """
 
-from .baseline import (LayeredGraphX, jt_distance, reynolds_check, solve_spp)
+from .baseline import jt_distance, reynolds_check, solve_spp
 from .circuit import (Circuit, FixingPattern, RawGate, TwoQubitGate, decompose,
                       fixing_pattern, gate_graph, parse_real)
 from .coupling import (AutGroup, CouplingGraph, TranspositionSet,

@@ -27,24 +27,10 @@ BASELINE_N_CAP = 8
 REYNOLDS_N_CAP = 5
 
 
-class LayeredGraphX:
-    """Implicit layered graph: (layer, permutation) states, coupling-edge
-    moves within a layer, free layer crossings where the gate complies."""
-
-    def __init__(self, circuit: Circuit, coupling: CouplingGraph):
-        self.circuit = circuit
-        self.coupling = coupling
-        self.edges = sorted(coupling.edges)
-
-    def compliant(self, k: int, images: tuple[int, ...]) -> bool:
-        """Whether gate k (1-based) can execute under the given order."""
-        a, b = self.circuit.gates[k - 1].pair
-        i, j = images.index(a), images.index(b)
-        return ((i, j) if i < j else (j, i)) in self.coupling.edges
-
-
 def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
-    """Exact optimum by shortest path over the explicit layered graph."""
+    """Exact optimum by shortest path over the explicit layered graph:
+    (layer, permutation) states, coupling-edge moves within a layer, free
+    layer crossings where the gate complies."""
     n, m = circuit.n, circuit.m
     if n > BASELINE_N_CAP:
         raise CapError(
@@ -53,7 +39,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
     if m == 0:
         return NncpSolution(opt=0, orders=[], swaps=[])
 
-    x = LayeredGraphX(circuit, coupling)
+    edges = sorted(coupling.edges)
     dist: dict[tuple[int, tuple], int] = {}
     parent: dict[tuple[int, tuple], tuple] = {}
     dq = deque()
@@ -69,7 +55,9 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
         if d > dist[state]:
             continue
         k, imgs = state
-        if x.compliant(k, imgs):
+        a, b = circuit.gates[k - 1].pair
+        i, j = imgs.index(a), imgs.index(b)
+        if ((i, j) if i < j else (j, i)) in coupling.edges:
             if k == m:
                 final = state
                 break
@@ -78,7 +66,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
                 dist[nxt] = d
                 parent[nxt] = (state, ("cross",))
                 dq.appendleft((d, nxt))
-        for (i, j) in x.edges:
+        for (i, j) in edges:
             lst = list(imgs)
             lst[i], lst[j] = lst[j], lst[i]
             nxt = (k, tuple(lst))

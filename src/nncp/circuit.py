@@ -190,6 +190,8 @@ def parse_real(text, aliases: dict[str, str] | None = None):
                     meta["numvars"] = int(parts[1])
                 except (IndexError, ValueError):
                     raise ParseError(".numvars expects an integer", line=lineno)
+                if meta["numvars"] < 0:
+                    raise ParseError(".numvars must not be negative", line=lineno)
             elif directive == ".variables":
                 meta["variables"] = parts[1:]
                 var_index = {name: i for i, name in enumerate(parts[1:])}

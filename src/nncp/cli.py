@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .baseline import solve_spp
@@ -30,15 +29,6 @@ from .lp import solve_reduced
 from .perm import one_line_str
 from .reconstruct import SCHEMA_VERSION, NncpSolution, reconstruct, verify
 from .symmetry import quotient_graph, reduction_stats
-
-
-@dataclass
-class RunConfig:
-    circuit: str
-    coupling: str
-    method: str = "reduced"
-    seed: int = 0
-    out: str = "human"
 
 
 def _load_circuit(desc: str, seed: int) -> Circuit:
@@ -75,13 +65,13 @@ def _solve_one(method: str, circuit: Circuit, coupling: CouplingGraph) -> NncpSo
     raise ParseError(f"unknown method {method!r}")
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    circuit = _load_circuit(cfg.circuit, cfg.seed)
-    coupling = coupling_from_descriptor(cfg.coupling, circuit.n)
+def cmd_solve(args) -> int:
+    circuit = _load_circuit(args.circuit, args.seed)
+    coupling = coupling_from_descriptor(args.coupling, circuit.n)
 
     methods = ["reduced"]
     skipped = []
-    if cfg.method == "all":
+    if args.method == "all":
         if circuit.n <= 8:
             methods.append("baseline")
         else:
@@ -91,7 +81,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         else:
             skipped.append("dp")
     else:
-        methods = [cfg.method]
+        methods = [args.method]
 
     solutions: dict[str, NncpSolution] = {}
     for method in methods:
@@ -107,19 +97,19 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise VerificationError(f"methods disagree on the optimum: {opts}")
 
     chosen = solutions[methods[0]]
-    if cfg.out == "json":
+    if args.out == "json":
         payload = chosen.to_json_dict()
         payload.update({"n": circuit.n, "m": circuit.m,
-                        "coupling": cfg.coupling, "methods": opts})
+                        "coupling": args.coupling, "methods": opts})
         print(json.dumps(payload, indent=2))
-    elif cfg.out == "csv":
+    elif args.out == "csv":
         print("n,m,coupling,method,opt,swap_count")
         for method in methods:
             sol = solutions[method]
-            print(f"{circuit.n},{circuit.m},{cfg.coupling},{method},"
+            print(f"{circuit.n},{circuit.m},{args.coupling},{method},"
                   f"{sol.opt},{len(sol.swaps)}")
     else:
-        head = f"n={circuit.n} m={circuit.m} coupling={cfg.coupling}"
+        head = f"n={circuit.n} m={circuit.m} coupling={args.coupling}"
         if skipped:
             head += f" (skipped: {', '.join(skipped)})"
         print(head)
@@ -132,13 +122,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    circuit = _load_circuit(cfg.circuit, cfg.seed)
-    coupling = coupling_from_descriptor(cfg.coupling, circuit.n)
+def cmd_stats(args) -> int:
+    circuit = _load_circuit(args.circuit, args.seed)
+    coupling = coupling_from_descriptor(args.coupling, circuit.n)
     stats = reduction_stats(quotient_graph(circuit, coupling))
-    if cfg.out == "json":
+    if args.out == "json":
         print(json.dumps({"schema": SCHEMA_VERSION, **stats}, indent=2, default=str))
-    elif cfg.out == "csv":
+    elif args.out == "csv":
         def cell(v):  # per-boundary counts are lists; keep the row comma-safe
             return ";".join(map(str, v)) if isinstance(v, list) else str(v)
         print(",".join(stats))
@@ -150,10 +140,10 @@ def cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
+def cmd_decompose(args) -> int:
     """Emit the two-qubit form; pairs come out as t2 lines since only the
     acted-on pair matters downstream."""
-    circuit = _load_circuit(cfg.circuit, cfg.seed)
+    circuit = _load_circuit(args.circuit, args.seed)
     lines = [f"# two-qubit decomposition: {circuit.m} gates",
              ".version 2.0",
              f".numvars {circuit.n}",
@@ -167,11 +157,11 @@ def cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(solution_path: str, cfg: RunConfig) -> int:
-    circuit = _load_circuit(cfg.circuit, cfg.seed)
-    coupling = coupling_from_descriptor(cfg.coupling, circuit.n)
+def cmd_verify(args) -> int:
+    circuit = _load_circuit(args.circuit, args.seed)
+    coupling = coupling_from_descriptor(args.coupling, circuit.n)
     try:
-        sol = NncpSolution.from_json(Path(solution_path).read_text())
+        sol = NncpSolution.from_json(Path(args.solution).read_text())
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read solution file: {exc}")
     report = verify(sol, circuit, coupling)
@@ -181,7 +171,8 @@ def cmd_verify(solution_path: str, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_random(klass: str, n: int, m: int, seed: int) -> int:
+def cmd_random(args) -> int:
+    klass, n, m, seed = args.klass, args.n, args.m, args.seed
     try:
         gates = (random_class_i if klass == "I" else random_class_ii)(n, m, seed)
     except ValueError as exc:
@@ -208,49 +199,38 @@ def _parser() -> argparse.ArgumentParser:
     instance_args(p)
     p.add_argument("--method", choices=["reduced", "baseline", "dp", "all"],
                    default="reduced")
+    p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("stats", help="model sizes before/after reduction")
     instance_args(p)
+    p.set_defaults(run=cmd_stats)
 
     p = sub.add_parser("decompose", help="rewrite a circuit into two-qubit gates")
     p.add_argument("--circuit", required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser("verify", help="re-check a saved schedule")
     p.add_argument("--solution", required=True)
     p.add_argument("--circuit", required=True)
     p.add_argument("--coupling", required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("random", help="emit a seeded benchmark circuit")
     p.add_argument("--class", dest="klass", choices=["I", "II"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_random)
 
     return ap
-
-
-def _dispatch(args) -> int:
-    if args.command == "solve":
-        return cmd_solve(RunConfig(args.circuit, args.coupling,
-                                   args.method, args.seed, args.out))
-    if args.command == "stats":
-        return cmd_stats(RunConfig(args.circuit, args.coupling, "reduced",
-                                   args.seed, args.out))
-    if args.command == "decompose":
-        return cmd_decompose(RunConfig(args.circuit, "", seed=args.seed))
-    if args.command == "verify":
-        return cmd_verify(args.solution,
-                          RunConfig(args.circuit, args.coupling,
-                                    seed=args.seed))
-    return cmd_random(args.klass, args.n, args.m, args.seed)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = args.run(args)
         sys.stdout.flush()          # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

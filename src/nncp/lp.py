@@ -18,8 +18,9 @@ level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials; it stops once this gate's are settled and keeps only
 their potentials and origins.  The chain back from the cheapest orbit of the
 last gate is then found again by a single-pair BFS per gate.
-`simplex_solve` solves the LP and flow models with the float64 simplex in
-`simplex.py`, the package's one numpy user; a singular basis is a `SolverError`.
+`simplex_solve` solves the LP and flow models with HiGHS (`simplex.py`), which
+needs scipy; a failure that HiGHS reports as neither optimal, infeasible,
+unbounded nor an iteration limit is a `SolverError`.
 """
 
 from __future__ import annotations

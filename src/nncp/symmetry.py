@@ -150,22 +150,16 @@ def b_tau(tau: Permutation, fp: FixingPattern, g: CouplingGraph) -> BTau:
     return _finish(len(kept), _edge_orbits_under(kept, edges))
 
 
-def _edge_orbits_under(elements: list[Permutation], edges: list[Edge]) -> list[list[Edge]]:
+def _edge_orbits_under(group: list[Permutation], edges: list[Edge]) -> list[list[Edge]]:
+    """Edge orbits under a group listed element by element: each orbit is
+    the image set of one of its edges."""
     remaining = set(edges)
     groups = []
     while remaining:
-        e = min(remaining)
-        orb = {e}
-        frontier = [e]
-        while frontier:
-            u, v = frontier.pop()
-            for b in elements:
-                x, y = b.images[u], b.images[v]
-                e2 = (x, y) if x < y else (y, x)
-                if e2 not in orb:
-                    orb.add(e2)
-                    frontier.append(e2)
-        groups.append(sorted(orb))
+        u, v = min(remaining)
+        orb = {(x, y) if x < y else (y, x)
+               for x, y in ((b.images[u], b.images[v]) for b in group)}
+        groups.append(orb)
         remaining -= orb
     return groups
 

@@ -41,6 +41,7 @@ def test_parse_alias():
     ((".numvars 4", ".numvars x"), 3, "expects an integer"),
     ((".variables a b c d", ".variables a a c d"), 4, "duplicate variable"),
     ((".begin", ".bogus"), 5, "unknown directive"),
+    ((".numvars 4", ".numvars -1"), 3, "must not be negative"),
 ])
 def test_parse_errors_carry_line_numbers(mutation, lineno, fragment):
     with pytest.raises(ParseError) as err:

@@ -4,8 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+import scipy.optimize
 
 from nncp.cli import main
 from nncp.lp import build_rspp_scaled, simplex_solve
@@ -195,18 +195,18 @@ def test_exit_code_out_of_memory(capsys, monkeypatch):
 
 
 def test_exit_code_solver_error(capsys, monkeypatch):
-    # the LP path's singular-basis failure, raised where solve_reduced runs
-    def singular(a):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # the LP path's failure when HiGHS gives up, raised where solve_reduced runs
+    def numerical_failure(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=4, x=None, message="HiGHS gave up")
 
-    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(scipy.optimize, "linprog", numerical_failure)
     monkeypatch.setattr("nncp.cli.solve_reduced",
                         lambda q: simplex_solve(build_rspp_scaled(q)))
     code, out, err = run(capsys, "solve", "--circuit", "classI:5:4",
                          "--coupling", "star")
     assert code == 3
     assert out == ""
-    assert err == "error: basis factorization failed: Singular matrix\n"
+    assert err.splitlines() == ["error: LP solver failed: HiGHS gave up"]
 
 
 def test_bad_coupling_descriptor(capsys):
@@ -245,6 +245,19 @@ def test_bad_coupling_exits_1(capsys, tmp_path, circuit, coupling):
 ])
 def test_negative_gate_count_exits_1(capsys, argv):
     assert_one_error_line(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--coupling", "star"),
+    ("stats", "--coupling", "star"),
+    ("decompose",),
+])
+def test_negative_numvars_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "negative.real"
+    path.write_text(".version 2.0\n.numvars -1\n.begin\n.end\n")
+    code, out, err = run(capsys, command[0], "--circuit", str(path), *command[1:])
+    assert_one_error_line(code, out, err)
+    assert "line 2" in err
 
 
 def test_coupling_file_of_the_wrong_size_exits_1(capsys, tmp_path):

@@ -134,13 +134,14 @@ def test_fast_path_agrees_with_simplex_on_the_same_model():
         assert abs(linprog_objective(lp) - opt) < 1e-6, (n, pairs, family)
 
 
-def test_singular_basis_is_a_solver_error(monkeypatch):
-    def singular(a):
-        raise np.linalg.LinAlgError("Singular matrix")
+def test_lp_solver_failure_is_a_solver_error(monkeypatch):
+    # what linprog returns when HiGHS gives up (status 4: numerical difficulties)
+    def numerical_failure(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=4, x=None, message="HiGHS gave up")
 
-    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(scipy.optimize, "linprog", numerical_failure)
     _, _, q = instance(5, CHAIN6[:4], "cycle")
-    with pytest.raises(SolverError, match="basis factorization failed: Singular matrix"):
+    with pytest.raises(SolverError, match="^LP solver failed: HiGHS gave up$"):
         simplex_solve(build_rspp_scaled(q))
 
 

@@ -1,6 +1,6 @@
 """The runtime needs only the standard library: importing nncp, every CLI
-subcommand and the library's solve path never load numpy (only
-`simplex_solve`, for the LP and flow models, does)."""
+subcommand and the library's solve path never load numpy or scipy (only
+`simplex_solve`, which hands the LP and flow models to scipy's HiGHS, does)."""
 
 import os
 import subprocess
@@ -13,6 +13,7 @@ INSTANCES = [("classI:7:30", "cycle"), ("classI:12:40", "star")]
 CLI_WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None             # any `import numpy` now fails
+sys.modules["scipy"] = None
 import nncp
 from nncp.cli import main
 
@@ -48,7 +49,7 @@ for circuit, family in INSTANCES:
     opt, path = solve_reduced(q)
     sol = reconstruct(q, path)
     assert sol.opt == opt and verify(sol, c, g)["ok"]
-assert "numpy" not in sys.modules, "the solve path loaded numpy"
+assert not {"numpy", "scipy"} & set(sys.modules), "the solve path loaded numpy or scipy"
 """
 
 
