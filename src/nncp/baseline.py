@@ -218,8 +218,7 @@ def reynolds_check(circuit: Circuit, coupling: CouplingGraph,
             _, k, ai = tag
             arc = q.arcs[ai]
             src = q.nodes[arc.src]
-            key = (k, src.rep.images,
-                   (arc.edge_class_rep.i, arc.edge_class_rep.j))
+            key = (k, src.rep.images, (arc.u, arc.v))
             values.append(aut_order * xbar.get(key, 0.0))
         else:
             _, k, u = tag

@@ -298,7 +298,6 @@ class FixingPattern:
     classes: tuple[tuple[int, ...], ...]
     p: int          # number of pair classes
     f: int          # size of the free set (0 if there are no isolated qubits)
-    c: int          # qubits living in components of size >= 3
     free: tuple[int, ...]   # the free set itself (may be empty)
 
     @property
@@ -334,7 +333,6 @@ def fixing_pattern(c: Circuit) -> FixingPattern:
     classes: list[tuple[int, ...]] = []
     free: list[int] = []
     p = 0
-    big = 0
     for start in range(c.n):
         if seen[start]:
             continue
@@ -355,9 +353,7 @@ def fixing_pattern(c: Circuit) -> FixingPattern:
             p += 1
         else:
             classes.extend((q,) for q in comp)
-            big += len(comp)
     if free:
         classes.append(tuple(sorted(free)))
     classes.sort()
-    return FixingPattern(classes=tuple(classes), p=p, f=len(free), c=big,
-                         free=tuple(sorted(free)))
+    return FixingPattern(classes=tuple(classes), p=p, f=len(free), free=tuple(sorted(free)))

@@ -43,7 +43,6 @@ class AutGroup:
     """
 
     order: int
-    family: str
     elements: list[Permutation] | None = None
     _inverses: list[Permutation] | None = field(default=None, repr=False)
     _chain: dict | int | None = field(default=None, repr=False)
@@ -51,7 +50,7 @@ class AutGroup:
     def inverses(self) -> list[Permutation]:
         """Element inverses aligned with ``elements`` (enumerated groups only)."""
         if self.elements is None:
-            raise ValueError(f"{self.family} group is symbolic, not enumerated")
+            raise ValueError("the group is symbolic, not enumerated")
         if self._inverses is None:
             self._inverses = [inverse(b) for b in self.elements]
         return self._inverses
@@ -167,7 +166,7 @@ def _make_cycle(n: int) -> CouplingGraph:
         elements.append(Permutation([(s - x) % n for x in range(n)]))       # reflections
     elements.sort(key=lambda p: p.images)
     assert all(_is_automorphism(b, edges) for b in elements)
-    aut = AutGroup(order=2 * n, family=CYCLE, elements=elements)
+    aut = AutGroup(order=2 * n, elements=elements)
     return CouplingGraph(n=n, edges=edges, family=CYCLE, aut=aut)
 
 
@@ -181,7 +180,7 @@ def _make_biclique(n: int, m: int) -> CouplingGraph:
         raise ValueError(f"biclique needs 1 <= M < N, got M={m}, N={n - m}")
     edges = frozenset((i, j) for i in range(m) for j in range(m, n))
     family = STAR if m == 1 else BICLIQUE
-    aut = AutGroup(order=math.factorial(m) * math.factorial(n - m), family=family)
+    aut = AutGroup(order=math.factorial(m) * math.factorial(n - m))
     return CouplingGraph(n=n, edges=edges, family=family, aut=aut, split=m)
 
 
@@ -197,7 +196,7 @@ def _make_general(edge_list) -> CouplingGraph:
         raise CapError(f"general automorphism search capped at n <= {GENERAL_N_CAP}, got n={n}")
     elements = _enumerate_automorphisms(n, edges)
     elements.sort(key=lambda p: p.images)
-    aut = AutGroup(order=len(elements), family=GENERAL, elements=elements)
+    aut = AutGroup(order=len(elements), elements=elements)
     return CouplingGraph(n=n, edges=edges, family=GENERAL, aut=aut)
 
 
@@ -264,6 +263,8 @@ def coupling_from_descriptor(desc: str, n: int) -> CouplingGraph:
                         u, v = map(int, line.split())
                     except ValueError:
                         raise ParseError(f"bad edge line {line!r}", line=lineno)
+                    if min(u, v) < 1:
+                        raise ParseError(f"edge {line!r}: locations are 1-based", line=lineno)
                     edge_list.append((u - 1, v - 1))
             size = max((max(e) + 1 for e in edge_list), default=n)
             if size != n:               # before the automorphism search and its cap

@@ -63,13 +63,12 @@ class NncpSolution:
         if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValueError(f"unsupported solution schema {data['schema']!r}")
         try:
-            orders = [Permutation(tuple(_integer(x) - 1 for x in images))
-                      for images in data["orders"]]
+            orders = [Permutation(tuple(map(_location, images))) for images in data["orders"]]
             swaps = []
             for entry in data["swaps"]:
                 i, j = entry["swap"]
                 swaps.append((_integer(entry["after_gate"]),
-                              Transposition(_integer(i) - 1, _integer(j) - 1)))
+                              Transposition(_location(i), _location(j))))
             opt = _integer(data["opt"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed solution: {type(exc).__name__}: {exc}") from None
@@ -84,6 +83,13 @@ def _integer(x) -> int:
     if type(x) is not int:      # int() would truncate a float, and bool is an int
         raise ValueError(f"expected an integer, got {x!r}")
     return x
+
+
+def _location(x) -> int:
+    """A 1-based location or qubit number from the JSON, as a 0-based index."""
+    if _integer(x) < 1:
+        raise ValueError(f"expected a 1-based number, got {x!r}")
+    return x - 1
 
 
 def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
@@ -110,7 +116,7 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
                     f"swap step at gate {k} takes arc {ai} out of orbit "
                     f"{arc.src}, but the order is in orbit {u}")
             b_inv = inverse(b)
-            t = Transposition(b_inv(arc.edge_class_rep.i), b_inv(arc.edge_class_rep.j))
+            t = Transposition(b_inv(arc.u), b_inv(arc.v))
             swaps.append((k - 1, t))
             tau = tau.swap(t.i, t.j)
     if len(orders) != q.m or len(swaps) != path.opt:

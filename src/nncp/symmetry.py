@@ -16,15 +16,17 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     of the enumerated group.  S_n(F), of order 2^p·f!, is never enumerated,
     so idle qubits and isolated pairs cost nothing extra;
   * B_τ — the stabilizer of τ's class word in Aut(Coup(E)); its order gives
-    orbit sizes via orbit–stabilizer, and its edge classes give the arc
-    multiplicities.  How the group is stored (`g.split` or `g.aut`) is the
+    the orbit size via orbit–stabilizer, and its edge classes give the
+    out-degrees.  How the group is stored (`g.split` or `g.aut`) is the
     only thing either computation asks of the coupling family;
   * orbits and orbitals in one worklist pass: each orbit's representative
     is moved along the first edge of each B_τ edge class and canonicalized
-    once, which gives the arc, its in-degree, and any new orbit.  One edge
-    per class is enough, because τ·b = a·τ (a in S_n(F)) for b in B_τ, so
-    moves along e and b(e) land in the same orbit;
-  * the quotient graph: orbit nodes, orbital arcs with in/out degrees, and
+    once, which gives the arc and any new orbit.  One edge per class is
+    enough, because τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e
+    and b(e) land in the same orbit.  An orbital holds |src|·d_out concrete
+    moves, which is |dst|·d_in counted from its other end, so the in-degree
+    follows from the out-degree and the two orbit sizes;
+  * the quotient graph: orbit nodes, orbital arcs with in/out-degrees, and
     per-gate compliance marks.  All layers share one node/arc structure since
     the layers are identical copies; only the compliance marks vary by gate.
 
@@ -37,13 +39,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import CouplingGraph, canonical_right
 from .errors import CapError
-from .perm import Permutation, Transposition, identity, inverse, unchecked
+from .perm import Permutation, identity, inverse, unchecked
 
 ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
@@ -100,26 +102,17 @@ def _fill(word: list[int], fp: FixingPattern) -> Permutation:
 
 @dataclass(eq=False)
 class BTau:
-    """Stabilizer (inside Aut(Coup(E))) of τ's class word, together with its
-    orbit partition of the coupling edges (each class listed from its
-    smallest edge)."""
+    """Stabilizer (inside Aut(Coup(E))) of τ's class word: its order, and
+    its orbit partition of the coupling edges, each class listed from its
+    smallest edge.  The class sizes are the out-degrees of τ's orbit."""
 
     order: int
     edge_orbits: list[list[Edge]]
-    class_of: dict[Edge, int] = field(repr=False)
-
-    def class_size(self, e: Edge) -> int:
-        return len(self.edge_orbits[self.class_of[e]])
 
 
 def _finish(order, groups) -> BTau:
     """Package edge classes deterministically (sorted by representative)."""
-    orbits = sorted((sorted(g) for g in groups), key=lambda cl: cl[0])
-    class_of = {}
-    for ci, cl in enumerate(orbits):
-        for e in cl:
-            class_of[e] = ci
-    return BTau(order=order, edge_orbits=orbits, class_of=class_of)
+    return BTau(order, sorted((sorted(g) for g in groups), key=lambda cl: cl[0]))
 
 
 def b_tau(tau: Permutation, fp: FixingPattern, g: CouplingGraph) -> BTau:
@@ -167,18 +160,21 @@ def _edge_orbits_under(group: list[Permutation], edges: list[Edge]) -> list[list
 # ---------------------------------------------------------------------------
 # orbit enumeration
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class OrbitNode:
     rep: Permutation
     orbit_size: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class OrbitalArc:
+    """Orbit ``src``'s moves along the B_τ edge class of (u, v), u < v:
+    ``d_out`` per member of ``src``, ``d_in`` per member of ``dst``."""
+
     src: int
     dst: int
-    edge_class_rep: Transposition
-    size: int
+    u: int
+    v: int
     d_out: int
     d_in: int
 
@@ -244,26 +240,31 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
                  ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
     """Orbits of a layer and their orbitals, in one worklist pass.
 
-    B_τ is computed once per orbit, when the orbit is found (once in all
-    for a trivial pattern, where every B_τ is {1}).  Per B_τ edge
-    class, one canonicalization of the representative moved along the
-    class's first edge names the destination orbit (new if unseen); its
-    witness b carries that edge into the destination's frame, where the
-    destination's B_τ gives ``d_in``.  Nodes come out sorted by
-    representative (orbit sizes by orbit–stabilizer), arcs by source node
+    B_τ is computed when an orbit is processed (once in all for a trivial
+    pattern, where every B_τ is {1}); only the orbit size it gives is kept.
+    Per B_τ edge class, one canonicalization of the representative moved
+    along the class's first edge names the destination orbit (new if
+    unseen), and the class size is ``d_out``.  ``d_in`` follows by
+    orbit–stabilizer once every orbit size is known: d_in = |src|·d_out /
+    |dst|.  Nodes come out sorted by representative, arcs by source node
     and then by edge class."""
     group_order = fp.group_order * g.aut.order
     start, _ = canonical_form(identity(g.n), fp, g)
     reps = [start]
-    btaus = [b_tau(start, fp, g)]
     index = {start.images: 0}
-    # per orbit (by discovery id): (dst id, class rep, d_out, d_in) per class
-    moves: list[list[tuple[int, Edge, int, int]]] = []
-    for rep, bt in zip(reps, btaus):        # both grow as orbits are found
+    trivial_bt = b_tau(start, fp, g) if fp.trivial else None
+    sizes: list[int] = []
+    # per orbit (by discovery id) its arcs, with discovery ids and d_in unset
+    rows: list[list[OrbitalArc]] = []
+    for i, rep in enumerate(reps):          # grows as orbits are found
+        bt = trivial_bt or b_tau(rep, fp, g)
+        size, remainder = divmod(group_order, bt.order)
+        assert remainder == 0
+        sizes.append(size)
         row = []
         for cl in bt.edge_orbits:
             u, v = cl[0]
-            dst_rep, b = canonical_form(rep.swap(u, v), fp, g)
+            dst_rep, _ = canonical_form(rep.swap(u, v), fp, g)
             j = index.get(dst_rep.images)
             if j is None:
                 if len(reps) >= ORBIT_NODE_CAP:
@@ -273,28 +274,21 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
                 j = len(reps)
                 index[dst_rep.images] = j
                 reps.append(dst_rep)
-                btaus.append(btaus[0] if fp.trivial else b_tau(dst_rep, fp, g))
-            x, y = b.images[u], b.images[v]
-            d_in = btaus[j].class_size((x, y) if x < y else (y, x))
-            row.append((j, (u, v), len(cl), d_in))
-        moves.append(row)
+            row.append(OrbitalArc(src=i, dst=j, u=u, v=v, d_out=len(cl), d_in=0))
+        rows.append(row)
 
     order = sorted(range(len(reps)), key=lambda i: reps[i].images)
-    new_id = {i: k for k, i in enumerate(order)}
-    nodes = []
-    for i in order:
-        size, remainder = divmod(group_order, btaus[i].order)
-        assert remainder == 0
-        nodes.append(OrbitNode(rep=reps[i], orbit_size=size))
+    new_id = [0] * len(order)
+    for k, i in enumerate(order):
+        new_id[i] = k
+    nodes = [OrbitNode(rep=reps[i], orbit_size=sizes[i]) for i in order]
     arcs = []
     for i in order:
-        src = new_id[i]
-        for j, (u, v), d_out, d_in in moves[i]:
-            dst = new_id[j]
-            size = nodes[src].orbit_size * d_out
-            assert size == nodes[dst].orbit_size * d_in
-            arcs.append(OrbitalArc(src=src, dst=dst, edge_class_rep=Transposition(u, v),
-                                   size=size, d_out=d_out, d_in=d_in))
+        for arc in rows[i]:
+            arc.d_in, remainder = divmod(sizes[i] * arc.d_out, sizes[arc.dst])
+            assert remainder == 0
+            arc.src, arc.dst = new_id[i], new_id[arc.dst]
+            arcs.append(arc)
     return nodes, arcs
 
 
@@ -308,6 +302,7 @@ layer_orbitals = layer_orbits
 @dataclass(eq=False)
 class QuotientGraph:
     """Shared per-layer orbit/orbital structure plus per-gate compliance.
+    Each arc's in-degree comes by orbit–stabilizer (see `layer_orbits`).
 
     ``compliant[k]`` lists the orbit ids whose members put gate k's qubits on
     adjacent locations; gates on one qubit pair share the list.  The source

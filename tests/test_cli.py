@@ -228,12 +228,19 @@ def assert_one_error_line(code, out, err):
     ("classI:4:2", "file:/nonexistent"),
     ("classI:4:2", "file:{tmp}/disconnected.edges"),
     ("classI:2:1", "file:{tmp}/self_loop.edges"),
+    ("classI:3:4", "file:{tmp}/zero_based.edges"),     # line 1 names location 0
+    ("classI:3:4", "file:{tmp}/negative.edges"),       # line 1 names location -2
 ])
 def test_bad_coupling_exits_1(capsys, tmp_path, circuit, coupling):
     (tmp_path / "disconnected.edges").write_text("1 2\n3 4\n")
     (tmp_path / "self_loop.edges").write_text("1 1\n")
-    assert_one_error_line(*run(capsys, "solve", "--circuit", circuit,
-                               "--coupling", coupling.format(tmp=tmp_path)))
+    (tmp_path / "zero_based.edges").write_text("0 1\n1 2\n")
+    (tmp_path / "negative.edges").write_text("1 -2\n")
+    code, out, err = run(capsys, "solve", "--circuit", circuit,
+                         "--coupling", coupling.format(tmp=tmp_path))
+    assert_one_error_line(code, out, err)
+    if coupling.endswith(("zero_based.edges", "negative.edges")):
+        assert "line 1" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -276,6 +283,8 @@ def test_coupling_file_of_the_wrong_size_exits_1(capsys, tmp_path):
     {"opt": 0, "orders": 5, "swaps": []},                       # orders not a list
     {"opt": 1, "orders": [[1, 2, 3, 4], [2, 1, 3, 4]],
      "swaps": [{"after_gate": 1, "swap": [1]}]},                # one-point swap
+    {"opt": 1, "orders": [[1, 2, 3, 4], [2, 1, 3, 4]],
+     "swaps": [{"after_gate": 1, "swap": [0, 1]}]},             # 0-based swap
 ])
 def test_malformed_solution_file_exits_1(capsys, tmp_path, data):
     sol = tmp_path / "sol.json"
