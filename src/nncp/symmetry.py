@@ -18,12 +18,18 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
   * B_τ — the stabilizer of τ's class word in Aut(Coup(E)); its order gives
     the orbit size via orbit–stabilizer, and its edge classes give the
     out-degrees.  How the group is stored (`g.split` or `g.aut`) is the
-    only thing either computation asks of the coupling family;
-  * orbits and orbitals in one worklist pass: each orbit's representative
-    is moved along the first edge of each B_τ edge class and canonicalized
-    once, which gives the arc and any new orbit.  One edge per class is
-    enough, because τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e
-    and b(e) land in the same orbit.  An orbital holds |src|·d_out concrete
+    only thing these computations ask of the coupling family;
+  * orbits and orbitals.  On a star/biclique they are built in closed
+    form, with no canonicalization: an orbit is fixed by its class vector,
+    the number of qubits of each pattern class on the small side, and a
+    swap trades one class on the small side for one on the large side
+    (`_split_orbits`).  The vectors are counted before any is built, so an
+    oversized quotient fails at once.  On cycle/general, one worklist pass
+    (`_worklist_orbits`): each orbit's representative is moved along the
+    first edge of each B_τ edge class and canonicalized once, which gives
+    the arc and any new orbit.  One edge per class is enough, because
+    τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e) land in
+    the same orbit.  Either way, an orbital holds |src|·d_out concrete
     moves, which is |dst|·d_in counted from its other end, so the in-degree
     follows from the out-degree and the two orbit sizes;
   * the quotient graph: orbit nodes, orbital arcs with in/out-degrees, and
@@ -36,8 +42,10 @@ tests; nothing on the solve path calls it.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,7 +246,123 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
 
 def layer_orbits(fp: FixingPattern, g: CouplingGraph
                  ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
-    """Orbits of a layer and their orbitals, in one worklist pass.
+    """Orbits of a layer and their orbitals.  Nodes come out sorted by
+    representative, arcs by source node and then by edge (u, v), the
+    smallest edge of the arc's B_τ edge class.
+
+    A split coupling (star or biclique) is built in closed form from class
+    vectors, with no canonicalization (`_split_orbits`); cycle and general
+    couplings are found by the worklist (`_worklist_orbits`).  Both give
+    the same quotient on a split coupling."""
+    if g.split is not None:
+        return _split_orbits(fp, g)
+    return _worklist_orbits(fp, g)
+
+
+def _class_vector_count(sizes: list[int], m: int) -> int:
+    """Number of vectors k with Σ k_c = m and 0 <= k_c <= sizes[c]: the
+    coefficient of x^m in Π_c (1 + x + … + x^sizes[c])."""
+    ways = [1] + [0] * m
+    for s in sizes:
+        ways = [sum(ways[j - t] for t in range(min(s, j) + 1)) for j in range(m + 1)]
+    return ways[m]
+
+
+def _small_sides(sizes: list[int], m: int) -> list[tuple[int, ...]]:
+    """Every class vector k with Σ k_c = m and 0 <= k_c <= sizes[c], as the
+    non-decreasing tuple of classes it puts on the small side (class c
+    k_c times)."""
+    out = []
+
+    def extend(prefix: tuple[int, ...], lo: int, run: int):
+        # ``run`` counts the copies of prefix[-1] at the end of the prefix
+        if len(prefix) == m:
+            out.append(prefix)
+            return
+        for d in range(lo, len(sizes)):
+            r = run + 1 if prefix and d == prefix[-1] else 1
+            if r <= sizes[d]:
+                extend(prefix + (d,), d, r)
+
+    extend((), 0, 0)
+    return out
+
+
+def _split_orbits(fp: FixingPattern, g: CouplingGraph
+                  ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
+    """`layer_orbits` on K_{M,N} (a star when M = 1), from class vectors.
+
+    Aut is every relabeling that keeps each side, so an orbit of
+    S_n(F) × Aut is fixed by its class vector k: k_c qubits of pattern class
+    c sit on the small side, Σ k_c = M.  Its representative puts the k_c
+    smallest qubits of each class on the small side and sorts each side,
+    which is `canonical_form`'s answer for any member.  The orbit size is
+    |G| / Π_c k_c!·(|c| − k_c)!, that is |Aut|·Π_c C(|c|, k_c), since
+    |S_n(F)| = Π_c |c|!.  A swap trades a class-c qubit on the small side
+    for a class-d qubit on the large side: one arc per such (c, d), along
+    the edge from c's first small-side location to d's first large-side
+    location, to k − e_c + e_d, with ``d_out = k_c·(|d| − k_d)``; c = d is
+    a self-loop.  ``d_in`` is |src|·d_out / |dst|, as on the worklist,
+    where the common factor |Aut| of the two orbit sizes cancels."""
+    m, n = g.split, g.n
+    classes = fp.classes
+    sizes = [len(cl) for cl in classes]
+    count = _class_vector_count(sizes, m)
+    if count > ORBIT_NODE_CAP:
+        raise CapError(
+            f"orbit count {count} exceeds cap {ORBIT_NODE_CAP}; "
+            "use a more symmetric coupling family or smaller n")
+    cls = fp.class_index
+    # a class vector's key is Σ k_c·weight[c], its mixed-radix number
+    weight = list(itertools.accumulate([s + 1 for s in sizes[:-1]], operator.mul, initial=1))
+
+    found = []          # (rep, k, key, Π_c C(|c|, k_c))
+    for small in _small_sides(sizes, m):
+        k = [0] * len(classes)
+        for c in small:
+            k[c] += 1
+        held = set(small)
+        on_small = {q for c in held for q in classes[c][:k[c]]}
+        rep = tuple(sorted(on_small)) + tuple(q for q in range(n) if q not in on_small)
+        found.append((rep, k, sum(map(weight.__getitem__, small)),
+                      math.prod(math.comb(sizes[c], k[c]) for c in held)))
+    found.sort(key=lambda row: row[0])
+    index = {key: i for i, (_, _, key, _) in enumerate(found)}
+    ways_of = [ways for *_, ways in found]
+
+    nodes = []
+    arcs = []
+    # the records hold only ints and form no cycles, so the collector's
+    # repeated passes over the growing arc list find nothing; on
+    # biclique:3 n=40 (1.1M arcs) they took half of the build
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for i, (rep, k, key, ways) in enumerate(found):
+            nodes.append(OrbitNode(rep=unchecked(rep), orbit_size=g.aut.order * ways))
+            # each class's first location on either side, in location order: the
+            # sides are sorted and every class lists its members in ascending order
+            low = [(u, cls[q]) for u, q in enumerate(rep[:m]) if q == classes[cls[q]][0]]
+            high = [(v, weight[d], sizes[d] - k[d]) for v, q in enumerate(rep[m:], m)
+                    for d in (cls[q],) if q == classes[d][k[d]]]
+            for u, c in low:
+                kc = k[c]
+                base = key - weight[c]
+                for v, wd, left in high:
+                    j = index[base + wd]
+                    d_out = kc * left
+                    d_in, remainder = divmod(ways * d_out, ways_of[j])
+                    assert remainder == 0
+                    arcs.append(OrbitalArc(i, j, u, v, d_out, d_in))
+    finally:
+        if collecting:
+            gc.enable()
+    return nodes, arcs
+
+
+def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
+                     ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
+    """`layer_orbits` for any coupling, in one worklist pass.
 
     B_τ is computed when an orbit is processed (once in all for a trivial
     pattern, where every B_τ is {1}); only the orbit size it gives is kept.
@@ -246,8 +370,7 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
     along the class's first edge names the destination orbit (new if
     unseen), and the class size is ``d_out``.  ``d_in`` follows by
     orbit–stabilizer once every orbit size is known: d_in = |src|·d_out /
-    |dst|.  Nodes come out sorted by representative, arcs by source node
-    and then by edge class."""
+    |dst|."""
     group_order = fp.group_order * g.aut.order
     start, _ = canonical_form(identity(g.n), fp, g)
     reps = [start]
@@ -303,6 +426,8 @@ layer_orbitals = layer_orbits
 class QuotientGraph:
     """Shared per-layer orbit/orbital structure plus per-gate compliance.
     Each arc's in-degree comes by orbit–stabilizer (see `layer_orbits`).
+    Arcs are sorted by source, so ``out_arcs[u]`` is the index range of
+    orbit u's arcs in ``arcs``.
 
     ``compliant[k]`` lists the orbit ids whose members put gate k's qubits on
     adjacent locations; gates on one qubit pair share the list.  The source
@@ -315,7 +440,7 @@ class QuotientGraph:
     nodes: list[OrbitNode]
     arcs: list[OrbitalArc]
     compliant: list[list[int]]
-    out_arcs: list[list[int]]
+    out_arcs: list[range]
     _node_index: dict[tuple, int]
 
     @property
@@ -339,9 +464,11 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     fp = fixing_pattern(c)
     nodes, arcs = layer_orbits(fp, g)
 
-    out_arcs: list[list[int]] = [[] for _ in nodes]
-    for ai, arc in enumerate(arcs):
-        out_arcs[arc.src].append(ai)
+    starts = [0] * (len(nodes) + 1)
+    for arc in arcs:
+        starts[arc.src + 1] += 1
+    starts = list(itertools.accumulate(starts))
+    out_arcs = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
     inv_reps = [inverse(node.rep).images for node in nodes]
     by_pair = {(a, b): [i for i, loc in enumerate(inv_reps) if g.has_edge(loc[a], loc[b])]

@@ -182,6 +182,16 @@ def test_idle_qubits_hit_no_cap(capsys):
     assert data["methods"]["reduced"] == data["methods"]["dp"]
 
 
+def test_oversized_split_quotient_fails_fast(capsys):
+    # a connected pattern on biclique:5 has C(60, 5) = 5 461 512 orbits,
+    # over the cap: counted before any orbit is built
+    code, out, err = run(capsys, "stats", "--circuit", "classI:60:200",
+                         "--coupling", "biclique:5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "5461512" in err
+
+
 def test_exit_code_out_of_memory(capsys, monkeypatch):
     def out_of_memory(q):
         raise MemoryError("Unable to allocate 1.58 GiB for an array")

@@ -210,7 +210,8 @@ def test_quotient_memory_per_arc():
 @pytest.mark.parametrize("family, arg", FAMILIES)
 @pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
 def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypatch):
-    # one call for the start order, then one per (orbit, B_tau edge class)
+    # worklist: one call for the start order, then one per (orbit, B_tau
+    # edge class); a split coupling is built from class vectors, with none
     calls = []
     real = symmetry.canonical_form
 
@@ -220,8 +221,9 @@ def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypa
 
     monkeypatch.setattr(symmetry, "canonical_form", counting)
     c = circuit_with_pattern(5, PATTERNS[pattern])
-    q = quotient_graph(c, family_graph(family, arg, 5))
-    assert len(calls) == 1 + len(q.arcs)
+    g = family_graph(family, arg, 5)
+    q = quotient_graph(c, g)
+    assert len(calls) == (0 if g.split is not None else 1 + len(q.arcs))
 
 
 def test_table_sizes_star_and_cycle_n6():
