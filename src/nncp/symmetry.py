@@ -23,13 +23,14 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     form, with no canonicalization: an orbit is fixed by its class vector,
     the number of qubits of each pattern class on the small side, and a
     swap trades one class on the small side for one on the large side
-    (`_split_orbits`).  The vectors are counted before any is built, so an
-    oversized quotient fails at once.  On cycle/general, one worklist pass
-    (`_worklist_orbits`): each orbit's representative is moved along the
-    first edge of each B_τ edge class and canonicalized once, which gives
-    the arc and any new orbit.  One edge per class is enough, because
-    τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e) land in
-    the same orbit.  Either way, an orbital holds |src|·d_out concrete
+    (`_split_orbits`).  The vectors and the arcs are counted before any is
+    built, so an oversized quotient fails at once.  On cycle/general, one
+    worklist pass (`_worklist_orbits`): each orbit's representative is moved
+    along the first edge of each B_τ edge class, which gives the arc and any
+    new orbit; each orbital and its reverse share one canonicalization, and
+    the witness names the reverse edge.  One edge per class is enough,
+    because τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e)
+    land in the same orbit.  Either way, an orbital holds |src|·d_out concrete
     moves, which is |dst|·d_in counted from its other end, so the in-degree
     follows from the out-degree and the two orbit sizes;
   * the quotient graph: orbit nodes, orbital arcs with in/out-degrees, and
@@ -42,6 +43,7 @@ tests; nothing on the solve path calls it.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import math
@@ -244,6 +246,21 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
     return unchecked(tuple(rep)), aut.elements[min(frontier)]
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while an orbit build runs.  Its
+    records hold only ints and form no cycles, so the collector's repeated
+    passes over the growing lists find nothing; on biclique:3 n=40 (1.1M
+    arcs) they took half of the build."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def layer_orbits(fp: FixingPattern, g: CouplingGraph
                  ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
     """Orbits of a layer and their orbitals.  Nodes come out sorted by
@@ -259,13 +276,28 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
     return _worklist_orbits(fp, g)
 
 
-def _class_vector_count(sizes: list[int], m: int) -> int:
-    """Number of vectors k with Σ k_c = m and 0 <= k_c <= sizes[c]: the
-    coefficient of x^m in Π_c (1 + x + … + x^sizes[c])."""
-    ways = [1] + [0] * m
+def _split_counts(sizes: list[int], m: int) -> tuple[int, int]:
+    """Node and arc counts of the split quotient.  The nodes are the vectors
+    k with Σ k_c = m and 0 <= k_c <= sizes[c], the coefficient of x^m in
+    Π_c (1 + x + … + x^sizes[c]).  A vector has one arc per class on the
+    small side (k_c > 0) and class with room on the large side
+    (k_d < sizes[d]), so the arcs are Σ_k A(k)·B(k) over those two counts."""
+    # per small-side total j: the vectors so far and their Σ A, Σ B, Σ A·B
+    acc = [(1, 0, 0, 0)] + [(0, 0, 0, 0)] * m
     for s in sizes:
-        ways = [sum(ways[j - t] for t in range(min(s, j) + 1)) for j in range(m + 1)]
-    return ways[m]
+        nxt = []
+        for j in range(m + 1):
+            vecs = sum_a = sum_b = sum_ab = 0
+            for t in range(min(s, j) + 1):
+                n0, a0, b0, ab0 = acc[j - t]
+                x, y = int(t > 0), int(t < s)
+                vecs += n0
+                sum_a += a0 + x * n0
+                sum_b += b0 + y * n0
+                sum_ab += ab0 + x * b0 + y * a0 + x * y * n0
+            nxt.append((vecs, sum_a, sum_b, sum_ab))
+        acc = nxt
+    return acc[m][0], acc[m][3]
 
 
 def _small_sides(sizes: list[int], m: int) -> list[tuple[int, ...]]:
@@ -307,11 +339,12 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
     m, n = g.split, g.n
     classes = fp.classes
     sizes = [len(cl) for cl in classes]
-    count = _class_vector_count(sizes, m)
-    if count > ORBIT_NODE_CAP:
-        raise CapError(
-            f"orbit count {count} exceeds cap {ORBIT_NODE_CAP}; "
-            "use a more symmetric coupling family or smaller n")
+    count, arc_count = _split_counts(sizes, m)
+    for what, size in (("orbit", count), ("arc", arc_count)):
+        if size > ORBIT_NODE_CAP:
+            raise CapError(
+                f"{what} count {size} exceeds cap {ORBIT_NODE_CAP}; "
+                "use a more symmetric coupling family or smaller n")
     cls = fp.class_index
     # a class vector's key is Σ k_c·weight[c], its mixed-radix number
     weight = list(itertools.accumulate([s + 1 for s in sizes[:-1]], operator.mul, initial=1))
@@ -332,12 +365,7 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
 
     nodes = []
     arcs = []
-    # the records hold only ints and form no cycles, so the collector's
-    # repeated passes over the growing arc list find nothing; on
-    # biclique:3 n=40 (1.1M arcs) they took half of the build
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         for i, (rep, k, key, ways) in enumerate(found):
             nodes.append(OrbitNode(rep=unchecked(rep), orbit_size=g.aut.order * ways))
             # each class's first location on either side, in location order: the
@@ -354,9 +382,6 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
                     d_in, remainder = divmod(ways * d_out, ways_of[j])
                     assert remainder == 0
                     arcs.append(OrbitalArc(i, j, u, v, d_out, d_in))
-    finally:
-        if collecting:
-            gc.enable()
     return nodes, arcs
 
 
@@ -366,11 +391,17 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
 
     B_τ is computed when an orbit is processed (once in all for a trivial
     pattern, where every B_τ is {1}); only the orbit size it gives is kept.
-    Per B_τ edge class, one canonicalization of the representative moved
-    along the class's first edge names the destination orbit (new if
-    unseen), and the class size is ``d_out``.  ``d_in`` follows by
-    orbit–stabilizer once every orbit size is known: d_in = |src|·d_out /
-    |dst|."""
+    Per B_τ edge class, the representative moved along the class's first
+    edge names the destination orbit (new if unseen), and the class size is
+    ``d_out``.  Each orbital and its reverse share one canonicalization;
+    the witness names the reverse edge.  If orbit i's representative ρ
+    moved along (u, v) canonicalizes to (ρ_j, b), then ρ_j = a·ρ·(u v)·b⁻¹
+    for some a in S_n(F), so ρ_j moved along (b(u), b(v)) is a·ρ·b⁻¹, in
+    orbit i.  When j comes later, that edge's class of B_{ρ_j} takes i as
+    its destination with no canonicalization; so there is one call for the
+    start order, one per self-loop and one per pair of reverse arcs.
+    ``d_in`` follows by orbit–stabilizer once every orbit size is known:
+    d_in = |src|·d_out / |dst|."""
     group_order = fp.group_order * g.aut.order
     start, _ = canonical_form(identity(g.n), fp, g)
     reps = [start]
@@ -379,26 +410,45 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     sizes: list[int] = []
     # per orbit (by discovery id) its arcs, with discovery ids and d_in unset
     rows: list[list[OrbitalArc]] = []
-    for i, rep in enumerate(reps):          # grows as orbits are found
-        bt = trivial_bt or b_tau(rep, fp, g)
-        size, remainder = divmod(group_order, bt.order)
-        assert remainder == 0
-        sizes.append(size)
-        row = []
-        for cl in bt.edge_orbits:
-            u, v = cl[0]
-            dst_rep, _ = canonical_form(rep.swap(u, v), fp, g)
-            j = index.get(dst_rep.images)
-            if j is None:
-                if len(reps) >= ORBIT_NODE_CAP:
-                    raise CapError(
-                        f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
-                        "use a more symmetric coupling family or smaller n")
-                j = len(reps)
-                index[dst_rep.images] = j
-                reps.append(dst_rep)
-            row.append(OrbitalArc(src=i, dst=j, u=u, v=v, d_out=len(cl), d_in=0))
-        rows.append(row)
+    # per orbit not yet processed: edge -> the earlier orbit a move along it
+    # reaches, named by that orbit's canonicalization of the reverse move.
+    # Keys are g's own edge tuples, so the pending dicts allocate no tuples
+    back: list[dict[Edge, int] | None] = [{}]
+    edge_at: list[list[Edge | None]] = [[None] * g.n for _ in range(g.n)]
+    for e in g.edges:
+        edge_at[e[0]][e[1]] = edge_at[e[1]][e[0]] = e
+    with _collector_paused():
+        for i, rep in enumerate(reps):          # grows as orbits are found
+            bt = trivial_bt or b_tau(rep, fp, g)
+            size, remainder = divmod(group_order, bt.order)
+            assert remainder == 0
+            sizes.append(size)
+            # the destination of each edge class that holds a named edge
+            dest = [None] * len(bt.edge_orbits)
+            if back[i]:
+                class_of = {e: k for k, cl in enumerate(bt.edge_orbits) for e in cl}
+                for e, src in back[i].items():
+                    dest[class_of[e]] = src
+            back[i] = None
+            row = []
+            for cl, j in zip(bt.edge_orbits, dest):
+                u, v = cl[0]
+                if j is None:
+                    dst_rep, b = canonical_form(rep.swap(u, v), fp, g)
+                    j = index.get(dst_rep.images)
+                    if j is None:
+                        if len(reps) >= ORBIT_NODE_CAP:
+                            raise CapError(
+                                f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
+                                "use a more symmetric coupling family or smaller n")
+                        j = len(reps)
+                        index[dst_rep.images] = j
+                        reps.append(dst_rep)
+                        back.append({})
+                    if j > i:
+                        back[j][edge_at[b.images[u]][b.images[v]]] = i
+                row.append(OrbitalArc(src=i, dst=j, u=u, v=v, d_out=len(cl), d_in=0))
+            rows.append(row)
 
     order = sorted(range(len(reps)), key=lambda i: reps[i].images)
     new_id = [0] * len(order)

@@ -192,6 +192,16 @@ def test_oversized_split_quotient_fails_fast(capsys):
     assert "5461512" in err
 
 
+def test_oversized_split_arc_count_fails_fast(capsys):
+    # on biclique:4 the C(60, 4) = 487 635 orbits pass the cap, but each has
+    # 4·56 arcs, 109 230 240 in all: counted before any orbit is built
+    code, out, err = run(capsys, "stats", "--circuit", "classI:60:200",
+                         "--coupling", "biclique:4")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "arc count 109230240" in err
+
+
 def test_exit_code_out_of_memory(capsys, monkeypatch):
     def out_of_memory(q):
         raise MemoryError("Unable to allocate 1.58 GiB for an array")

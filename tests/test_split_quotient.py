@@ -2,9 +2,10 @@
 
 `layer_orbits` builds a split coupling's quotient without canonicalizing.
 Three independent checks pin it down: the worklist (`_worklist_orbits`,
-which canonicalizes every orbital) must give the same quotient field by
-field; a brute count of class vectors must give the node count at n = 1000;
-and a DP over the set of qubits on the small side must give the same
+which canonicalizes one orbital of each reverse pair) must give the same
+quotient field by field, and the counts taken before the build its node and
+arc counts; a brute count of class vectors must give the node count at
+n = 1000; and a DP over the set of qubits on the small side must give the same
 optimum as `solve_reduced`."""
 
 import itertools
@@ -59,7 +60,8 @@ def test_closed_form_matches_worklist(kind):
         nodes, arcs = layer_orbits(fp, g)
         assert as_fields(nodes, arcs) == as_fields(*symmetry._worklist_orbits(fp, g)), \
             (n, m_side, fp.classes)
-        assert symmetry._class_vector_count([len(cl) for cl in fp.classes], m_side) == len(nodes)
+        assert symmetry._split_counts([len(cl) for cl in fp.classes], m_side) \
+            == (len(nodes), len(arcs))
 
 
 def test_polynomial_size_at_n1000():

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -29,9 +30,13 @@ PATTERNS = {
 # (family, biclique small side or general graph name)
 FAMILIES = [("cycle", None), ("star", None), ("biclique", 2), ("general", "bowtie")]
 # two triangles sharing location 0, given as an edge list: |Aut| = 8;
-# the 2×3 ladder on six locations: |Aut| = 4
+# the 2×3 ladder on six locations: |Aut| = 4; the 7-wheel, hub 0 joined to
+# the 6-cycle 1..6: |Aut| = 12; K_{3,4} as an edge list, so it takes the
+# worklist: |Aut| = 144
 GENERAL_GRAPHS = {"bowtie": [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)],
-                  "ladder": [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]}
+                  "ladder": [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)],
+                  "wheel7": [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)],
+                  "K34": [(i, j) for i in range(3) for j in range(3, 7)]}
 
 
 def family_graph(family, arg, n):
@@ -210,8 +215,9 @@ def test_quotient_memory_per_arc():
 @pytest.mark.parametrize("family, arg", FAMILIES)
 @pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
 def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypatch):
-    # worklist: one call for the start order, then one per (orbit, B_tau
-    # edge class); a split coupling is built from class vectors, with none
+    # worklist: one call for the start order, one per self-loop and one per
+    # pair of reverse arcs, whose witness names the other arc; a split
+    # coupling is built from class vectors, with none
     calls = []
     real = symmetry.canonical_form
 
@@ -223,7 +229,27 @@ def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypa
     c = circuit_with_pattern(5, PATTERNS[pattern])
     g = family_graph(family, arg, 5)
     q = quotient_graph(c, g)
-    assert len(calls) == (0 if g.split is not None else 1 + len(q.arcs))
+    if g.split is not None:
+        assert len(calls) == 0
+    else:
+        loops = sum(a.src == a.dst for a in q.arcs)
+        assert len(calls) == 1 + (len(q.arcs) - loops) // 2 + loops
+
+
+@pytest.mark.parametrize("family, arg, n", [
+    ("cycle", None, 5), ("cycle", None, 6), ("cycle", None, 7),
+    ("general", "bowtie", 5), ("general", "wheel7", 7), ("general", "K34", 7)])
+@pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
+def test_worklist_orbitals_come_in_reverse_pairs(family, arg, n, pattern):
+    # the reverse of an orbital is an orbital, with in- and out-degree swapped;
+    # the worklist names half the arcs from the other half's witnesses
+    pairs = {"trivial": [(q, q + 1) for q in range(n - 1)],
+             "pairs": [(q, q + 1) for q in range(0, n - 1, 2)],
+             "idle": [(1, 3)]}[pattern]
+    fp = fixing_pattern(circuit_with_pattern(n, pairs))
+    _, arcs = symmetry._worklist_orbits(fp, family_graph(family, arg, n))
+    forward = Counter((a.src, a.dst, a.d_out, a.d_in) for a in arcs)
+    assert forward == Counter((a.dst, a.src, a.d_in, a.d_out) for a in arcs)
 
 
 def test_table_sizes_star_and_cycle_n6():
