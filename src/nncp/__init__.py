@@ -7,7 +7,7 @@ pass per gate on the quotient, and replay the path as a concrete SWAP
 schedule, then verify it.
 """
 
-from .baseline import jt_distance, reynolds_check, solve_spp
+from .baseline import reynolds_check, solve_spp
 from .circuit import (Circuit, FixingPattern, RawGate, TwoQubitGate, decompose,
                       fixing_pattern, gate_graph, parse_real)
 from .coupling import (AutGroup, CouplingGraph, TranspositionSet,
@@ -21,8 +21,7 @@ from .lp import (GnfpModel, LinearProgram, LpSolution, ReducedPath,
                  build_gnfp, build_rspp_scaled, gnfp_lp, simplex_solve,
                  solve_reduced, write_lp)
 from .perm import (Permutation, Transposition, all_permutations, compose,
-                   conjugate_transposition, cycle_str, identity, inverse,
-                   one_line_str)
+                   identity, inverse, one_line_str)
 from .reconstruct import NncpSolution, reconstruct, verify
 from .symmetry import (BTau, OrbitNode, OrbitalArc, QuotientGraph, b_tau,
                        canonical_form, layer_orbits, quotient_graph,

@@ -25,6 +25,7 @@ from .symmetry import quotient_graph
 
 BASELINE_N_CAP = 8
 REYNOLDS_N_CAP = 5
+REYNOLDS_TOL = 1e-9
 
 
 def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
@@ -91,29 +92,6 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
     return NncpSolution(opt=dist[final],
                         orders=[orders[k] for k in range(1, m + 1)],
                         swaps=swaps)
-
-
-def jt_distance(p: Permutation, q: Permutation, edges) -> int:
-    """Word length of q⁻¹p over the given transpositions (plain BFS)."""
-    start, goal = p.images, q.images
-    if start == goal:
-        return 0
-    edges = sorted(edges)
-    seen = {start: 0}
-    dq = deque([start])
-    while dq:
-        imgs = dq.popleft()
-        d = seen[imgs]
-        for (i, j) in edges:
-            lst = list(imgs)
-            lst[i], lst[j] = lst[j], lst[i]
-            nxt = tuple(lst)
-            if nxt == goal:
-                return d + 1
-            if nxt not in seen:
-                seen[nxt] = d + 1
-                dq.append(nxt)
-    raise SolverError("transposition set does not connect the two orders")
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +166,10 @@ def reynolds_average(x: dict, y: dict, snf: list[Permutation],
     return xbar, ybar
 
 
-def reynolds_check(circuit: Circuit, coupling: CouplingGraph,
-                   tol: float = 1e-9) -> dict:
+def reynolds_check(circuit: Circuit, coupling: CouplingGraph) -> dict:
     """Average a concrete optimal flow over the full symmetry group and
     test it against the reduced LP: every row, every bound, and the
-    objective must agree within ``tol``."""
+    objective must agree within ``REYNOLDS_TOL``."""
     n = circuit.n
     if n > REYNOLDS_N_CAP:
         raise CapError(
@@ -234,7 +211,8 @@ def reynolds_check(circuit: Circuit, coupling: CouplingGraph,
     obj = sum(float(c) * v for c, v in zip(lp.objective, values))
 
     return {
-        "ok": max_row <= tol and max_bound <= tol and abs(obj - sol.opt) <= tol,
+        "ok": (max_row <= REYNOLDS_TOL and max_bound <= REYNOLDS_TOL
+               and abs(obj - sol.opt) <= REYNOLDS_TOL),
         "opt": sol.opt,
         "objective": obj,
         "objective_error": abs(obj - sol.opt),

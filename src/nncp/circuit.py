@@ -46,7 +46,7 @@ ARITY = {
     TOFFOLI5: 5,
 }
 
-#: default ``.real`` gate-token table; extend/override via parse_real(aliases=...)
+#: ``.real`` gate tokens
 GATE_TOKENS = {
     "t1": NOT,
     "t2": CNOT,
@@ -143,19 +143,15 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # .real parsing
 
-def parse_real(text, aliases: dict[str, str] | None = None):
+def parse_real(text):
     """Parse a ``.real``-style circuit file.
 
     Returns ``(gates, meta)`` where ``gates`` is the ordered list of RawGate
     and ``meta`` carries the directive values (``numvars``, ``variables``,
-    ...).  ``aliases`` extends/overrides the gate-token table, e.g.
-    ``{"pg": "PERES"}`` for collections that use a different Peres token.
+    ...).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    tokens = dict(GATE_TOKENS)
-    if aliases:
-        tokens.update({k.lower(): v for k, v in aliases.items()})
 
     meta: dict = {"variables": []}
     var_index: dict[str, int] = {}
@@ -203,7 +199,7 @@ def parse_real(text, aliases: dict[str, str] | None = None):
 
         if not in_body:
             raise ParseError(f"gate line outside .begin/.end: {line!r}", line=lineno)
-        kind = tokens.get(head.lower())
+        kind = GATE_TOKENS.get(head.lower())
         if kind is None:
             raise ParseError(f"unknown gate token {head!r}", line=lineno)
         qubits = []

@@ -45,7 +45,11 @@ def _load_circuit(desc: str, seed: int) -> Circuit:
     path = Path(desc)
     if not path.is_file():
         raise ParseError(f"no such circuit file: {desc}")
-    gates, meta = parse_real(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read circuit file {desc}: {exc}")
+    gates, meta = parse_real(text)
     return decompose(gates, n=meta.get("numvars"),
                      qubit_names=meta["variables"] or None)
 

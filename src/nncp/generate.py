@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .circuit import (CNOT, CV, CVDAG, FREDKIN3, FREDKIN4, GATE_TOKENS,
+from .circuit import (ARITY, CNOT, CV, CVDAG, FREDKIN3, FREDKIN4, GATE_TOKENS,
                       PERES, SWAP, TOFFOLI3, TOFFOLI4, TOFFOLI5, RawGate)
 
 TOKEN_OF = {kind: token for token, kind in GATE_TOKENS.items()}
@@ -42,9 +42,7 @@ def random_class_ii(n: int, m: int, seed: int) -> list[RawGate]:
     for _ in range(m):
         bucket = rng.choice(CLASS_II_BUCKETS)
         kind = rng.choice(TWO_QUBIT_KINDS) if bucket == "two-qubit" else bucket
-        arity = {TOFFOLI3: 3, TOFFOLI4: 4, TOFFOLI5: 5,
-                 FREDKIN3: 3, FREDKIN4: 4, PERES: 3}.get(kind, 2)
-        gates.append(RawGate(kind, tuple(rng.sample(range(n), arity))))
+        gates.append(RawGate(kind, tuple(rng.sample(range(n), ARITY[kind]))))
     return gates
 
 

@@ -38,13 +38,13 @@ Tag = tuple  # ("lam", layer, arc_id) or ("theta", boundary, orbit_id)
 
 @dataclass(eq=False)
 class LinearProgram:
-    """Sparse equality-form LP with [lb, ub] bounds, ub possibly absent."""
+    """Sparse equality-form LP over x >= 0 with upper bounds, each possibly
+    absent."""
 
     n_vars: int
     objective: list[Fraction]
     rows: list[list[tuple[int, Fraction]]]
     rhs: list[Fraction]
-    lower: list[Fraction]
     upper: list[Fraction | None]
     var_tags: list[Tag]
 
@@ -55,7 +55,7 @@ class LinearProgram:
                 cols[j].append((ri, float(coef)))
         c = [float(v) for v in self.objective]
         b = [float(v) for v in self.rhs]
-        lb = [float(v) for v in self.lower]
+        lb = [0.0] * self.n_vars
         ub = [float("inf") if v is None else float(v) for v in self.upper]
         return c, cols, b, lb, ub
 
@@ -127,14 +127,14 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
         for ai, arc in enumerate(arcs):
             j = col[("lam", k, ai)]
             # self-loop orbitals accumulate d_in - d_out on one row
-            acc[arc.dst][j] = acc[arc.dst].get(j, Fraction(0)) + arc.d_in
+            acc[arc.dst][j] = acc[arc.dst].get(j, Fraction(0)) + q.d_in(arc)
             acc[arc.src][j] = acc[arc.src].get(j, Fraction(0)) - arc.d_out
         for u in range(len(nodes)):
             rows.append([(j, cv) for j, cv in acc[u].items() if cv])
             rhs.append(Fraction(0))
 
     return LinearProgram(n_vars=nv, objective=objective, rows=rows, rhs=rhs,
-                         lower=[Fraction(0)] * nv, upper=[None] * nv, var_tags=tags)
+                         upper=[None] * nv, var_tags=tags)
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,12 @@ def build_gnfp(q: QuotientGraph) -> GnfpModel:
                             tag=("theta", 0, u)))
     for k in range(1, m + 1):
         for ai, arc in enumerate(q.arcs):
+            # the multiplier d_in/d_out is |src|/|dst| by orbit–stabilizer
             arcs.append(GnfpArc(("v", k, arc.src), ("v", k, arc.dst),
                                 cost=Fraction(nodes[arc.src].orbit_size),
                                 upper=Fraction(arc.d_out),
-                                multiplier=Fraction(arc.d_in, arc.d_out),
+                                multiplier=Fraction(nodes[arc.src].orbit_size,
+                                                    nodes[arc.dst].orbit_size),
                                 tag=("lam", k, ai)))
     for k in range(1, m):
         for u in q.compliant[k - 1]:
@@ -210,7 +212,6 @@ def gnfp_lp(model: GnfpModel) -> LinearProgram:
     return LinearProgram(n_vars=nv,
                          objective=[arc.cost for arc in model.arcs],
                          rows=rows, rhs=rhs,
-                         lower=[Fraction(0)] * nv,
                          upper=[arc.upper for arc in model.arcs],
                          var_tags=[arc.tag for arc in model.arcs])
 
@@ -326,11 +327,11 @@ def write_lp(lp: LinearProgram, name: str = "nncp") -> str:
         lhs = " + ".join(f"{num(coef)} {vname(lp.var_tags[j])}" for j, coef in row)
         out.append(f" c{ri}: {lhs} = {num(beta)}")
     out.append("Bounds")
-    for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
-        nm = vname(lp.var_tags[j])
+    for tag, hi in zip(lp.var_tags, lp.upper):
+        nm = vname(tag)
         if hi is None:
-            out.append(f" {num(lo)} <= {nm}")
+            out.append(f" 0 <= {nm}")
         else:
-            out.append(f" {num(lo)} <= {nm} <= {num(hi)}")
+            out.append(f" 0 <= {nm} <= {num(hi)}")
     out.append("End")
     return "\n".join(out) + "\n"

@@ -92,11 +92,6 @@ class Transposition:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Transposition is immutable")
 
-    def as_permutation(self, n: int) -> Permutation:
-        im = list(range(n))
-        im[self.i], im[self.j] = im[self.j], im[self.i]
-        return Permutation(im)
-
 
 def unchecked(images: tuple[int, ...]) -> Permutation:
     """Wrap a tuple already known to be a permutation, skipping the
@@ -125,42 +120,9 @@ def inverse(p: Permutation) -> Permutation:
     return unchecked(tuple(im))
 
 
-def conjugate_transposition(t: Transposition, b: Permutation) -> Transposition:
-    """Conjugate of (i j) by b, i.e. b(i j)b⁻¹ = (b(i) b(j))."""
-    if t.j >= b.n:
-        raise ValueError(f"degree mismatch: transposition on ({t.i} {t.j}) vs degree {b.n}")
-    return Transposition(b.images[t.i], b.images[t.j])
-
-
 def one_line_str(p: Permutation) -> str:
     """1-based one-line notation, e.g. (3,1,2)."""
     return "(" + ",".join(str(x + 1) for x in p.images) + ")"
-
-
-def cycle_str(p: Permutation) -> str:
-    """1-based cycle notation for group elements in logs, e.g. (1 3 2)."""
-    seen = [False] * p.n
-    out = []
-    for start in range(p.n):
-        if seen[start] or p.images[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p.images[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = p.images[x]
-        out.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
-    return "".join(out) if out else "()"
-
-
-def from_one_line(text: str) -> Permutation:
-    """Parse 1-based one-line notation as produced by :func:`one_line_str`."""
-    body = text.strip().strip("()")
-    entries = [int(tok) for tok in body.replace(",", " ").split()]
-    return Permutation([x - 1 for x in entries])
 
 
 def all_permutations(n: int) -> Iterable[Permutation]:

@@ -30,12 +30,13 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     new orbit; each orbital and its reverse share one canonicalization, and
     the witness names the reverse edge.  One edge per class is enough,
     because τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e)
-    land in the same orbit.  Either way, an orbital holds |src|·d_out concrete
-    moves, which is |dst|·d_in counted from its other end, so the in-degree
-    follows from the out-degree and the two orbit sizes;
-  * the quotient graph: orbit nodes, orbital arcs with in/out-degrees, and
-    per-gate compliance marks.  All layers share one node/arc structure since
-    the layers are identical copies; only the compliance marks vary by gate.
+    land in the same orbit.  Either way, an arc stores only its out-degree;
+  * the quotient graph: orbit nodes, orbital arcs, and per-gate compliance
+    marks.  All layers share one node/arc structure since the layers are
+    identical copies; only the compliance marks vary by gate.  An orbital
+    holds |src|·d_out concrete moves, which is |dst|·d_in counted from its
+    other end, so `QuotientGraph.d_in` computes the in-degree on demand, for
+    the LP models, from the out-degree and the two orbit sizes.
 
 `snf_elements` still lists S_n(F) outright, as an enumeration oracle for
 tests; nothing on the solve path calls it.
@@ -179,14 +180,14 @@ class OrbitNode:
 @dataclass(eq=False, slots=True)
 class OrbitalArc:
     """Orbit ``src``'s moves along the B_τ edge class of (u, v), u < v:
-    ``d_out`` per member of ``src``, ``d_in`` per member of ``dst``."""
+    ``d_out`` per member of ``src``.  The in-degree per member of ``dst`` is
+    not stored; `QuotientGraph.d_in` derives it."""
 
     src: int
     dst: int
     u: int
     v: int
     d_out: int
-    d_in: int
 
 
 def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
@@ -334,8 +335,7 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
     for a class-d qubit on the large side: one arc per such (c, d), along
     the edge from c's first small-side location to d's first large-side
     location, to k − e_c + e_d, with ``d_out = k_c·(|d| − k_d)``; c = d is
-    a self-loop.  ``d_in`` is |src|·d_out / |dst|, as on the worklist,
-    where the common factor |Aut| of the two orbit sizes cancels."""
+    a self-loop."""
     m, n = g.split, g.n
     classes = fp.classes
     sizes = [len(cl) for cl in classes]
@@ -361,7 +361,6 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
                       math.prod(math.comb(sizes[c], k[c]) for c in held)))
     found.sort(key=lambda row: row[0])
     index = {key: i for i, (_, _, key, _) in enumerate(found)}
-    ways_of = [ways for *_, ways in found]
 
     nodes = []
     arcs = []
@@ -377,11 +376,7 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
                 kc = k[c]
                 base = key - weight[c]
                 for v, wd, left in high:
-                    j = index[base + wd]
-                    d_out = kc * left
-                    d_in, remainder = divmod(ways * d_out, ways_of[j])
-                    assert remainder == 0
-                    arcs.append(OrbitalArc(i, j, u, v, d_out, d_in))
+                    arcs.append(OrbitalArc(i, index[base + wd], u, v, kc * left))
     return nodes, arcs
 
 
@@ -399,16 +394,14 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     for some a in S_n(F), so ρ_j moved along (b(u), b(v)) is a·ρ·b⁻¹, in
     orbit i.  When j comes later, that edge's class of B_{ρ_j} takes i as
     its destination with no canonicalization; so there is one call for the
-    start order, one per self-loop and one per pair of reverse arcs.
-    ``d_in`` follows by orbit–stabilizer once every orbit size is known:
-    d_in = |src|·d_out / |dst|."""
+    start order, one per self-loop and one per pair of reverse arcs."""
     group_order = fp.group_order * g.aut.order
     start, _ = canonical_form(identity(g.n), fp, g)
     reps = [start]
     index = {start.images: 0}
     trivial_bt = b_tau(start, fp, g) if fp.trivial else None
     sizes: list[int] = []
-    # per orbit (by discovery id) its arcs, with discovery ids and d_in unset
+    # per orbit (by discovery id) its arcs, with discovery ids
     rows: list[list[OrbitalArc]] = []
     # per orbit not yet processed: edge -> the earlier orbit a move along it
     # reaches, named by that orbit's canonicalization of the reverse move.
@@ -447,7 +440,7 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
                         back.append({})
                     if j > i:
                         back[j][edge_at[b.images[u]][b.images[v]]] = i
-                row.append(OrbitalArc(src=i, dst=j, u=u, v=v, d_out=len(cl), d_in=0))
+                row.append(OrbitalArc(src=i, dst=j, u=u, v=v, d_out=len(cl)))
             rows.append(row)
 
     order = sorted(range(len(reps)), key=lambda i: reps[i].images)
@@ -458,8 +451,6 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     arcs = []
     for i in order:
         for arc in rows[i]:
-            arc.d_in, remainder = divmod(sizes[i] * arc.d_out, sizes[arc.dst])
-            assert remainder == 0
             arc.src, arc.dst = new_id[i], new_id[arc.dst]
             arcs.append(arc)
     return nodes, arcs
@@ -475,7 +466,6 @@ layer_orbitals = layer_orbits
 @dataclass(eq=False)
 class QuotientGraph:
     """Shared per-layer orbit/orbital structure plus per-gate compliance.
-    Each arc's in-degree comes by orbit–stabilizer (see `layer_orbits`).
     Arcs are sorted by source, so ``out_arcs[u]`` is the index range of
     orbit u's arcs in ``arcs``.
 
@@ -506,6 +496,14 @@ class QuotientGraph:
 
     def node_id(self, rep: Permutation) -> int:
         return self._node_index[rep.images]
+
+    def d_in(self, arc: OrbitalArc) -> int:
+        """Moves of ``arc`` per member of its destination, by orbit–stabilizer:
+        the orbital's |src|·d_out concrete moves are |dst|·d_in."""
+        d_in, remainder = divmod(self.nodes[arc.src].orbit_size * arc.d_out,
+                                 self.nodes[arc.dst].orbit_size)
+        assert remainder == 0
+        return d_in
 
 
 def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:

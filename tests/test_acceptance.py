@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nncp.baseline import reynolds_check, solve_spp
+from nncp.baseline import brute_automorphisms, reynolds_check, solve_spp
 from nncp.circuit import CNOT, RawGate, decompose, parse_real
 from nncp.coupling import make
 from nncp.generate import random_class_i
@@ -21,7 +21,6 @@ from nncp.lp import build_gnfp, build_rspp_scaled, gnfp_lp, simplex_solve, solve
 from nncp.perm import all_permutations, inverse
 from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import quotient_graph, reduction_stats
-from tests.test_coupling import brute_aut
 from tests.test_symmetry import brute_edge_orbits
 
 
@@ -68,7 +67,7 @@ def test_criterion_2_orbit_counts_match_brute_enumeration():
             for pairs in patterns:
                 c, g = instance(n, pairs, family, m_side)
                 q = quotient_graph(c, g)
-                auts = brute_aut(g)
+                auts = brute_automorphisms(g)
                 group = q.fp.group_order * len(auts)
                 edges = sorted(g.edges)
 
@@ -194,7 +193,7 @@ def test_criterion_5_group_averaged_flow_stays_feasible():
     ]
     for n, pairs, family, m_side in grid:
         c, g = instance(n, pairs, family, m_side)
-        report = reynolds_check(c, g, tol=1e-9)
+        report = reynolds_check(c, g)
         assert report["ok"], (family, n, report)
         assert report["max_row_residual"] <= 1e-9
         assert report["max_bound_violation"] <= 1e-9

@@ -1,15 +1,12 @@
-import itertools
 import random
 
 import pytest
 
 from nncp.baseline import (brute_automorphisms, brute_pattern_stabilizer,
-                           flow_from_solution, jt_distance, reynolds_check,
-                           solve_spp)
+                           flow_from_solution, reynolds_check, solve_spp)
 from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
 from nncp.errors import CapError
-from nncp.perm import Permutation, compose, identity
 from nncp.reconstruct import verify
 
 
@@ -66,29 +63,6 @@ def test_qubit_relabeling_invariance():
         rng.shuffle(a)
         relabeled = [(a[x], a[y]) for x, y in base]
         assert solve_spp(circ(5, relabeled), g).opt == ref
-
-
-def inversions(images):
-    return sum(1 for i, j in itertools.combinations(range(len(images)), 2)
-               if images[i] > images[j])
-
-
-def test_jt_distance_on_a_path_counts_inversions():
-    # adjacent transpositions: word length equals the inversion number
-    path_edges = [(i, i + 1) for i in range(4)]
-    for images in itertools.permutations(range(5)):
-        p = Permutation(images)
-        assert jt_distance(p, identity(5), path_edges) == inversions(images)
-
-
-def test_jt_distance_left_invariant():
-    edges = [(0, 1), (0, 2), (0, 3)]
-    p = Permutation((2, 0, 3, 1))
-    q = Permutation((1, 3, 0, 2))
-    a = Permutation((3, 2, 1, 0))
-    d = jt_distance(p, q, edges)
-    assert jt_distance(compose(a, p), compose(a, q), edges) == d
-    assert jt_distance(p, p, edges) == 0
 
 
 # --- flow extraction and averaging --------------------------------------------

@@ -28,12 +28,6 @@ def test_parse_good():
     assert gates[1].qubits == (0, 1, 3)
 
 
-def test_parse_alias():
-    text = GOOD.replace("v+ c d", "pg a b c")
-    gates, _ = parse_real(text, aliases={"pg": PERES})
-    assert gates[2].kind == PERES
-
-
 @pytest.mark.parametrize("mutation, lineno, fragment", [
     (("t2 a c", "t9 a c"), 6, "unknown gate token"),
     (("t2 a c", "t2 a z"), 6, "undeclared variable"),

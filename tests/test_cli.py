@@ -164,6 +164,16 @@ def test_exit_code_parse_error(capsys):
     assert code == 1 and "star coupling" in err
 
 
+def test_undecodable_circuit_file_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bin.real"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "solve", "--circuit", str(path),
+                         "--coupling", "star")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read circuit file ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_exit_code_cap_error(capsys, tmp_path):
     edges = "\n".join(f"{i} {i + 1}" for i in range(1, 12))
     path = tmp_path / "path12.edges"

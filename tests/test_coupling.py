@@ -2,19 +2,11 @@ import itertools
 
 import pytest
 
+from nncp.baseline import brute_automorphisms
 from nncp.coupling import (GENERAL_N_CAP, CouplingGraph, canonical_right,
                            coupling_from_descriptor, make, transposition_set)
 from nncp.errors import CapError, ParseError
 from nncp.perm import Permutation, all_permutations, compose, inverse
-
-
-def brute_aut(g: CouplingGraph) -> list[Permutation]:
-    out = []
-    for images in itertools.permutations(range(g.n)):
-        if all(tuple(sorted((images[a], images[b]))) in g.edges
-               for a, b in g.edges):
-            out.append(Permutation(images))
-    return out
 
 
 @pytest.mark.parametrize("family, n, m_side, order", [
@@ -29,14 +21,14 @@ def test_aut_orders(family, n, m_side, order):
     g, _, aut = make(family, n=n, m_side=m_side)
     assert aut.order == order
     if n <= 6:
-        assert len(brute_aut(g)) == order
+        assert len(brute_automorphisms(g)) == order
 
 
 @pytest.mark.parametrize("family, n, m_side", [
     ("cycle", 5, None), ("star", 5, None), ("biclique", 5, 2)])
 def test_generators_inside_brute_group(family, n, m_side):
     g, _, aut = make(family, n=n, m_side=m_side)
-    brute = {p.images for p in brute_aut(g)}
+    brute = {p.images for p in brute_automorphisms(g)}
     if aut.elements is not None:
         assert {p.images for p in aut.elements} == brute
 
@@ -82,7 +74,7 @@ def test_transposition_set_matches_edges():
 # --- canonical coset representatives -----------------------------------------
 
 def brute_canonical(tau: Permutation, g: CouplingGraph) -> Permutation:
-    return min(compose(tau, inverse(b)) for b in brute_aut(g))
+    return min(compose(tau, inverse(b)) for b in brute_automorphisms(g))
 
 
 @pytest.mark.parametrize("family, n, m_side", [
@@ -102,14 +94,14 @@ def test_canonical_right_constant_on_cosets(family, n, m_side):
     g, _, _ = make(family, n=n, m_side=m_side)
     tau = Permutation((3, 1, 4, 0, 2))
     rep, _ = canonical_right(tau, g)
-    for b in brute_aut(g):
+    for b in brute_automorphisms(g):
         rep2, _ = canonical_right(compose(tau, b), g)
         assert rep2 == rep
 
 
 def test_canonical_right_witness_in_group():
     g, _, _ = make("biclique", n=6, m_side=2)
-    brute = {p.images for p in brute_aut(g)}
+    brute = {p.images for p in brute_automorphisms(g)}
     tau = Permutation((5, 3, 1, 0, 4, 2))
     _, b = canonical_right(tau, g)
     assert b.images in brute

@@ -38,7 +38,7 @@ def test_reconstruct_from_shortest_path():
 def test_reconstruct_from_lp_support():
     # a pair pattern: orbitals with in/out multipliers other than 1
     c, g, q, opt, sol = solved(4, [(0, 1), (2, 3), (0, 1)], "star")
-    assert any(arc.d_out != 1 or arc.d_in != 1 for arc in q.arcs)
+    assert any(arc.d_out != 1 or q.d_in(arc) != 1 for arc in q.arcs)
     assert isinstance(sol, ReducedPath)
     schedule = reconstruct(q, sol)
     assert schedule.opt == opt == 2

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from nncp.baseline import brute_pattern_stabilizer
+from nncp.baseline import brute_automorphisms, brute_pattern_stabilizer
 from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
 from nncp.coupling import coupling_from_descriptor, make
 from nncp.errors import CapError
@@ -13,7 +13,6 @@ from nncp import symmetry
 from nncp.perm import Permutation, all_permutations, compose, inverse
 from nncp.symmetry import (b_tau, canonical_form, layer_orbits,
                            quotient_graph, reduction_stats, snf_elements)
-from tests.test_coupling import brute_aut
 
 
 def circuit_with_pattern(n, pairs):
@@ -51,7 +50,7 @@ def family_graph(family, arg, n):
 def brute_b_tau(tau, fp, g):
     pulled = [frozenset(inverse(tau)(q) for q in cls) for cls in fp.classes]
     out = []
-    for b in brute_aut(g):
+    for b in brute_automorphisms(g):
         if all({b(x) for x in s} == set(s) for s in pulled):
             out.append(b)
     return out
@@ -122,7 +121,7 @@ def test_canonical_form_is_brute_minimum(family, m_side):
     # through snf_elements or the structural Aut groups
     n = 5
     g = family_graph(family, m_side, n)
-    auts = brute_aut(g)
+    auts = brute_automorphisms(g)
     for pattern in sorted(PATTERNS):
         c = circuit_with_pattern(n, PATTERNS[pattern])
         fp = fixing_pattern(c)
@@ -148,7 +147,7 @@ def test_cycle6_orbit_count_matches_brute_canonicalization():
     nodes, _ = layer_orbits(fp, g)
     assert len(nodes) == 60          # 720 permutations / dihedral 12
 
-    auts = brute_aut(g)
+    auts = brute_automorphisms(g)
     reps = {min(compose(tau, inverse(b)) for b in auts).images
             for tau in all_permutations(n)}
     assert {nd.rep.images for nd in nodes} == reps
@@ -172,11 +171,11 @@ def test_orbit_sizes_partition_all_permutations(family, m_side, pattern):
     sizes = [q.nodes[a.src].orbit_size * a.d_out for a in q.arcs]
     assert sum(sizes) == 120 * len(g.edges)
     for a, size in zip(q.arcs, sizes):
-        assert size == q.nodes[a.dst].orbit_size * a.d_in
+        assert size == q.nodes[a.dst].orbit_size * q.d_in(a)
     # every member of an orbit has |E| out-moves and |E| in-moves
     for u in range(len(q.nodes)):
         assert sum(a.d_out for a in q.arcs if a.src == u) == len(g.edges)
-        assert sum(a.d_in for a in q.arcs if a.dst == u) == len(g.edges)
+        assert sum(q.d_in(a) for a in q.arcs if a.dst == u) == len(g.edges)
 
 
 @pytest.mark.parametrize("family, arg", FAMILIES + [("general", "ladder")])
@@ -194,11 +193,12 @@ def test_d_in_matches_witness_oracle(family, arg, pattern):
         assert q.node_id(dst_rep) == a.dst
         e = tuple(sorted((b(a.u), b(a.v))))
         bt = b_tau(dst_rep, q.fp, q.coupling)
-        assert a.d_in == next(len(cl) for cl in bt.edge_orbits if e in cl), a
+        assert q.d_in(a) == next(len(cl) for cl in bt.edge_orbits if e in cl), a
 
 
 def test_quotient_memory_per_arc():
-    # every arc is one slotted record: src, dst, u, v, d_out, d_in
+    # every arc is one slotted record, with no stored in-degree
+    assert symmetry.OrbitalArc.__slots__ == ("src", "dst", "u", "v", "d_out")
     c = decompose(random_class_i(16, 40, seed=1), n=16)
     g = coupling_from_descriptor("biclique:3", 16)
     quotient_graph(c, g)                # warm-up: one-time caches and interning
@@ -241,15 +241,16 @@ def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypa
     ("general", "bowtie", 5), ("general", "wheel7", 7), ("general", "K34", 7)])
 @pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
 def test_worklist_orbitals_come_in_reverse_pairs(family, arg, n, pattern):
-    # the reverse of an orbital is an orbital, with in- and out-degree swapped;
-    # the worklist names half the arcs from the other half's witnesses
+    # the reverse of an orbital is an orbital holding as many concrete moves,
+    # |src|·d_out = |dst|·d_in; the worklist names half the arcs from the
+    # other half's witnesses
     pairs = {"trivial": [(q, q + 1) for q in range(n - 1)],
              "pairs": [(q, q + 1) for q in range(0, n - 1, 2)],
              "idle": [(1, 3)]}[pattern]
     fp = fixing_pattern(circuit_with_pattern(n, pairs))
-    _, arcs = symmetry._worklist_orbits(fp, family_graph(family, arg, n))
-    forward = Counter((a.src, a.dst, a.d_out, a.d_in) for a in arcs)
-    assert forward == Counter((a.dst, a.src, a.d_in, a.d_out) for a in arcs)
+    nodes, arcs = symmetry._worklist_orbits(fp, family_graph(family, arg, n))
+    moves = [(a.src, a.dst, nodes[a.src].orbit_size * a.d_out) for a in arcs]
+    assert Counter(moves) == Counter((dst, src, size) for src, dst, size in moves)
 
 
 def test_table_sizes_star_and_cycle_n6():
@@ -269,7 +270,7 @@ def test_compliance_is_orbit_invariant(family, m_side):
     g = family_graph(family, m_side, n)
     q = quotient_graph(c, g)
     snf = snf_elements(q.fp, n)
-    auts = brute_aut(g)
+    auts = brute_automorphisms(g)
     for k, gate in enumerate(c.gates):
         compliant = set(q.compliant[k])
         for u, node in enumerate(q.nodes):
