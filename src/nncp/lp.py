@@ -16,8 +16,16 @@ quotient, whatever the orbitals' in/out multipliers.  Distance passes
 between gates only through compliant orbits, so each gate gets one
 level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials; it stops once this gate's are settled and keeps only
-their potentials and origins.  The chain back from the cheapest orbit of the
-last gate is then found again by a single-pair BFS per gate.
+their potentials.  Two kernels run these passes.  The table kernel
+(`_table_path`) holds a set of orbits as an int bitmask and expands a whole
+BFS level through per-chunk tables of successor masks (`_expander`, the
+Four Russians trick); its replay grows spheres backward from the cheapest
+orbit of the last gate, which is exact because the quotient's adjacency is
+symmetric.  It runs whenever the tables take no more bytes than the arc
+records (`_table_fits`).  Otherwise the list kernel (`_list_path`) runs
+the passes over adjacency lists, keeps each compliant orbit's origin in
+the previous gate, and finds the chain's swaps again by a single-pair BFS
+per gate.
 `simplex_solve` solves the LP and flow models with HiGHS (`simplex.py`), which
 needs scipy; a failure that HiGHS reports as neither optimal, infeasible,
 unbounded nor an iteration limit is a `SolverError`.
@@ -25,15 +33,21 @@ unbounded nor an iteration limit is a `SolverError`.
 
 from __future__ import annotations
 
+import sys
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import getitem, or_
 
 from . import simplex
 from .errors import SolverError
 from .symmetry import QuotientGraph
 
 Tag = tuple  # ("lam", layer, arc_id) or ("theta", boundary, orbit_id)
+
+NO_PATH = "no compliant path through the quotient graph"
 
 
 @dataclass(eq=False)
@@ -267,9 +281,10 @@ def _root(parent: dict[int, int], v: int) -> int:
     return v
 
 
-def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
-    """One BFS pass per gate, from the previous gate's compliant orbits at
-    their potentials to this gate's; then the cheapest chain is replayed."""
+def _list_path(q: QuotientGraph) -> ReducedPath:
+    """The list kernel: `_level_bfs` per gate, keeping per compliant orbit
+    the previous gate's orbit it came from; the replay follows those origins
+    back and then runs one single-pair BFS per gate."""
     succ = [[q.arcs[ai].dst for ai in out] for out in q.out_arcs]
     pot = dict.fromkeys(q.compliant[0], 0)
     came_from: list[array] = []         # per gate k >= 2, along q.compliant[k-1]
@@ -278,7 +293,7 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
         came_from.append(array("i", (_root(parent, t) if t in pot else -1
                                      for t in targets)))
     if not pot:
-        raise SolverError("no compliant path through the quotient graph")
+        raise SolverError(NO_PATH)
     opt, end = min((p, u) for u, p in pot.items())
     chain = [end]                       # the chosen orbit of each gate, last first
     for k in range(q.m - 1, 0, -1):
@@ -294,6 +309,128 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
             v = u
         steps += swaps[::-1] + [("cross", k, t)]
     return ReducedPath(opt=opt, steps=steps)
+
+
+# hex digit -> its value: a mask read as hex gives its 4-bit chunks, top first
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _table_fits(q: QuotientGraph) -> bool:
+    """Whether the chunk tables of `_expander` take no more bytes than the
+    quotient's arc records: per 4-bit chunk of orbit ids a list of 16 masks
+    of up to len(q.nodes) bits, against a record and a list slot per arc."""
+    if not q.arcs:
+        return False
+    n = len(q.nodes)
+    table = -(-n // 4) * (sys.getsizeof([0] * 16) + 15 * sys.getsizeof(1 << n))
+    return table <= len(q.arcs) * (sys.getsizeof(q.arcs[0]) + 8)
+
+
+def _expander(q: QuotientGraph) -> Callable[[int], int]:
+    """The map from a set of orbits to the set of their successors, both as
+    int bitmasks (bit u for orbit u), by the Four Russians table trick.
+    The orbit ids are cut into chunks of 4 bits; a chunk's table holds, for
+    each of its 16 values, the OR of the successor masks of the orbits the
+    value selects.  Expanding a set reads its mask as hex, top chunk first,
+    and ORs one table entry per chunk."""
+    chunks = -(-len(q.nodes) // 4)
+    succ_mask = [0] * (4 * chunks)
+    for arc in q.arcs:
+        succ_mask[arc.src] |= 1 << arc.dst
+    tables = []
+    for c in reversed(range(chunks)):
+        table = [0] * 16
+        for value in range(1, 16):
+            low = value & -value        # the entry without its lowest bit, plus that bit's orbit
+            table[value] = table[value ^ low] | succ_mask[4 * c + low.bit_length() - 1]
+        tables.append(table)
+    return lambda mask: reduce(or_, map(getitem, tables,
+                                        ("%0*x" % (chunks, mask)).encode().translate(_NIBBLES)))
+
+
+def _lowest(mask: int) -> int:
+    """The smallest orbit id in a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _table_path(q: QuotientGraph) -> ReducedPath:
+    """The table kernel: the per-gate passes over orbit bitmasks.
+
+    Gate k's potentials are kept as level masks: ``levels[k]`` is (base,
+    masks), where masks[j] holds the compliant orbits of gate k at potential
+    base + j, and ``levels[0]`` holds every orbit at potential 0.  Each pass
+    expands a whole BFS level with `_expander` and injects the previous
+    gate's level masks at their potentials.  The replay
+    goes backward from the cheapest orbit t of the last gate, at potential
+    P: spheres around t grow until sphere r meets the previous gate's level
+    at P − r, then the walk down the spheres gives the swaps, one arc per
+    hop.  Spheres grown along out-arcs measure the distance *to* t because
+    the quotient's adjacency is symmetric: a swap undoes itself."""
+    expand = _expander(q)
+    mask_of: dict[int, int] = {}        # per compliant list (shared per pair), its mask
+    for ids in q.compliant:
+        if id(ids) not in mask_of:
+            mask_of[id(ids)] = sum(1 << u for u in ids)
+    # gate 0 stands for the source: every orbit, at potential 0
+    levels = [(0, [(1 << len(q.nodes)) - 1])]
+    for ids in q.compliant:
+        prev_base, injected = levels[-1]
+        left = mask_of[id(ids)]         # this gate's orbits not yet settled
+        masks: list[int] = []           # from the first level that settles one
+        settled = frontier = 0
+        j = 0                           # the level is at potential prev_base + j
+        while left and (frontier or j < len(injected)):
+            reached = expand(frontier) if frontier else 0
+            if j < len(injected):
+                reached |= injected[j]
+            reached &= ~settled
+            settled |= reached
+            hit = reached & left
+            if hit or masks:
+                masks.append(hit)
+            left ^= hit
+            frontier = reached
+            j += 1
+        if not masks:
+            raise SolverError(NO_PATH)
+        levels.append((prev_base + j - len(masks), masks))
+
+    base, masks = levels[-1]
+    t = _lowest(masks[0])
+    opt = potential = base
+    blocks: list[list[tuple]] = []      # per gate, last first: its swaps, then the crossing
+    for k in range(q.m, 1, -1):
+        prev_base, prev = levels[k - 1]
+        spheres = [1 << t]              # spheres[r]: the orbits r swaps from t
+        seen = spheres[0]
+        j = potential - prev_base       # the level of prev that sphere r must meet
+        while not (j < len(prev) and spheres[-1] & prev[j]):
+            assert j > 0
+            spheres.append(expand(spheres[-1]) & ~seen)
+            seen |= spheres[-1]
+            j -= 1
+        s = v = _lowest(spheres[-1] & prev[j])
+        swaps = []
+        for sphere in reversed(spheres[:-1]):   # one hop down per sphere
+            ai = next(ai for ai in q.out_arcs[v] if sphere >> q.arcs[ai].dst & 1)
+            swaps.append(("swap", k, ai))
+            v = q.arcs[ai].dst
+        blocks.append(swaps + [("cross", k, t)])
+        t, potential = s, prev_base + j
+    steps: list[tuple] = [("enter", t), ("cross", 1, t)]
+    for block in reversed(blocks):
+        steps += block
+    return ReducedPath(opt=opt, steps=steps)
+
+
+def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
+    """One BFS pass per gate, from the previous gate's compliant orbits at
+    their potentials to this gate's; then the cheapest chain is replayed.
+    The table kernel runs when its tables take no more bytes than the arc
+    records (`_table_fits`): on cycle-7, stars and the bicliques measured.
+    Larger sparse quotients (cycle-8, Petersen, the 3×3 grid), where dense
+    tables would outgrow the quotient, take the list kernel."""
+    return _table_path(q) if _table_fits(q) else _list_path(q)
 
 
 def solve_reduced(q: QuotientGraph) -> tuple[int, ReducedPath]:

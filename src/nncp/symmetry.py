@@ -518,9 +518,20 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     starts = list(itertools.accumulate(starts))
     out_arcs = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
-    inv_reps = [inverse(node.rep).images for node in nodes]
-    by_pair = {(a, b): [i for i, loc in enumerate(inv_reps) if g.has_edge(loc[a], loc[b])]
-               for a, b in {gate.pair for gate in c.gates}}
+    pairs = {gate.pair for gate in c.gates}
+    if g.split is not None:
+        # on K_{M,N} a pair is adjacent iff exactly one of its qubits sits on
+        # the small side, the representative's first M locations
+        on_small: list[list[int]] = [[] for _ in range(g.n)]
+        for i, node in enumerate(nodes):
+            for x in node.rep.images[:g.split]:
+                on_small[x].append(i)
+        by_pair = {(a, b): sorted(set(on_small[a]).symmetric_difference(on_small[b]))
+                   for a, b in pairs}
+    else:
+        inv_reps = [inverse(node.rep).images for node in nodes]
+        by_pair = {(a, b): [i for i, loc in enumerate(inv_reps) if g.has_edge(loc[a], loc[b])]
+                   for a, b in pairs}
     compliant = [by_pair[gate.pair] for gate in c.gates]     # one list per pair
 
     return QuotientGraph(

@@ -13,8 +13,9 @@ from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
 from nncp.errors import SolverError
 from nncp.generate import random_class_i
-from nncp.lp import (ReducedPath, build_gnfp, build_rspp_scaled,
-                     gnfp_lp, simplex_solve, solve_reduced, write_lp)
+from nncp.lp import (ReducedPath, _list_path, _table_fits, _table_path,
+                     build_gnfp, build_rspp_scaled, gnfp_lp, simplex_solve,
+                     solve_reduced, write_lp)
 from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import quotient_graph
 
@@ -290,15 +291,36 @@ def random_deep_instance(seed):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_per_gate_solver_matches_global_bfs(seed):
+    # both kernels run on every case, whichever the size rule would pick
     c, g = random_deep_instance(seed)
     q = quotient_graph(c, g)
     opt, path = solve_reduced(q)
     ref = global_01_bfs(q)
     assert opt == path.opt == ref.opt
-    for p in (path, ref):
+    for p in (path, _table_path(q), _list_path(q), ref):
+        assert p.opt == opt
         schedule = reconstruct(q, p)
         assert verify(schedule, c, g)["ok"]
         assert schedule.opt == opt
+
+
+@pytest.mark.parametrize("n, kernel", [(7, "_table_path"), (8, "_list_path")])
+def test_size_rule_picks_the_kernel(monkeypatch, n, kernel):
+    # a chain fixes every qubit: cycle-7 has 360 orbits and 2 520 arcs, so
+    # its tables (about 120 kB) fit in the arc records (about 200 kB);
+    # cycle-8 has 2 520 orbits and 20 160 arcs, tables of 3.5 MB against 1.6 MB
+    c = decompose([RawGate(CNOT, (x, x + 1)) for x in range(n - 1)], n=n)
+    g, _, _ = make("cycle", n=n)
+    q = quotient_graph(c, g)
+    assert len(q.nodes) == {7: 360, 8: 2520}[n]
+    assert _table_fits(q) == (kernel == "_table_path")
+    called = []
+    for name, f in (("_table_path", _table_path), ("_list_path", _list_path)):
+        monkeypatch.setattr("nncp.lp." + name, lambda q, name=name, f=f:
+                            called.append(name) or f(q))
+    opt, path = solve_reduced(q)
+    assert called == [kernel]
+    assert verify(reconstruct(q, path), c, g)["ok"]
 
 
 def test_solve_memory_is_linear_in_compliant_orbits():

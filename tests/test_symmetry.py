@@ -238,17 +238,20 @@ def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypa
 
 @pytest.mark.parametrize("family, arg, n", [
     ("cycle", None, 5), ("cycle", None, 6), ("cycle", None, 7),
-    ("general", "bowtie", 5), ("general", "wheel7", 7), ("general", "K34", 7)])
+    ("general", "bowtie", 5), ("general", "wheel7", 7), ("general", "K34", 7),
+    ("star", None, 5), ("star", None, 7), ("biclique", 2, 5), ("biclique", 3, 7)])
 @pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
 def test_worklist_orbitals_come_in_reverse_pairs(family, arg, n, pattern):
     # the reverse of an orbital is an orbital holding as many concrete moves,
-    # |src|·d_out = |dst|·d_in; the worklist names half the arcs from the
-    # other half's witnesses
+    # |src|·d_out = |dst|·d_in: a swap undoes itself.  The worklist names
+    # half the arcs from the other half's witnesses; on stars and bicliques
+    # the closed form must give the same symmetry, which the solver's
+    # backward replay relies on
     pairs = {"trivial": [(q, q + 1) for q in range(n - 1)],
              "pairs": [(q, q + 1) for q in range(0, n - 1, 2)],
              "idle": [(1, 3)]}[pattern]
     fp = fixing_pattern(circuit_with_pattern(n, pairs))
-    nodes, arcs = symmetry._worklist_orbits(fp, family_graph(family, arg, n))
+    nodes, arcs = symmetry.layer_orbits(fp, family_graph(family, arg, n))
     moves = [(a.src, a.dst, nodes[a.src].orbit_size * a.d_out) for a in arcs]
     assert Counter(moves) == Counter((dst, src, size) for src, dst, size in moves)
 
