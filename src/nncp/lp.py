@@ -16,16 +16,12 @@ quotient, whatever the orbitals' in/out multipliers.  Distance passes
 between gates only through compliant orbits, so each gate gets one
 level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials; it stops once this gate's are settled and keeps only
-their potentials.  Two kernels run these passes.  The table kernel
-(`_table_path`) holds a set of orbits as an int bitmask and expands a whole
-BFS level through per-chunk tables of successor masks (`_expander`, the
-Four Russians trick); its replay grows spheres backward from the cheapest
-orbit of the last gate, which is exact because the quotient's adjacency is
-symmetric.  It runs whenever the tables take no more bytes than the arc
-records (`_table_fits`).  Otherwise the list kernel (`_list_path`) runs
-the passes over adjacency lists, keeps each compliant orbit's origin in
-the previous gate, and finds the chain's swaps again by a single-pair BFS
-per gate.
+their potentials, as one bitmask of orbits per level.  A whole BFS level
+expands at once: through per-chunk tables of successor masks (`_expander`,
+the Four Russians trick) when they take no more bytes than the arc records
+(`_table_fits`), otherwise over adjacency lists (`_adjacency_expander`).
+The replay grows spheres backward from the cheapest orbit of the last
+gate, which is exact because the quotient's adjacency is symmetric.
 `simplex_solve` solves the LP and flow models with HiGHS (`simplex.py`), which
 needs scipy; a failure that HiGHS reports as neither optimal, infeasible,
 unbounded nor an iteration limit is a `SolverError`.
@@ -34,7 +30,6 @@ unbounded nor an iteration limit is a `SolverError`.
 from __future__ import annotations
 
 import sys
-from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,72 +240,6 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
                       var_tags=list(lp.var_tags), residual=residual)
 
 
-def _level_bfs(succ: list[list[int]], sources: dict[int, int], targets: set[int]
-               ) -> tuple[dict[int, int], dict[int, int]]:
-    """Level-synchronous BFS over the quotient from `sources` (orbit ->
-    potential), each injected when the level reaches its potential.  Stops
-    once every target is settled.  Returns the level of each settled target
-    and the parent of each settled orbit (a source is its own parent)."""
-    pending = sorted(sources, key=sources.get, reverse=True)   # lowest last
-    parent: dict[int, int] = {}
-    level: dict[int, int] = {}
-    frontier: list[int] = []            # settled at level d - 1; none at first
-    while len(level) < len(targets) and (frontier or pending):
-        if not frontier:
-            d = sources[pending[-1]]
-        reached = []
-        for u in frontier:
-            for v in succ[u]:
-                if v not in parent:
-                    parent[v] = u
-                    reached.append(v)
-        while pending and sources[pending[-1]] == d:
-            s = pending.pop()
-            if s not in parent:
-                parent[s] = s
-                reached.append(s)
-        level.update((v, d) for v in reached if v in targets)
-        frontier = reached
-        d += 1
-    return level, parent
-
-
-def _root(parent: dict[int, int], v: int) -> int:
-    while parent[v] != v:
-        v = parent[v]
-    return v
-
-
-def _list_path(q: QuotientGraph) -> ReducedPath:
-    """The list kernel: `_level_bfs` per gate, keeping per compliant orbit
-    the previous gate's orbit it came from; the replay follows those origins
-    back and then runs one single-pair BFS per gate."""
-    succ = [[q.arcs[ai].dst for ai in out] for out in q.out_arcs]
-    pot = dict.fromkeys(q.compliant[0], 0)
-    came_from: list[array] = []         # per gate k >= 2, along q.compliant[k-1]
-    for targets in q.compliant[1:]:
-        pot, parent = _level_bfs(succ, pot, set(targets))
-        came_from.append(array("i", (_root(parent, t) if t in pot else -1
-                                     for t in targets)))
-    if not pot:
-        raise SolverError(NO_PATH)
-    opt, end = min((p, u) for u, p in pot.items())
-    chain = [end]                       # the chosen orbit of each gate, last first
-    for k in range(q.m - 1, 0, -1):
-        chain.append(came_from[k - 1][q.compliant[k].index(chain[-1])])
-    chain.reverse()
-    steps: list[tuple] = [("enter", chain[0]), ("cross", 1, chain[0])]
-    for k, (s, t) in enumerate(zip(chain, chain[1:]), start=2):
-        _, parent = _level_bfs(succ, {s: 0}, {t})
-        swaps, v = [], t
-        while v != s:                   # parent hops back to s, one arc each
-            u = parent[v]
-            swaps.append(("swap", k, q.out_arcs[u][succ[u].index(v)]))
-            v = u
-        steps += swaps[::-1] + [("cross", k, t)]
-    return ReducedPath(opt=opt, steps=steps)
-
-
 # hex digit -> its value: a mask read as hex gives its 4-bit chunks, top first
 _NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
@@ -348,25 +277,52 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
                                         ("%0*x" % (chunks, mask)).encode().translate(_NIBBLES)))
 
 
+def _adjacency_expander(q: QuotientGraph) -> Callable[[int], int]:
+    """The same map as `_expander`, over adjacency lists, for quotients
+    whose chunk tables would not fit: it reads the mask's set bits as a
+    binary string, lowest orbit first, and marks their successors in a
+    byte string read back as the result mask."""
+    n = len(q.nodes)
+    succ = [[q.arcs[ai].dst for ai in out] for out in q.out_arcs]
+    one = ord("1")
+
+    def expand(mask: int) -> int:
+        bits = format(mask, f"0{n}b")[::-1]
+        hit = bytearray(b"0" * n)
+        u = bits.find("1")
+        while u >= 0:
+            for v in succ[u]:
+                hit[v] = one
+            u = bits.find("1", u + 1)
+        return int(hit[::-1], 2)
+    return expand
+
+
 def _lowest(mask: int) -> int:
     """The smallest orbit id in a nonempty mask."""
     return (mask & -mask).bit_length() - 1
 
 
-def _table_path(q: QuotientGraph) -> ReducedPath:
-    """The table kernel: the per-gate passes over orbit bitmasks.
+def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
+    """One BFS pass per gate over orbit bitmasks, from the previous gate's
+    compliant orbits at their potentials to this gate's; then the cheapest
+    chain is replayed.
 
     Gate k's potentials are kept as level masks: ``levels[k]`` is (base,
     masks), where masks[j] holds the compliant orbits of gate k at potential
     base + j, and ``levels[0]`` holds every orbit at potential 0.  Each pass
-    expands a whole BFS level with `_expander` and injects the previous
-    gate's level masks at their potentials.  The replay
-    goes backward from the cheapest orbit t of the last gate, at potential
-    P: spheres around t grow until sphere r meets the previous gate's level
-    at P − r, then the walk down the spheres gives the swaps, one arc per
-    hop.  Spheres grown along out-arcs measure the distance *to* t because
-    the quotient's adjacency is symmetric: a swap undoes itself."""
-    expand = _expander(q)
+    expands a whole BFS level at once and injects the previous gate's level
+    masks at their potentials.  The replay goes backward from the cheapest
+    orbit t of the last gate, at potential P: spheres around t grow until
+    sphere r meets the previous gate's level at P − r, then the walk down
+    the spheres gives the swaps, one arc per hop.  Spheres grown along
+    out-arcs measure the distance *to* t because the quotient's adjacency
+    is symmetric: a swap undoes itself.  A level expands through chunk
+    tables (`_expander`) when they take no more bytes than the arc records
+    (`_table_fits`): on cycle-7, stars and the bicliques measured; larger
+    sparse quotients (cycle-8, Petersen, the 3×3 grid) expand over
+    adjacency lists (`_adjacency_expander`)."""
+    expand = _expander(q) if _table_fits(q) else _adjacency_expander(q)
     mask_of: dict[int, int] = {}        # per compliant list (shared per pair), its mask
     for ids in q.compliant:
         if id(ids) not in mask_of:
@@ -421,16 +377,6 @@ def _table_path(q: QuotientGraph) -> ReducedPath:
     for block in reversed(blocks):
         steps += block
     return ReducedPath(opt=opt, steps=steps)
-
-
-def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
-    """One BFS pass per gate, from the previous gate's compliant orbits at
-    their potentials to this gate's; then the cheapest chain is replayed.
-    The table kernel runs when its tables take no more bytes than the arc
-    records (`_table_fits`): on cycle-7, stars and the bicliques measured.
-    Larger sparse quotients (cycle-8, Petersen, the 3×3 grid), where dense
-    tables would outgrow the quotient, take the list kernel."""
-    return _table_path(q) if _table_fits(q) else _list_path(q)
 
 
 def solve_reduced(q: QuotientGraph) -> tuple[int, ReducedPath]:

@@ -13,7 +13,7 @@ from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
 from nncp.errors import SolverError
 from nncp.generate import random_class_i
-from nncp.lp import (ReducedPath, _list_path, _table_fits, _table_path,
+from nncp.lp import (ReducedPath, _adjacency_expander, _expander, _table_fits,
                      build_gnfp, build_rspp_scaled, gnfp_lp, simplex_solve,
                      solve_reduced, write_lp)
 from nncp.reconstruct import reconstruct, verify
@@ -290,22 +290,24 @@ def random_deep_instance(seed):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_per_gate_solver_matches_global_bfs(seed):
-    # both kernels run on every case, whichever the size rule would pick
+def test_per_gate_solver_matches_global_bfs(monkeypatch, seed):
+    # the solver runs with each expander on every case, whichever the size
+    # rule would pick
     c, g = random_deep_instance(seed)
     q = quotient_graph(c, g)
-    opt, path = solve_reduced(q)
     ref = global_01_bfs(q)
-    assert opt == path.opt == ref.opt
-    for p in (path, _table_path(q), _list_path(q), ref):
-        assert p.opt == opt
-        schedule = reconstruct(q, p)
+    assert verify(reconstruct(q, ref), c, g)["ok"]
+    for tables in (True, False):
+        monkeypatch.setattr("nncp.lp._table_fits", lambda q, tables=tables: tables)
+        opt, path = solve_reduced(q)
+        assert opt == path.opt == ref.opt
+        schedule = reconstruct(q, path)
         assert verify(schedule, c, g)["ok"]
         assert schedule.opt == opt
 
 
-@pytest.mark.parametrize("n, kernel", [(7, "_table_path"), (8, "_list_path")])
-def test_size_rule_picks_the_kernel(monkeypatch, n, kernel):
+@pytest.mark.parametrize("n, expander", [(7, "_expander"), (8, "_adjacency_expander")])
+def test_size_rule_picks_the_expander(monkeypatch, n, expander):
     # a chain fixes every qubit: cycle-7 has 360 orbits and 2 520 arcs, so
     # its tables (about 120 kB) fit in the arc records (about 200 kB);
     # cycle-8 has 2 520 orbits and 20 160 arcs, tables of 3.5 MB against 1.6 MB
@@ -313,24 +315,28 @@ def test_size_rule_picks_the_kernel(monkeypatch, n, kernel):
     g, _, _ = make("cycle", n=n)
     q = quotient_graph(c, g)
     assert len(q.nodes) == {7: 360, 8: 2520}[n]
-    assert _table_fits(q) == (kernel == "_table_path")
+    assert _table_fits(q) == (expander == "_expander")
     called = []
-    for name, f in (("_table_path", _table_path), ("_list_path", _list_path)):
+    for name, f in (("_expander", _expander),
+                    ("_adjacency_expander", _adjacency_expander)):
         monkeypatch.setattr("nncp.lp." + name, lambda q, name=name, f=f:
                             called.append(name) or f(q))
     opt, path = solve_reduced(q)
-    assert called == [kernel]
+    assert called == [expander]
     assert verify(reconstruct(q, path), c, g)["ok"]
 
 
-def test_solve_memory_is_linear_in_compliant_orbits():
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "adjacency"])
+def test_solve_memory_is_linear_in_compliant_orbits(monkeypatch, tables):
     # cycle-7, 1500 gates: 360 orbits, about 120 compliant per gate.  The
-    # solve keeps one origin per compliant orbit plus O(orbits + arcs) of
-    # scratch; the global BFS kept a dist row and a parent entry per
-    # (layer, orbit) state and peaked above 150 MB here.
+    # solve keeps per gate the level masks of its compliant orbits (a few
+    # masks of 360 bits) plus O(orbits + arcs) of scratch for the expander;
+    # the global BFS kept a dist row and a parent entry per (layer, orbit)
+    # state and peaked above 150 MB here.
     c = decompose(random_class_i(7, 1500, 5), n=7)
     g, _, _ = make("cycle", n=7)
     q = quotient_graph(c, g)
+    monkeypatch.setattr("nncp.lp._table_fits", lambda q: tables)
     total = sum(len(ids) for ids in q.compliant)
     tracemalloc.start()
     try:
