@@ -42,12 +42,12 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
 
     edges = sorted(coupling.edges)
     dist: dict[tuple[int, tuple], int] = {}
-    parent: dict[tuple[int, tuple], tuple] = {}
+    parent: dict[tuple[int, tuple], tuple] = {}     # state -> (previous state, swapped edge)
     dq = deque()
     for p in all_permutations(n):
         state = (1, p.images)
         dist[state] = 0
-        parent[state] = (None, ("enter",))
+        parent[state] = (None, None)
         dq.append((0, state))
 
     final = None
@@ -65,7 +65,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
             nxt = (k + 1, imgs)
             if d < dist.get(nxt, d + 1):
                 dist[nxt] = d
-                parent[nxt] = (state, ("cross",))
+                parent[nxt] = (state, None)
                 dq.appendleft((d, nxt))
         for (i, j) in edges:
             lst = list(imgs)
@@ -73,7 +73,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
             nxt = (k, tuple(lst))
             if d + 1 < dist.get(nxt, d + 2):
                 dist[nxt] = d + 1
-                parent[nxt] = (state, ("swap", i, j))
+                parent[nxt] = (state, (i, j))
                 dq.append((d + 1, nxt))
     if final is None:
         raise SolverError("no compliant assignment reachable")
@@ -82,11 +82,11 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
     swaps: list[tuple[int, Transposition]] = []
     state = final
     while state is not None:
-        prev, move = parent[state]
-        if move[0] == "cross":
+        prev, edge = parent[state]
+        if edge is not None:
+            swaps.append((state[0] - 1, Transposition(*edge)))
+        elif prev is not None:                  # crossed into this layer
             orders[state[0] - 1] = Permutation(state[1])
-        elif move[0] == "swap":
-            swaps.append((state[0] - 1, Transposition(move[1], move[2])))
         state = prev
     swaps.reverse()
     return NncpSolution(opt=dist[final],

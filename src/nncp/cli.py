@@ -23,7 +23,7 @@ from .baseline import solve_spp
 from .circuit import Circuit, decompose, parse_real
 from .coupling import STAR, CouplingGraph, coupling_from_descriptor
 from .dp import solve_star_dp, star_solution
-from .errors import CapError, NncpError, ParseError, SolverError, VerificationError
+from .errors import NncpError, ParseError, VerificationError
 from .generate import random_class_i, random_class_ii, to_real
 from .lp import solve_reduced
 from .perm import one_line_str
@@ -242,25 +242,13 @@ def main(argv=None) -> int:
         # interpreter's final flush of what is still buffered cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as exc:
+    except NncpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except MemoryError as exc:
         # the instance outgrew the machine; a bare MemoryError has no message
         print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NncpError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,8 +6,9 @@ order only), so canonicalizing a qubit order against a star on 100
 locations never enumerates the (n-1)! group elements: the coset minimum is
 obtained by sorting images inside each side of the bipartition.  The cycle
 group (order 2n) and GENERAL groups (backtracking search, small n only) are
-enumerated outright, and canonicalization walks their stabilizer chain
-(`AutGroup.chain`) instead of scanning the elements.
+enumerated outright, with the inverse images and stabilizer chain
+(`AutGroup.chain`) built alongside, and canonicalization walks that chain
+instead of scanning the elements.
 
 Location conventions are fixed once: star center = location 0, biclique
 small side = the first M locations, cycle = 0..n-1 in ring order.  Bicliques
@@ -20,7 +21,7 @@ group, just possibly not the largest one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapError, ParseError
 from .perm import Permutation, Transposition, identity, inverse, unchecked
@@ -38,41 +39,34 @@ GENERAL_ELEMENT_CAP = 50_000
 class AutGroup:
     """Automorphism group of a coupling graph.
 
-    ``elements`` is the full enumeration when available (cycle, GENERAL) and
-    None for the symbolic factorial-sized families (star, biclique).
-    """
+    The symbolic factorial-sized families (star, biclique) carry only the
+    order.  Enumerated groups (cycle, GENERAL) also carry ``elements``,
+    sorted by images; ``inverse_images[i]``, the images of elements[i]⁻¹;
+    and ``chain``, the stabilizer chain (Sims) as a trie of the inverse
+    images: level k is a dict keyed by b⁻¹(k), over the elements that agree
+    on b⁻¹(0..k-1), and a subtree holding a single element is that
+    element's index in ``elements``.  `_enumerated` builds all three."""
 
     order: int
     elements: list[Permutation] | None = None
-    _inverses: list[Permutation] | None = field(default=None, repr=False)
-    _chain: dict | int | None = field(default=None, repr=False)
+    inverse_images: list[tuple[int, ...]] | None = None
+    chain: dict | int | None = None
 
-    def inverses(self) -> list[Permutation]:
-        """Element inverses aligned with ``elements`` (enumerated groups only)."""
-        if self.elements is None:
-            raise ValueError("the group is symbolic, not enumerated")
-        if self._inverses is None:
-            self._inverses = [inverse(b) for b in self.elements]
-        return self._inverses
 
-    def chain(self) -> dict | int:
-        """Stabilizer chain (Sims) of the enumerated group, as a trie of the
-        inverse images: level k is a dict keyed by b⁻¹(k), over the elements
-        that agree on b⁻¹(0..k-1).  A subtree holding a single element is
-        that element's index in ``elements``.  Built once, on first use."""
-        if self._chain is None:
-            inv = [b.images for b in self.inverses()]
+def _enumerated(elements: list[Permutation]) -> AutGroup:
+    """The group of the listed elements, with its inverse images and chain."""
+    inv = [inverse(b).images for b in elements]
 
-            def build(ids: list[int], k: int) -> dict | int:
-                if len(ids) == 1:
-                    return ids[0]
-                groups: dict[int, list[int]] = {}
-                for i in ids:
-                    groups.setdefault(inv[i][k], []).append(i)
-                return {y: build(sub, k + 1) for y, sub in groups.items()}
+    def build(ids: list[int], k: int) -> dict | int:
+        if len(ids) == 1:
+            return ids[0]
+        groups: dict[int, list[int]] = {}
+        for i in ids:
+            groups.setdefault(inv[i][k], []).append(i)
+        return {y: build(sub, k + 1) for y, sub in groups.items()}
 
-            self._chain = build(list(range(len(inv))), 0)
-        return self._chain
+    return AutGroup(order=len(elements), elements=elements, inverse_images=inv,
+                    chain=build(list(range(len(inv))), 0))
 
 
 @dataclass(eq=False)
@@ -166,8 +160,7 @@ def _make_cycle(n: int) -> CouplingGraph:
         elements.append(Permutation([(s - x) % n for x in range(n)]))       # reflections
     elements.sort(key=lambda p: p.images)
     assert all(_is_automorphism(b, edges) for b in elements)
-    aut = AutGroup(order=2 * n, elements=elements)
-    return CouplingGraph(n=n, edges=edges, family=CYCLE, aut=aut)
+    return CouplingGraph(n=n, edges=edges, family=CYCLE, aut=_enumerated(elements))
 
 
 def _make_biclique(n: int, m: int) -> CouplingGraph:
@@ -196,8 +189,7 @@ def _make_general(edge_list) -> CouplingGraph:
         raise CapError(f"general automorphism search capped at n <= {GENERAL_N_CAP}, got n={n}")
     elements = _enumerate_automorphisms(n, edges)
     elements.sort(key=lambda p: p.images)
-    aut = AutGroup(order=len(elements), elements=elements)
-    return CouplingGraph(n=n, edges=edges, family=GENERAL, aut=aut)
+    return CouplingGraph(n=n, edges=edges, family=GENERAL, aut=_enumerated(elements))
 
 
 def _enumerate_automorphisms(n: int, edges: frozenset) -> list[Permutation]:
@@ -303,8 +295,8 @@ def canonical_right(tau: Permutation, g: CouplingGraph) -> tuple[Permutation, Pe
         return unchecked(rep), unchecked(tuple(map(rank.__getitem__, im)))
 
     aut = g.aut
-    node = aut.chain()
+    node = aut.chain
     while node.__class__ is dict:
         node = node[min(node, key=im.__getitem__)]
-    rep = tuple(map(im.__getitem__, aut.inverses()[node].images))
+    rep = tuple(map(im.__getitem__, aut.inverse_images[node]))
     return unchecked(rep), aut.elements[node]

@@ -80,10 +80,12 @@ class LpSolution:
 
 @dataclass(eq=False)
 class ReducedPath:
-    """A shortest path through the quotient: its length and its moves."""
+    """A shortest quotient path: its length, the orbit it crosses gate 1 at,
+    and the arc ids it takes, ``hops[k-1]`` between gates k and k+1."""
 
     opt: int
-    steps: list[tuple]                      # ("enter", u) / ("swap", k, arc) / ("cross", k, u)
+    entry: int
+    hops: list[list[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +308,7 @@ def _lowest(mask: int) -> int:
 def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     """One BFS pass per gate over orbit bitmasks, from the previous gate's
     compliant orbits at their potentials to this gate's; then the cheapest
-    chain is replayed.
+    chain is replayed into its entry orbit and per-boundary arc lists.
 
     Gate k's potentials are kept as level masks: ``levels[k]`` is (base,
     masks), where masks[j] holds the compliant orbits of gate k at potential
@@ -315,7 +317,7 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     masks at their potentials.  The replay goes backward from the cheapest
     orbit t of the last gate, at potential P: spheres around t grow until
     sphere r meets the previous gate's level at P − r, then the walk down
-    the spheres gives the swaps, one arc per hop.  Spheres grown along
+    the spheres gives that boundary's arcs, one per hop.  Spheres grown along
     out-arcs measure the distance *to* t because the quotient's adjacency
     is symmetric: a swap undoes itself.  A level expands through chunk
     tables (`_expander`) when they take no more bytes than the arc records
@@ -354,7 +356,7 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     base, masks = levels[-1]
     t = _lowest(masks[0])
     opt = potential = base
-    blocks: list[list[tuple]] = []      # per gate, last first: its swaps, then the crossing
+    hops: list[list[int]] = []          # per gate boundary, last first
     for k in range(q.m, 1, -1):
         prev_base, prev = levels[k - 1]
         spheres = [1 << t]              # spheres[r]: the orbits r swaps from t
@@ -366,24 +368,20 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
             seen |= spheres[-1]
             j -= 1
         s = v = _lowest(spheres[-1] & prev[j])
-        swaps = []
+        arcs = []
         for sphere in reversed(spheres[:-1]):   # one hop down per sphere
             ai = next(ai for ai in q.out_arcs[v] if sphere >> q.arcs[ai].dst & 1)
-            swaps.append(("swap", k, ai))
+            arcs.append(ai)
             v = q.arcs[ai].dst
-        blocks.append(swaps + [("cross", k, t)])
+        hops.append(arcs)
         t, potential = s, prev_base + j
-    steps: list[tuple] = [("enter", t), ("cross", 1, t)]
-    for block in reversed(blocks):
-        steps += block
-    return ReducedPath(opt=opt, steps=steps)
+    hops.reverse()
+    return ReducedPath(opt=opt, entry=t, hops=hops)
 
 
 def solve_reduced(q: QuotientGraph) -> tuple[int, ReducedPath]:
     """Solve the reduced model by one BFS pass per gate over the quotient.
-    Returns (opt, path); `reconstruct` replays the path's steps as a schedule."""
-    if q.m == 0:
-        return 0, ReducedPath(opt=0, steps=[])
+    Returns (opt, path); `reconstruct` replays the path as a schedule."""
     path = _shortest_quotient_path(q)
     return path.opt, path
 

@@ -1,13 +1,14 @@
 """Turn quotient-level shortest paths back into concrete SWAP schedules.
 
-`solve_reduced` returns a shortest quotient path as steps, gate by gate:
-enter at an orbit, take orbital arcs (one SWAP each) and cross each gate at
-a compliant orbit.  `reconstruct` replays them on concrete qubit orders.
-It starts at the entry orbit's representative.  For each swap step it
-canonicalizes the current order, τ ↦ (rep, b), and applies the coupling
-edge b⁻¹ maps onto the arc's representative edge.  The moved order lies in
-the arc's target orbit, because the group acts by automorphisms, so the
-walk stays on the path and every crossing order is compliant.
+`solve_reduced` returns a shortest quotient path as plain data: the orbit
+it enters gate 1 at, and per gate boundary the orbital arcs it takes (one
+SWAP each).  `reconstruct` replays them on concrete qubit orders.  It
+starts at the entry orbit's representative and records one order per
+gate.  For each arc it canonicalizes the current order, τ ↦ (rep, b),
+checks that rep is the arc's source orbit, and applies the coupling edge
+b⁻¹ maps onto the arc's representative edge.  The moved order lies in the
+arc's target orbit, because the group acts by automorphisms, so the walk
+stays on the path and every order it records is compliant.
 
 `verify` re-checks a finished schedule against nothing but the problem
 statement: gate-by-gate compliance of the qubit orders, and that the listed
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import symmetry
 from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
@@ -93,36 +95,30 @@ def _location(x) -> int:
 
 
 def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
-    """Replay the steps of a quotient shortest path as a concrete schedule."""
+    """Replay a quotient shortest path as a concrete schedule."""
     if q.m == 0:
         return NncpSolution(opt=0, orders=[], swaps=[])
-    tau = None
-    orders: list[Permutation] = []
+    arc_count = sum(map(len, path.hops))
+    if len(path.hops) != q.m - 1 or arc_count != path.opt:
+        raise SolverError(
+            f"path has {len(path.hops)} hop lists and {arc_count} arcs, "
+            f"expected {q.m - 1} and {path.opt}")
+    tau = q.nodes[path.entry].rep
+    orders = [tau]
     swaps: list[tuple[int, Transposition]] = []
-    for step in path.steps:
-        if step[0] == "enter":
-            tau = q.nodes[step[1]].rep
-        elif tau is None:
-            raise SolverError(f"path starts with {step[0]!r}, not at a source orbit")
-        elif step[0] == "cross":
-            orders.append(tau)
-        else:
-            _, k, ai = step
+    for k, hop in enumerate(path.hops, start=1):
+        for ai in hop:
             arc = q.arcs[ai]
-            rep, b = q.canonical(tau)
-            u = q.node_id(rep)
-            if u != arc.src:
+            rep, b = symmetry.canonical_form(tau, q.fp, q.coupling)
+            if rep != q.nodes[arc.src].rep:
                 raise SolverError(
-                    f"swap step at gate {k} takes arc {ai} out of orbit "
-                    f"{arc.src}, but the order is in orbit {u}")
+                    f"arc {ai} after gate {k} leads out of orbit {arc.src}, "
+                    f"but the order is not in that orbit")
             b_inv = inverse(b)
             t = Transposition(b_inv(arc.u), b_inv(arc.v))
-            swaps.append((k - 1, t))
+            swaps.append((k, t))
             tau = tau.swap(t.i, t.j)
-    if len(orders) != q.m or len(swaps) != path.opt:
-        raise SolverError(
-            f"path replays to {len(orders)} orders and {len(swaps)} swaps, "
-            f"expected {q.m} and {path.opt}")
+        orders.append(tau)
     return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
 
 

@@ -13,8 +13,9 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     order along the locations.  The canonical form is that fill minimized
     over the location side: on a star/biclique, fill and then sort each side
     (`canonical_right`); on cycle/general, a walk down the stabilizer chain
-    of the enumerated group.  S_n(F), of order 2^p·f!, is never enumerated,
-    so idle qubits and isolated pairs cost nothing extra;
+    that is built with the enumerated group (the ``AutGroup.chain`` field).
+    S_n(F), of order 2^p·f!, is never enumerated, so idle qubits and
+    isolated pairs cost nothing extra;
   * B_τ — the stabilizer of τ's class word in Aut(Coup(E)); its order gives
     the orbit size via orbit–stabilizer, and its edge classes give the
     out-degrees.  How the group is stored (`g.split` or `g.aut`) is the
@@ -206,7 +207,7 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
     can get, so the sorted sides are the minimum over the group, and the
     witness pairs each side's locations of one class in order
     (O(n log n)).  For cycle/general the fill is minimized down Aut's
-    stabilizer chain (`AutGroup.chain`), keeping every child that ties for
+    stabilizer chain (``aut.chain``), keeping every child that ties for
     the smallest next qubit; of the minimizing elements the witness is the
     first in ``aut.elements``.  S_n(F) itself is never listed.  A trivial
     pattern is plain coset canonicalization."""
@@ -220,18 +221,18 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
     # survivor has put the same qubits on locations 0..k-1, so ``used`` is
     # shared, and child y is worth the next unused qubit of y's class.
     aut = g.aut
-    inv = aut.inverses()
+    inv = aut.inverse_images
     cls = fp.class_index
     classes = fp.classes
     used = [0] * len(classes)
     rep = []
-    frontier = [aut.chain()]
+    frontier = [aut.chain]
     for k in range(g.n):
         best = None
         survivors = []
         for node in frontier:
             # a collapsed leaf holds one element: its next inverse image
-            kids = node.items() if node.__class__ is dict else ((inv[node].images[k], node),)
+            kids = node.items() if node.__class__ is dict else ((inv[node][k], node),)
             for y, child in kids:
                 c = word[y]
                 q = classes[c][used[c]]
@@ -481,7 +482,6 @@ class QuotientGraph:
     arcs: list[OrbitalArc]
     compliant: list[list[int]]
     out_arcs: list[range]
-    _node_index: dict[tuple, int]
 
     @property
     def n(self) -> int:
@@ -490,12 +490,6 @@ class QuotientGraph:
     @property
     def m(self) -> int:
         return self.circuit.m
-
-    def canonical(self, tau: Permutation) -> tuple[Permutation, Permutation]:
-        return canonical_form(tau, self.fp, self.coupling)
-
-    def node_id(self, rep: Permutation) -> int:
-        return self._node_index[rep.images]
 
     def d_in(self, arc: OrbitalArc) -> int:
         """Moves of ``arc`` per member of its destination, by orbit–stabilizer:
@@ -536,8 +530,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
 
     return QuotientGraph(
         circuit=c, coupling=g, fp=fp, nodes=nodes, arcs=arcs,
-        compliant=compliant, out_arcs=out_arcs,
-        _node_index={node.rep.images: i for i, node in enumerate(nodes)})
+        compliant=compliant, out_arcs=out_arcs)
 
 
 def reduction_stats(q: QuotientGraph) -> dict:

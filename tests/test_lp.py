@@ -150,11 +150,9 @@ def test_reduced_path_support_shape():
     _, _, q = instance(5, [(0, 2), (2, 4), (1, 3), (0, 1)], "cycle")
     opt, path = solve_reduced(q)
     assert isinstance(path, ReducedPath)
-    kinds = [step[0] for step in path.steps]
-    assert kinds.count("swap") == opt
-    assert [step[1] for step in path.steps if step[0] == "cross"] == list(range(1, q.m + 1))
-    assert path.steps[0][0] == "enter" and path.steps[-1][0] == "cross"
-    assert kinds.count("enter") == 1
+    assert len(path.hops) == q.m - 1
+    assert sum(map(len, path.hops)) == opt
+    assert path.entry in q.compliant[0]
 
 
 @pytest.mark.parametrize("n, pairs, family, m_side", [
@@ -225,11 +223,11 @@ def global_01_bfs(q):
     compl = [set(ids) for ids in q.compliant]
     INF = float("inf")
     dist = [[INF] * nnodes for _ in range(m + 1)]
-    parent = {}
+    parent = {}                 # state -> (previous state, arc id or None)
     dq = deque()
     for u in range(nnodes):
         dist[1][u] = 0
-        parent[(1, u)] = (None, ("enter", u))
+        parent[(1, u)] = (None, None)
         dq.append((0, 1, u))
 
     end = None
@@ -243,25 +241,27 @@ def global_01_bfs(q):
                 break
             if d < dist[k + 1][u]:
                 dist[k + 1][u] = d
-                parent[(k + 1, u)] = ((k, u), ("cross", k, u))
+                parent[(k + 1, u)] = ((k, u), None)
                 dq.appendleft((d, k + 1, u))
         for ai in q.out_arcs[u]:
             v = q.arcs[ai].dst
             if d + 1 < dist[k][v]:
                 dist[k][v] = d + 1
-                parent[(k, v)] = ((k, u), ("swap", k, ai))
+                parent[(k, v)] = ((k, u), ai)
                 dq.append((d + 1, k, v))
     assert end is not None
 
-    steps = []
+    # a swap in layer k >= 2 comes between gates k-1 and k
+    hops = [[] for _ in range(m - 1)]
     state = end
-    while state is not None:
-        prev, move = parent[state]
-        steps.append(move)
+    while parent[state][0] is not None:
+        prev, ai = parent[state]
+        if ai is not None:
+            hops[state[0] - 2].append(ai)
         state = prev
-    steps.reverse()
-    steps.append(("cross", m, end[1]))
-    return ReducedPath(opt=dist[end[0]][end[1]], steps=steps)
+    for hop in hops:
+        hop.reverse()
+    return ReducedPath(opt=dist[end[0]][end[1]], entry=state[1], hops=hops)
 
 
 BOWTIE = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]

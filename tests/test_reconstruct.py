@@ -155,25 +155,23 @@ def test_reconstruct_empty_circuit():
 
 
 def test_reconstruct_rejects_empty_support():
-    # a path that never enters a source orbit
+    # no hop list for either of the two gate boundaries
     _, _, q, _, sol = solved(4, [(0, 1), (1, 2), (0, 2)], "cycle")
-    steps = [step for step in sol.steps if step[0] != "enter"]
-    with pytest.raises(SolverError, match="not at a source orbit"):
-        reconstruct(q, ReducedPath(opt=sol.opt, steps=steps))
-    with pytest.raises(SolverError, match="expected 3 and 0"):
-        reconstruct(q, ReducedPath(opt=0, steps=[]))
+    with pytest.raises(SolverError, match="0 hop lists and 0 arcs, expected 2 and 0"):
+        reconstruct(q, ReducedPath(opt=0, entry=sol.entry, hops=[]))
 
 
 def test_reconstruct_dead_end():
     _, _, q, _, sol = solved(4, [(0, 1), (1, 2), (0, 2)], "cycle")
     assert isinstance(sol, ReducedPath)
     # swap along an arc that leaves some other orbit than the current one
-    at = next(i for i, step in enumerate(sol.steps) if step[0] == "swap")
-    _, k, ai = sol.steps[at]
+    k = next(k for k, hop in enumerate(sol.hops) if hop)
+    ai = sol.hops[k][0]
     wrong = next(bi for bi, arc in enumerate(q.arcs) if arc.src != q.arcs[ai].src)
-    steps = sol.steps[:at] + [("swap", k, wrong)] + sol.steps[at + 1:]
+    hops = [list(hop) for hop in sol.hops]
+    hops[k][0] = wrong
     with pytest.raises(SolverError, match="out of orbit"):
-        reconstruct(q, ReducedPath(opt=sol.opt, steps=steps))
+        reconstruct(q, ReducedPath(opt=sol.opt, entry=sol.entry, hops=hops))
 
 
 # --- JSON schedule format ------------------------------------------------------

@@ -15,7 +15,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
 from nncp.coupling import canonical_right, make
 from nncp.lp import solve_reduced
-from nncp.perm import Permutation, identity, inverse
+from nncp.perm import Permutation, inverse
 from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import canonical_form, quotient_graph
 
@@ -143,6 +143,24 @@ def test_chain_matches_scan_on_nontrivial_patterns(family, arg, pattern):
         assert (rep.images, b.images) == scan_canonical_form(tau, fp, group), tau
 
 
+@pytest.mark.parametrize("family, arg", GRAPHS)
+def test_group_is_built_whole(family, arg):
+    aut = build(family, arg).aut
+    assert aut.inverse_images == [inverse(b).images for b in aut.elements]
+    # every element index sits at exactly one leaf, below the keys of its
+    # own inverse images
+    leaves = []
+    stack = [(aut.chain, ())]
+    while stack:
+        node, keys = stack.pop()
+        if node.__class__ is dict:
+            stack.extend((child, keys + (y,)) for y, child in node.items())
+        else:
+            assert aut.inverse_images[node][:len(keys)] == keys
+            leaves.append(node)
+    assert sorted(leaves) == list(range(len(aut.elements)))
+
+
 # --- no call scans Aut ---------------------------------------------------------
 
 class NoScan(list):
@@ -159,7 +177,8 @@ def test_solve_path_never_iterates_aut(family, arg):
     rng = random.Random(5)
     pairs = patterns(n)["trivial"] + [tuple(rng.sample(range(n), 2)) for _ in range(12)]
     c = decompose([RawGate(CNOT, p) for p in pairs], n=n)
-    canonical_right(identity(n), g)         # warm-up: builds inverses() and the chain
+    # the inverse images and the chain are built with the group, so not
+    # even the first canonicalization reads the element list
     g.aut.elements = NoScan(g.aut.elements)
     with pytest.raises(AssertionError, match="scanned"):
         list(g.aut.elements)
