@@ -27,7 +27,7 @@ from .errors import NncpError, ParseError, VerificationError
 from .generate import random_class_i, random_class_ii, to_real
 from .lp import solve_reduced
 from .perm import one_line_str
-from .reconstruct import SCHEMA_VERSION, NncpSolution, reconstruct, verify
+from .reconstruct import SCHEMA_VERSION, NncpSolution, dumps_rows, reconstruct, verify
 from .symmetry import quotient_graph, reduction_stats
 
 
@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
         payload = chosen.to_json_dict()
         payload.update({"n": circuit.n, "m": circuit.m,
                         "coupling": args.coupling, "methods": opts})
-        print(json.dumps(payload, indent=2))
+        print(dumps_rows(payload))
     elif args.out == "csv":
         print("n,m,coupling,method,opt,swap_count")
         for method in methods:

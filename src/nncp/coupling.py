@@ -81,9 +81,6 @@ class CouplingGraph:
         if not _connected(self.n, self.edges):
             raise ValueError("coupling graph must be connected")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.edges
-
 
 @dataclass(frozen=True)
 class TranspositionSet:

@@ -18,8 +18,9 @@ level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials; it stops once this gate's are settled and keeps only
 their potentials, as one bitmask of orbits per level.  A whole BFS level
 expands at once: through per-chunk tables of successor masks (`_expander`,
-the Four Russians trick) when they take no more bytes than the arc records
-(`_table_fits`), otherwise over adjacency lists (`_adjacency_expander`).
+the Four Russians trick; only nonzero chunks are looked up) when they take
+no more bytes than the arc records (`_table_fits`), otherwise over
+adjacency lists (`_adjacency_expander`).
 The replay grows spheres backward from the cheapest orbit of the last
 gate, which is exact because the quotient's adjacency is symmetric.
 `simplex_solve` solves the LP and flow models with HiGHS (`simplex.py`), which
@@ -34,6 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from operator import getitem, or_
 
 from . import simplex
@@ -263,7 +265,8 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
     The orbit ids are cut into chunks of 4 bits; a chunk's table holds, for
     each of its 16 values, the OR of the successor masks of the orbits the
     value selects.  Expanding a set reads its mask as hex, top chunk first,
-    and ORs one table entry per chunk."""
+    and ORs one table entry per nonzero chunk: a zero chunk selects no
+    orbit, so its table is skipped."""
     chunks = -(-len(q.nodes) // 4)
     succ_mask = [0] * (4 * chunks)
     for arc in q.arcs:
@@ -275,8 +278,11 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
             low = value & -value        # the entry without its lowest bit, plus that bit's orbit
             table[value] = table[value ^ low] | succ_mask[4 * c + low.bit_length() - 1]
         tables.append(table)
-    return lambda mask: reduce(or_, map(getitem, tables,
-                                        ("%0*x" % (chunks, mask)).encode().translate(_NIBBLES)))
+
+    def expand(mask: int) -> int:
+        nibbles = ("%0*x" % (chunks, mask)).encode().translate(_NIBBLES)
+        return reduce(or_, map(getitem, compress(tables, nibbles), filter(None, nibbles)), 0)
+    return expand
 
 
 def _adjacency_expander(q: QuotientGraph) -> Callable[[int], int]:
@@ -320,7 +326,8 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     the spheres gives that boundary's arcs, one per hop.  Spheres grown along
     out-arcs measure the distance *to* t because the quotient's adjacency
     is symmetric: a swap undoes itself.  A level expands through chunk
-    tables (`_expander`) when they take no more bytes than the arc records
+    tables (`_expander`), one lookup per nonzero 4-bit chunk of its mask,
+    when they take no more bytes than the arc records
     (`_table_fits`): on cycle-7, stars and the bicliques measured; larger
     sparse quotients (cycle-8, Petersen, the 3×3 grid) expand over
     adjacency lists (`_adjacency_expander`)."""

@@ -25,7 +25,7 @@ from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
 from .lp import ReducedPath
-from .perm import Permutation, Transposition, inverse
+from .perm import Permutation, Transposition
 from .symmetry import QuotientGraph
 
 SCHEMA_VERSION = 1
@@ -54,7 +54,7 @@ class NncpSolution:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return dumps_rows(self.to_json_dict()) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NncpSolution":
@@ -79,6 +79,22 @@ class NncpSolution:
     @classmethod
     def from_json(cls, text: str) -> "NncpSolution":
         return cls.from_json_dict(json.loads(text))
+
+
+def dumps_rows(payload: dict) -> str:
+    """``payload`` as JSON text, one top-level key per line at indent 2, and
+    a nonempty list value one element per line (an order or a swap on one
+    row).  Each value and row goes through ``json.dumps`` without indent,
+    the C encoder; ``json.loads`` reads back the same data as from
+    ``json.dumps(payload, indent=2)``."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            text = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        lines.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}"
 
 
 def _integer(x) -> int:
@@ -114,8 +130,8 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
                 raise SolverError(
                     f"arc {ai} after gate {k} leads out of orbit {arc.src}, "
                     f"but the order is not in that orbit")
-            b_inv = inverse(b)
-            t = Transposition(b_inv(arc.u), b_inv(arc.v))
+            at = b.images.index         # b⁻¹ at one point, with no whole inverse
+            t = Transposition(at(arc.u), at(arc.v))
             swaps.append((k, t))
             tau = tau.swap(t.i, t.j)
         orders.append(tau)
@@ -142,9 +158,9 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
 
     if not violations:
         for k, (gate, tau) in enumerate(zip(circuit.gates, solution.orders), start=1):
-            loc = inverse(tau)
+            at = tau.images.index       # the location of a qubit
             a, b = gate.pair
-            edge = tuple(sorted((loc(a), loc(b))))
+            edge = tuple(sorted((at(a), at(b))))
             if edge not in coupling.edges:
                 violations.append(
                     f"gate {k} acts on locations {edge[0] + 1},{edge[1] + 1}, "

@@ -57,7 +57,7 @@ from fractions import Fraction
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import CouplingGraph, canonical_right
 from .errors import CapError
-from .perm import Permutation, identity, inverse, unchecked
+from .perm import Permutation, identity, unchecked
 
 ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
@@ -386,7 +386,8 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     """`layer_orbits` for any coupling, in one worklist pass.
 
     B_τ is computed when an orbit is processed (once in all for a trivial
-    pattern, where every B_τ is {1}); only the orbit size it gives is kept.
+    pattern, where every B_τ is {1}, and so is its edge-class index); only
+    the orbit size it gives is kept.
     Per B_τ edge class, the representative moved along the class's first
     edge names the destination orbit (new if unseen), and the class size is
     ``d_out``.  Each orbital and its reverse share one canonicalization;
@@ -401,6 +402,9 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     reps = [start]
     index = {start.images: 0}
     trivial_bt = b_tau(start, fp, g) if fp.trivial else None
+    # every B_τ is {1} under a trivial pattern, so one index serves all orbits
+    trivial_class_of = (None if trivial_bt is None else
+                        {e: k for k, cl in enumerate(trivial_bt.edge_orbits) for e in cl})
     sizes: list[int] = []
     # per orbit (by discovery id) its arcs, with discovery ids
     rows: list[list[OrbitalArc]] = []
@@ -420,7 +424,8 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
             # the destination of each edge class that holds a named edge
             dest = [None] * len(bt.edge_orbits)
             if back[i]:
-                class_of = {e: k for k, cl in enumerate(bt.edge_orbits) for e in cl}
+                class_of = trivial_class_of or {
+                    e: k for k, cl in enumerate(bt.edge_orbits) for e in cl}
                 for e, src in back[i].items():
                     dest[class_of[e]] = src
             back[i] = None
@@ -441,7 +446,7 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
                         back.append({})
                     if j > i:
                         back[j][edge_at[b.images[u]][b.images[v]]] = i
-                row.append(OrbitalArc(src=i, dst=j, u=u, v=v, d_out=len(cl)))
+                row.append(OrbitalArc(i, j, u, v, len(cl)))
             rows.append(row)
 
     order = sorted(range(len(reps)), key=lambda i: reps[i].images)
@@ -523,9 +528,21 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
         by_pair = {(a, b): sorted(set(on_small[a]).symmetric_difference(on_small[b]))
                    for a, b in pairs}
     else:
-        inv_reps = [inverse(node.rep).images for node in nodes]
-        by_pair = {(a, b): [i for i, loc in enumerate(inv_reps) if g.has_edge(loc[a], loc[b])]
-                   for a, b in pairs}
+        # an orbit is compliant with a pair iff one of its representative's
+        # coupling edges holds the pair's two qubits, and at most one edge
+        # can.  So walk each representative's edges: the qubits on an edge,
+        # in either order, name the pair's list, which takes each orbit at
+        # most once and in ascending order (O(orbits·|E|) dict lookups)
+        by_pair = {}
+        for a, b in pairs:
+            by_pair[a, b] = by_pair[b, a] = []
+        holding = by_pair.get
+        for i, node in enumerate(nodes):
+            rep = node.rep.images
+            for u, v in g.edges:
+                ids = holding((rep[u], rep[v]))
+                if ids is not None:
+                    ids.append(i)
     compliant = [by_pair[gate.pair] for gate in c.gates]     # one list per pair
 
     return QuotientGraph(

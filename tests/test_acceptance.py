@@ -83,7 +83,7 @@ def test_criterion_2_orbit_counts_match_brute_enumeration():
                     sum_b_orbits += len(b_elems) * len(brute_edge_orbits(edges, b_elems))
                     for k, gate in enumerate(c.gates):
                         a, b = gate.pair
-                        if g.has_edge(inv(a), inv(b)):
+                        if tuple(sorted((inv(a), inv(b)))) in g.edges:
                             cross[k] += len(b_elems)
 
                 # orbit-counting: each orbit contributes |G| to the weighted sums

@@ -53,6 +53,9 @@ def test_solve_json(real_file, capsys):
     assert data["opt"] == 2
     assert data["methods"] == {"reduced": 2}
     assert len(data["orders"]) == 3
+    # the braces, one line per key, one row per order and per swap, and the
+    # closing brackets of those two lists
+    assert len(out.splitlines()) == 2 + len(data) + len(data["orders"]) + len(data["swaps"]) + 2
 
 
 def test_solve_csv_all_methods(real_file, capsys):
@@ -325,7 +328,7 @@ def test_malformed_solution_file_exits_1(capsys, tmp_path, data):
 
 def test_closed_stdout_exits_141_quietly():
     # the reader takes one line and closes the pipe, as `| head -1` does; the
-    # ~0.4 MB schedule outgrows the pipe buffer, so a later write hits EPIPE
+    # ~0.18 MB schedule outgrows the pipe buffer, so a later write hits EPIPE
     root = Path(__file__).resolve().parent.parent
     with subprocess.Popen(
             [sys.executable, "-m", "nncp.cli", "solve", "--circuit", "classI:100:400",

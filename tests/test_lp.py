@@ -2,6 +2,8 @@ import random
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -324,6 +326,38 @@ def test_size_rule_picks_the_expander(monkeypatch, n, expander):
     opt, path = solve_reduced(q)
     assert called == [expander]
     assert verify(reconstruct(q, path), c, g)["ok"]
+
+
+@pytest.mark.parametrize("family, n, chain, orbits", [
+    ("general", 7, 6, 35),      # K_{3,4} as an edge list
+    ("star", 13, 9, 11),        # the chain leaves 3 qubits idle
+    ("cycle", 7, 6, 360),
+], ids=["K34", "star-idle", "cycle"])
+def test_expanders_agree(family, n, chain, orbits):
+    # two orbit counts that are not a multiple of 4, so the top chunk is
+    # partial, and one that is
+    if family == "general":
+        g, _, _ = make("general", edges=[(i, j) for i in range(3) for j in range(3, 7)])
+    else:
+        g, _, _ = make(family, n=n)
+    q = quotient_graph(decompose([RawGate(CNOT, (x, x + 1)) for x in range(chain)], n=n), g)
+    assert len(q.nodes) == orbits
+    succ = [0] * orbits
+    for arc in q.arcs:
+        succ[arc.src] |= 1 << arc.dst
+
+    def reference(mask):
+        return reduce(or_, (succ[u] for u in range(orbits) if mask >> u & 1), 0)
+
+    top = 4 * ((orbits - 1) // 4)       # the first orbit of the top chunk
+    everything = (1 << orbits) - 1
+    masks = [0, everything, everything >> top << top] + [1 << u for u in range(orbits)]
+    rng = random.Random(orbits)
+    for density in [0.05, 0.3, 0.7, 0.95] * 12 + [0.5, 0.5]:
+        masks.append(sum(1 << u for u in range(orbits) if rng.random() < density))
+    tables, adjacency = _expander(q), _adjacency_expander(q)
+    for mask in masks:
+        assert tables(mask) == adjacency(mask) == reference(mask), hex(mask)
 
 
 @pytest.mark.parametrize("tables", [True, False], ids=["tables", "adjacency"])

@@ -198,6 +198,22 @@ def test_json_is_one_based():
     assert data["swaps"][0] == {"after_gate": 1, "swap": [1, 2]}
 
 
+@pytest.mark.parametrize("swaps", [True, False], ids=["swaps", "no-swaps"])
+def test_json_puts_each_order_and_swap_on_one_row(swaps):
+    sol = sample_solution()
+    if not swaps:
+        sol.swaps = []
+    data = sol.to_json_dict()
+    text = sol.to_json()
+    assert json.loads(text) == json.loads(json.dumps(data, indent=2)) == data
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert [line.split(":")[0] for line in lines if line.startswith('  "')] == [
+        f'  "{key}"' for key in data]
+    rows = [json.loads(line.strip().rstrip(",")) for line in lines if line.startswith("    ")]
+    assert rows == data["orders"] + data["swaps"]
+
+
 def test_json_schema_guard():
     data = json.loads(sample_solution().to_json())
     data["schema"] = 99

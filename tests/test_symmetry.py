@@ -286,13 +286,36 @@ def test_compliance_is_orbit_invariant(family, m_side):
                     assert (e in g.edges) == expected
 
 
-@pytest.mark.parametrize("family, arg", FAMILIES)
-@pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
-def test_compliance_matches_per_gate_recomputation(family, arg, pattern):
+# circuits on the edge lists, by their distinct qubit pairs on n qubits, and
+# whether those are more or fewer than the coupling edges (K_{3,4} and the
+# 7-wheel have 12, the 2×3 ladder 7)
+PAIR_COUNTS = {
+    "chain": (lambda n: [(x, x + 1) for x in range(n - 1)], "fewer"),
+    "all-pairs": (lambda n: list(itertools.combinations(range(n), 2)), "more"),
+    "two-pairs": (lambda n: [(0, 1), (2, 3)], "fewer"),     # the rest idle
+}
+# (pattern, family, arg): the four families on five qubits under each
+# pattern, and the three graph-build edge lists under each PAIR_COUNTS case
+COMPLIANCE_CASES = (
+    [(pattern, family, arg) for pattern in ("idle", "pairs", "trivial")
+     for family, arg in FAMILIES]
+    + [(case, "general", graph) for graph in ("K34", "ladder", "wheel7")
+       for case in sorted(PAIR_COUNTS)])
+
+
+@pytest.mark.parametrize("pattern, family, arg", COMPLIANCE_CASES,
+                         ids=["-".join(map(str, case)) for case in COMPLIANCE_CASES])
+def test_compliance_matches_per_gate_recomputation(pattern, family, arg):
+    if pattern in PATTERNS:
+        n, pairs = 5, PATTERNS[pattern]
+    else:
+        n = 1 + max(map(max, GENERAL_GRAPHS[arg]))
+        pairs_of, side = PAIR_COUNTS[pattern]
+        pairs = pairs_of(n)
+        assert (len(pairs) > len(GENERAL_GRAPHS[arg])) == (side == "more")
     # each pair occurs three times, once with its qubits the other way round
-    pairs = PATTERNS[pattern] + [(b, a) for a, b in PATTERNS[pattern]][::-1]
-    c = circuit_with_pattern(5, pairs + PATTERNS[pattern])
-    g = family_graph(family, arg, 5)
+    c = circuit_with_pattern(n, pairs + [(b, a) for a, b in pairs][::-1] + pairs)
+    g = family_graph(family, arg, n)
     q = quotient_graph(c, g)
     for k, gate in enumerate(c.gates):
         a, b = gate.pair
@@ -302,6 +325,8 @@ def test_compliance_matches_per_gate_recomputation(family, arg, pattern):
             if tuple(sorted((loc(a), loc(b)))) in g.edges:
                 expected.append(u)
         assert q.compliant[k] == expected, (k, gate.pair)
+        # so no orbit is listed twice
+        assert all(x < y for x, y in zip(q.compliant[k], q.compliant[k][1:]))
 
 
 def test_quotient_lookup_tables():
