@@ -26,8 +26,7 @@ for g in gates:
 
 circuit = decompose(gates, n=meta["numvars"], qubit_names=meta["variables"])
 print(f"\ndecomposed into m = {circuit.m} two-qubit gates:")
-for k, g in enumerate(circuit.gates, start=1):
-    a, b = g.pair
+for k, (a, b) in enumerate(circuit.gates, start=1):
     print(f"  gate {k:2}: {circuit.qubit_names[a]} -- {circuit.qubit_names[b]}")
 
 # Qubits in a gate-graph component of size >= 3 can be told apart by the

@@ -19,8 +19,8 @@ for family, m_side in [("cycle", None), ("star", None), ("biclique", 2)]:
     print(f"--- {label}: optimum = {opt} SWAPs")
     print(f"    start order {one_line_str(schedule.orders[0])}"
           "   (location -> qubit, 1-based)")
-    for k, t in schedule.swaps:
-        print(f"    after gate {k}: swap locations ({t.i + 1},{t.j + 1})")
+    for k, (i, j) in schedule.swaps:
+        print(f"    after gate {k}: swap locations ({i + 1},{j + 1})")
 
     report = verify(schedule, circuit, coupling)
     print(f"    verified: {report['ok']}"

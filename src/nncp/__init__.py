@@ -8,8 +8,8 @@ schedule, then verify it.
 """
 
 from .baseline import reynolds_check, solve_spp
-from .circuit import (Circuit, FixingPattern, RawGate, TwoQubitGate, decompose,
-                      fixing_pattern, gate_graph, parse_real)
+from .circuit import (Circuit, FixingPattern, RawGate, decompose, fixing_pattern,
+                      gate_graph, parse_real)
 from .coupling import (AutGroup, CouplingGraph, TranspositionSet,
                        canonical_right, coupling_from_descriptor, make,
                        transposition_set)
@@ -20,8 +20,8 @@ from .generate import random_class_i, random_class_ii, to_real
 from .lp import (GnfpModel, LinearProgram, LpSolution, ReducedPath,
                  build_gnfp, build_rspp_scaled, gnfp_lp, simplex_solve,
                  solve_reduced, write_lp)
-from .perm import (Permutation, Transposition, all_permutations, compose,
-                   identity, inverse, one_line_str)
+from .perm import (Permutation, all_permutations, compose, identity, inverse,
+                   one_line_str, pair)
 from .reconstruct import NncpSolution, reconstruct, verify
 from .symmetry import (BTau, OrbitNode, OrbitalArc, QuotientGraph, b_tau,
                        canonical_form, layer_orbits, quotient_graph,

@@ -19,7 +19,7 @@ from .circuit import Circuit, fixing_pattern
 from .coupling import CouplingGraph
 from .errors import CapError, SolverError
 from .lp import build_rspp_scaled
-from .perm import Permutation, Transposition, all_permutations, inverse
+from .perm import Permutation, all_permutations, inverse
 from .reconstruct import NncpSolution
 from .symmetry import quotient_graph
 
@@ -56,7 +56,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
         if d > dist[state]:
             continue
         k, imgs = state
-        a, b = circuit.gates[k - 1].pair
+        a, b = circuit.gates[k - 1]
         i, j = imgs.index(a), imgs.index(b)
         if ((i, j) if i < j else (j, i)) in coupling.edges:
             if k == m:
@@ -79,12 +79,12 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
         raise SolverError("no compliant assignment reachable")
 
     orders: dict[int, Permutation] = {m: Permutation(final[1])}
-    swaps: list[tuple[int, Transposition]] = []
+    swaps: list[tuple[int, tuple[int, int]]] = []
     state = final
     while state is not None:
         prev, edge = parent[state]
         if edge is not None:
-            swaps.append((state[0] - 1, Transposition(*edge)))
+            swaps.append((state[0] - 1, edge))
         elif prev is not None:                  # crossed into this layer
             orders[state[0] - 1] = Permutation(state[1])
         state = prev
@@ -114,8 +114,8 @@ def flow_from_solution(sol: NncpSolution) -> tuple[dict, dict]:
         cur = sol.orders[k - 1]
         for after_gate, t in sol.swaps:
             if after_gate == k:
-                x[(k + 1, cur.images, (t.i, t.j))] = 1.0
-                cur = cur.swap(t.i, t.j)
+                x[(k + 1, cur.images, t)] = 1.0
+                cur = cur.swap(*t)
     y[(m, sol.orders[m - 1].images)] = 1.0
     return x, y
 
@@ -132,11 +132,8 @@ def brute_automorphisms(coupling: CouplingGraph) -> list[Permutation]:
 
 def brute_pattern_stabilizer(circuit: Circuit) -> list[Permutation]:
     """Filter all n! permutations for setwise stabilization of every
-    pattern class (and of the free set)."""
-    fp = fixing_pattern(circuit)
-    sets = [set(cls) for cls in fp.classes]
-    if fp.free:
-        sets.append(set(fp.free))
+    pattern class (the free set is one of them)."""
+    sets = [set(cls) for cls in fixing_pattern(circuit).classes]
     out = []
     for p in all_permutations(circuit.n):
         if all({p(v) for v in s} == s for s in sets):

@@ -3,7 +3,8 @@ gates into two-qubit gates, the gate graph, and the fixing pattern.
 
 Only the *unordered pair of qubits* a two-qubit gate acts on matters for
 SWAP-insertion: control/target orientation and the specific unitary are
-irrelevant downstream, so the decomposition step erases everything else.
+irrelevant downstream, so the decomposition step erases everything else and
+keeps each gate as a sorted int tuple ``(a, b)``, ``a < b`` (see `perm`).
 Multi-controlled gates are expanded with the usual controlled-V / V† ladder
 construction, hard-coded as fixed position tables (one deterministic strategy,
 no decomposition search).
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ParseError
+from .perm import pair
 
 # ---------------------------------------------------------------------------
 # gate kinds
@@ -92,38 +94,13 @@ class RawGate:
             raise ParseError(f"{self.kind} acts on repeated qubits {self.qubits}")
 
 
-class TwoQubitGate:
-    """An unordered pair of distinct qubits; all that SWAP-insertion sees."""
-
-    __slots__ = ("pair",)
-
-    def __init__(self, a: int, b: int):
-        if a == b:
-            raise ValueError(f"two-qubit gate needs distinct qubits, got ({a}, {b})")
-        object.__setattr__(self, "pair", (a, b) if a < b else (b, a))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoQubitGate) and self.pair == other.pair
-
-    def __hash__(self) -> int:
-        return hash(self.pair)
-
-    def __iter__(self):
-        return iter(self.pair)
-
-    def __repr__(self) -> str:
-        return f"TwoQubitGate{self.pair}"
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("TwoQubitGate is immutable")
-
-
 @dataclass
 class Circuit:
-    """A preprocessed circuit: n qubits and an ordered list of two-qubit gates."""
+    """A preprocessed circuit: n qubits and an ordered list of two-qubit
+    gates, each the sorted pair ``(a, b)`` with ``0 <= a < b < n``."""
 
     n: int
-    gates: list[TwoQubitGate]
+    gates: list[tuple[int, int]]
     qubit_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -131,9 +108,9 @@ class Circuit:
             self.qubit_names = [f"q{i + 1}" for i in range(self.n)]
         if len(self.qubit_names) != self.n:
             raise ValueError(f"{len(self.qubit_names)} names for {self.n} qubits")
-        for g in self.gates:
-            if not all(0 <= q < self.n for q in g.pair):
-                raise ValueError(f"gate {g} out of range for n={self.n}")
+        for a, b in self.gates:
+            if not 0 <= a < b < self.n:
+                raise ValueError(f"gate ({a}, {b}) is not a sorted pair in 0..{self.n - 1}")
 
     @property
     def m(self) -> int:
@@ -143,16 +120,13 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # .real parsing
 
-def parse_real(text):
+def parse_real(text: str):
     """Parse a ``.real``-style circuit file.
 
     Returns ``(gates, meta)`` where ``gates`` is the ordered list of RawGate
     and ``meta`` carries the directive values (``numvars``, ``variables``,
     ...).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-
     meta: dict = {"variables": []}
     var_index: dict[str, int] = {}
     gates: list[RawGate] = []
@@ -261,7 +235,7 @@ def decompose(gates: list[RawGate], n: int | None = None,
     """Expand every multi-qubit gate into its fixed two-qubit sequence and
     drop single-qubit gates.  ``n`` defaults to the smallest count covering
     all referenced qubits (or ``len(qubit_names)`` when names are given)."""
-    out: list[TwoQubitGate] = []
+    out: list[tuple[int, int]] = []
     top = -1
     for g in gates:
         table = DECOMPOSE_TABLE.get(g.kind)
@@ -269,7 +243,7 @@ def decompose(gates: list[RawGate], n: int | None = None,
             raise ParseError(f"cannot decompose unsupported gate kind {g.kind!r}")
         top = max(top, *g.qubits) if g.qubits else top
         for a, b in table:
-            out.append(TwoQubitGate(g.qubits[a], g.qubits[b]))
+            out.append(pair(g.qubits[a], g.qubits[b]))
     if n is None:
         n = len(qubit_names) if qubit_names else top + 1
     return Circuit(n=n, gates=out, qubit_names=list(qubit_names or []))
@@ -280,7 +254,7 @@ def decompose(gates: list[RawGate], n: int | None = None,
 
 def gate_graph(c: Circuit) -> set[tuple[int, int]]:
     """Edge set of the gate graph on qubits (parallel gates collapse)."""
-    return {g.pair for g in c.gates}
+    return set(c.gates)
 
 
 @dataclass(frozen=True)

@@ -119,8 +119,8 @@ def cmd_solve(args) -> int:
         print(head)
         for method in methods:
             print(f"{method}: opt={solutions[method].opt}")
-        for k, t in chosen.swaps:
-            print(f"swap after gate {k}: locations ({t.i + 1},{t.j + 1})")
+        for k, (i, j) in chosen.swaps:
+            print(f"swap after gate {k}: locations ({i + 1},{j + 1})")
         for idx, tau in enumerate(chosen.orders, start=1):
             print(f"order at gate {idx}: {one_line_str(tau)}")
     return 0
@@ -131,7 +131,7 @@ def cmd_stats(args) -> int:
     coupling = coupling_from_descriptor(args.coupling, circuit.n)
     stats = reduction_stats(quotient_graph(circuit, coupling))
     if args.out == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, **stats}, indent=2, default=str))
+        print(json.dumps({"schema": SCHEMA_VERSION, **stats}, indent=2))
     elif args.out == "csv":
         def cell(v):  # per-boundary counts are lists; keep the row comma-safe
             return ";".join(map(str, v)) if isinstance(v, list) else str(v)
@@ -153,8 +153,7 @@ def cmd_decompose(args) -> int:
              f".numvars {circuit.n}",
              ".variables " + " ".join(circuit.qubit_names),
              ".begin"]
-    for g in circuit.gates:
-        a, b = g.pair
+    for a, b in circuit.gates:
         lines.append(f"t2 {circuit.qubit_names[a]} {circuit.qubit_names[b]}")
     lines.append(".end")
     print("\n".join(lines))

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapError, ParseError
-from .perm import Permutation, Transposition, identity, inverse, unchecked
+from .perm import Permutation, inverse, unchecked
 
 CYCLE = "cycle"
 STAR = "star"
@@ -84,9 +84,9 @@ class CouplingGraph:
 
 @dataclass(frozen=True)
 class TranspositionSet:
-    """One transposition per coupling edge; the SWAP alphabet T."""
+    """The coupling edges in sorted order; the SWAP alphabet T."""
 
-    transpositions: tuple[Transposition, ...]
+    transpositions: tuple[tuple[int, int], ...]
 
     def __iter__(self):
         return iter(self.transpositions)
@@ -96,7 +96,7 @@ class TranspositionSet:
 
 
 def transposition_set(g: CouplingGraph) -> TranspositionSet:
-    return TranspositionSet(tuple(Transposition(i, j) for i, j in sorted(g.edges)))
+    return TranspositionSet(tuple(sorted(g.edges)))
 
 
 def _connected(n: int, edges) -> bool:
@@ -284,8 +284,6 @@ def canonical_right(tau: Permutation, g: CouplingGraph) -> tuple[Permutation, Pe
     if g.split is not None:
         m = g.split
         rep = tuple(sorted(im[:m])) + tuple(sorted(im[m:]))
-        if rep == im:
-            return tau, identity(g.n)
         rank = [0] * g.n                    # rank[q] = location of qubit q in rep
         for k, q in enumerate(rep):
             rank[q] = k

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .perm import Permutation, Transposition
+from .perm import Permutation
 from .reconstruct import NncpSolution
 
 INF = float("inf")
@@ -33,13 +33,13 @@ def solve_star_dp(circuit: Circuit) -> DpTable:
         return DpTable(opt=0, centers=[])
 
     back: list[dict[int, int]] = []
-    prev: dict[int, int] = {q: 0 for q in circuit.gates[0].pair}
+    prev: dict[int, int] = {q: 0 for q in circuit.gates[0]}
     back.append({q: q for q in prev})
 
     for k in range(1, m):
         cur: dict[int, int] = {}
         bp: dict[int, int] = {}
-        for q in circuit.gates[k].pair:
+        for q in circuit.gates[k]:
             stay = prev.get(q, INF)
             move, via = INF, None
             for qh in sorted(prev):
@@ -69,12 +69,12 @@ def star_solution(circuit: Circuit, table: DpTable) -> NncpSolution:
     first = table.centers[0]
     cur = Permutation((first, *sorted(set(range(n)) - {first})))
     orders = [cur]
-    swaps: list[tuple[int, Transposition]] = []
+    swaps: list[tuple[int, tuple[int, int]]] = []
     for k in range(1, m):
         c = table.centers[k]
         if c != table.centers[k - 1]:
             j = cur.images.index(c)
-            swaps.append((k, Transposition(0, j)))
+            swaps.append((k, (0, j)))
             cur = cur.swap(0, j)
         orders.append(cur)
     return NncpSolution(opt=table.opt, orders=orders, swaps=swaps)

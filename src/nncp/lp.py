@@ -76,7 +76,6 @@ class LpSolution:
     status: str
     objective: float
     values: list[float]
-    var_tags: list[Tag]
     residual: float = 0.0
 
 
@@ -240,8 +239,7 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         for row, beta in zip(lp.rows, lp.rhs):
             r = sum(float(coef) * x[j] for j, coef in row) - float(beta)
             residual = max(residual, abs(r))
-    return LpSolution(status=status, objective=obj, values=list(x),
-                      var_tags=list(lp.var_tags), residual=residual)
+    return LpSolution(status=status, objective=obj, values=list(x), residual=residual)
 
 
 # hex digit -> its value: a mask read as hex gives its 4-bit chunks, top first

@@ -10,6 +10,10 @@ Composition convention, fixed once and used everywhere: ``compose(p, q)`` is
 qubits at locations ``i`` and ``j`` (a SWAP gate as a right action), while
 ``compose(a, tau)`` relabels qubits (a left action).
 
+An unordered pair of points has one form everywhere: the sorted int tuple
+that `pair` returns.  A two-qubit gate is a pair of qubits; a SWAP and a
+coupling edge are pairs of locations, and ``tau.swap(*t)`` applies SWAP t.
+
 Everything in this package is 0-based internally; the 1-based convention of
 circuit files and CLI output is applied only at the I/O boundary (the
 display helpers here emit 1-based text).
@@ -17,7 +21,7 @@ display helpers here emit 1-based text).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class Permutation:
@@ -61,36 +65,12 @@ class Permutation:
         return unchecked(tuple(im))
 
 
-class Transposition:
-    """An unordered pair of distinct locations; the group element (i j)."""
-
-    __slots__ = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        if i == j:
-            raise ValueError(f"transposition needs two distinct points, got ({i} {j})")
-        if i > j:
-            i, j = j, i
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Transposition) and (self.i, self.j) == (other.i, other.j)
-
-    def __lt__(self, other: "Transposition") -> bool:
-        return (self.i, self.j) < (other.i, other.j)
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.j))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter((self.i, self.j))
-
-    def __repr__(self) -> str:
-        return f"Transposition({self.i}, {self.j})"
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("Transposition is immutable")
+def pair(i: int, j: int) -> tuple[int, int]:
+    """The unordered pair {i, j} as the sorted tuple ``(min, max)``: a
+    two-qubit gate, a SWAP, or a coupling edge."""
+    if i == j:
+        raise ValueError(f"a pair needs two distinct points, got ({i}, {j})")
+    return (i, j) if i < j else (j, i)
 
 
 def unchecked(images: tuple[int, ...]) -> Permutation:

@@ -25,7 +25,7 @@ from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
 from .lp import ReducedPath
-from .perm import Permutation, Transposition
+from .perm import Permutation, pair
 from .symmetry import QuotientGraph
 
 SCHEMA_VERSION = 1
@@ -42,15 +42,15 @@ class NncpSolution:
 
     opt: int
     orders: list[Permutation]
-    swaps: list[tuple[int, Transposition]]
+    swaps: list[tuple[int, tuple[int, int]]]
 
     def to_json_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "opt": self.opt,
             "orders": [[x + 1 for x in tau.images] for tau in self.orders],
-            "swaps": [{"after_gate": k, "swap": [t.i + 1, t.j + 1]}
-                      for k, t in self.swaps],
+            "swaps": [{"after_gate": k, "swap": [i + 1, j + 1]}
+                      for k, (i, j) in self.swaps],
         }
 
     def to_json(self) -> str:
@@ -70,7 +70,7 @@ class NncpSolution:
             for entry in data["swaps"]:
                 i, j = entry["swap"]
                 swaps.append((_integer(entry["after_gate"]),
-                              Transposition(_location(i), _location(j))))
+                              pair(_location(i), _location(j))))
             opt = _integer(data["opt"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed solution: {type(exc).__name__}: {exc}") from None
@@ -121,7 +121,7 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
             f"expected {q.m - 1} and {path.opt}")
     tau = q.nodes[path.entry].rep
     orders = [tau]
-    swaps: list[tuple[int, Transposition]] = []
+    swaps: list[tuple[int, tuple[int, int]]] = []
     for k, hop in enumerate(path.hops, start=1):
         for ai in hop:
             arc = q.arcs[ai]
@@ -131,9 +131,9 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
                     f"arc {ai} after gate {k} leads out of orbit {arc.src}, "
                     f"but the order is not in that orbit")
             at = b.images.index         # b⁻¹ at one point, with no whole inverse
-            t = Transposition(at(arc.u), at(arc.v))
+            t = pair(at(arc.u), at(arc.v))
             swaps.append((k, t))
-            tau = tau.swap(t.i, t.j)
+            tau = tau.swap(*t)
         orders.append(tau)
     return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
 
@@ -159,15 +159,14 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
     if not violations:
         for k, (gate, tau) in enumerate(zip(circuit.gates, solution.orders), start=1):
             at = tau.images.index       # the location of a qubit
-            a, b = gate.pair
-            edge = tuple(sorted((at(a), at(b))))
+            edge = tuple(sorted(map(at, gate)))
             if edge not in coupling.edges:
                 violations.append(
                     f"gate {k} acts on locations {edge[0] + 1},{edge[1] + 1}, "
                     f"not a coupling edge")
                 break
 
-        by_layer: dict[int, list[Transposition]] = {}
+        by_layer: dict[int, list[tuple[int, int]]] = {}
         for after_gate, t in solution.swaps:
             if not 1 <= after_gate <= m - 1:
                 violations.append(
@@ -175,16 +174,17 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
                 break
             by_layer.setdefault(after_gate, []).append(t)
         else:
-            for t in (t for _, t in solution.swaps):
-                if (t.i, t.j) not in coupling.edges:
+            for _, t in solution.swaps:
+                edge = tuple(sorted(t))     # a hand-built swap may list either end first
+                if edge not in coupling.edges:
                     violations.append(
-                        f"swap ({t.i + 1},{t.j + 1}) is not a coupling edge")
+                        f"swap ({edge[0] + 1},{edge[1] + 1}) is not a coupling edge")
                     break
             else:
                 for k in range(1, m):
                     cur = solution.orders[k - 1]
                     for t in by_layer.get(k, ()):
-                        cur = cur.swap(t.i, t.j)
+                        cur = cur.swap(*t)
                     if cur != solution.orders[k]:
                         violations.append(
                             f"swaps after gate {k} do not transform order {k} "

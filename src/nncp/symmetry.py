@@ -517,7 +517,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     starts = list(itertools.accumulate(starts))
     out_arcs = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
-    pairs = {gate.pair for gate in c.gates}
+    pairs = set(c.gates)
     if g.split is not None:
         # on K_{M,N} a pair is adjacent iff exactly one of its qubits sits on
         # the small side, the representative's first M locations
@@ -543,7 +543,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
                 ids = holding((rep[u], rep[v]))
                 if ids is not None:
                     ids.append(i)
-    compliant = [by_pair[gate.pair] for gate in c.gates]     # one list per pair
+    compliant = [by_pair[gate] for gate in c.gates]     # one list per pair
 
     return QuotientGraph(
         circuit=c, coupling=g, fp=fp, nodes=nodes, arcs=arcs,

@@ -81,8 +81,7 @@ def test_criterion_2_orbit_counts_match_brute_enumeration():
                                if all({b(x) for x in s} == s for s in pulled)]
                     sum_b += len(b_elems)
                     sum_b_orbits += len(b_elems) * len(brute_edge_orbits(edges, b_elems))
-                    for k, gate in enumerate(c.gates):
-                        a, b = gate.pair
+                    for k, (a, b) in enumerate(c.gates):
                         if tuple(sorted((inv(a), inv(b)))) in g.edges:
                             cross[k] += len(b_elems)
 

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from nncp.circuit import (CNOT, CVDAG, FREDKIN3, FREDKIN4, NOT, PERES, SWAP,
-                          TOFFOLI3, TOFFOLI4, TOFFOLI5, RawGate, decompose,
-                          fixing_pattern, gate_graph, parse_real)
+                          TOFFOLI3, TOFFOLI4, TOFFOLI5, Circuit, RawGate,
+                          decompose, fixing_pattern, gate_graph, parse_real)
 from nncp.errors import ParseError
 
 GOOD = """\
@@ -64,7 +64,7 @@ def test_rawgate_validation():
 
 def pairs_of(kind, qubits):
     c = decompose([RawGate(kind, qubits)], n=max(qubits) + 1)
-    return [g.pair for g in c.gates]
+    return c.gates
 
 
 def test_toffoli3_sequence():
@@ -87,7 +87,9 @@ def test_fredkin3_sequence():
 def test_decomposition_counts(kind, count):
     arity = {TOFFOLI3: 3, PERES: 3, FREDKIN3: 3, TOFFOLI4: 4,
              FREDKIN4: 4, TOFFOLI5: 5}[kind]
-    qubits = tuple(range(arity))
+    # descending qubits: each table entry names its qubits high to low, and
+    # decompose must still yield sorted pairs
+    qubits = tuple(reversed(range(arity)))
     pairs = pairs_of(kind, qubits)
     assert len(pairs) == count
     assert all(0 <= a < b < arity for a, b in pairs)
@@ -99,6 +101,12 @@ def test_decompose_respects_gate_qubits():
     assert pairs == [(0, 2), (0, 4), (0, 2), (0, 4), (2, 4)]
 
 
+@pytest.mark.parametrize("gate", [(2, 0), (1, 1), (0, 4)])
+def test_circuit_rejects_gates_that_are_not_sorted_pairs(gate):
+    with pytest.raises(ValueError, match="sorted pair"):
+        Circuit(n=4, gates=[(0, 1), gate])
+
+
 def test_decompose_drops_single_qubit_gates():
     c = decompose([RawGate(NOT, (1,)), RawGate(CNOT, (0, 1))], n=3)
     assert c.m == 1 and c.n == 3
@@ -106,7 +114,7 @@ def test_decompose_drops_single_qubit_gates():
 
 def test_decompose_passthrough_two_qubit():
     c = decompose([RawGate(SWAP, (2, 0))], n=3)
-    assert c.gates[0].pair == (0, 2)
+    assert c.gates == [(0, 2)]
 
 
 def test_circuit_names_default():

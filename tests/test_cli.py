@@ -126,6 +126,16 @@ def test_verify_round_trip(real_file, capsys, tmp_path):
                           "--circuit", real_file, "--coupling", "star")
     assert code == 0
     assert json.loads(report)["ok"]
+    # the same swaps listed high end first still verify
+    data = json.loads(out)
+    assert data["swaps"]
+    for entry in data["swaps"]:
+        entry["swap"].reverse()
+    sol.write_text(json.dumps(data))
+    code, report, _ = run(capsys, "verify", "--solution", str(sol),
+                          "--circuit", real_file, "--coupling", "star")
+    assert code == 0
+    assert json.loads(report)["ok"]
 
 
 def test_verify_rejects_tampered_solution(real_file, capsys, tmp_path):
@@ -318,6 +328,8 @@ def test_coupling_file_of_the_wrong_size_exits_1(capsys, tmp_path):
      "swaps": [{"after_gate": 1, "swap": [1]}]},                # one-point swap
     {"opt": 1, "orders": [[1, 2, 3, 4], [2, 1, 3, 4]],
      "swaps": [{"after_gate": 1, "swap": [0, 1]}]},             # 0-based swap
+    {"opt": 1, "orders": [[1, 2, 3, 4], [2, 1, 3, 4]],
+     "swaps": [{"after_gate": 1, "swap": [2, 2]}]},             # one location twice
 ])
 def test_malformed_solution_file_exits_1(capsys, tmp_path, data):
     sol = tmp_path / "sol.json"

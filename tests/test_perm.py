@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nncp.perm import (Permutation, Transposition, all_permutations, compose,
-                       identity, inverse, one_line_str)
+from nncp.perm import (Permutation, all_permutations, compose, identity, inverse,
+                       one_line_str, pair)
 
 
 def perms(n):
@@ -15,7 +15,7 @@ def test_validation():
     with pytest.raises(ValueError):
         Permutation((0, 2))
     with pytest.raises(ValueError):
-        Transposition(3, 3)
+        pair(3, 3)
 
 
 def test_immutable():
@@ -68,6 +68,4 @@ def test_all_permutations_lexicographic():
 
 
 def test_transposition_normalized():
-    t = Transposition(4, 1)
-    assert (t.i, t.j) == (1, 4)
-    assert list(t) == [1, 4]
+    assert pair(4, 1) == pair(1, 4) == (1, 4)

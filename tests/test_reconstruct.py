@@ -10,7 +10,7 @@ from nncp.coupling import make
 from nncp.dp import solve_star_dp
 from nncp.errors import SolverError
 from nncp.lp import ReducedPath, solve_reduced
-from nncp.perm import Permutation, Transposition
+from nncp.perm import Permutation
 from nncp.reconstruct import NncpSolution, reconstruct, verify
 from nncp.symmetry import quotient_graph
 
@@ -180,7 +180,7 @@ def sample_solution():
     return NncpSolution(
         opt=1,
         orders=[Permutation((0, 1, 2)), Permutation((1, 0, 2))],
-        swaps=[(1, Transposition(0, 1))])
+        swaps=[(1, (0, 1))])
 
 
 def test_json_round_trip():
@@ -189,6 +189,12 @@ def test_json_round_trip():
     assert again.opt == sol.opt
     assert again.orders == sol.orders
     assert again.swaps == sol.swaps
+    # a swap read with its high end first is stored, and written, sorted
+    data = sol.to_json_dict()
+    data["swaps"][0]["swap"] = [3, 1]
+    again = NncpSolution.from_json_dict(data)
+    assert again.swaps == [(1, (0, 2))]
+    assert again.to_json_dict()["swaps"] == [{"after_gate": 1, "swap": [1, 3]}]
 
 
 def test_json_is_one_based():
@@ -227,6 +233,7 @@ def test_json_schema_guard():
     {"opt": 1, "orders": [[1, 2, 3]], "swaps": [{"after_gate": 1, "swap": [1]}]},
     {"opt": 0, "orders": [[1.0, 2, 3]], "swaps": []},
     {"opt": 0.5, "orders": [[1, 2, 3]], "swaps": []},
+    {"opt": 1, "orders": [[1, 2, 3]], "swaps": [{"after_gate": 1, "swap": [2, 2]}]},
 ])
 def test_json_malformed_shape_is_value_error(data):
     with pytest.raises(ValueError):
@@ -254,7 +261,7 @@ def test_verify_flags_noncompliant_order():
     c, g, sol = good_instance()
     bad = [tau for tau in sol.orders]
     # rotate qubits so gate 1 no longer touches the centre
-    a, b = c.gates[0].pair
+    a, b = c.gates[0]
     others = [x for x in range(4) if x not in (a, b)]
     bad[0] = Permutation((others[0], a, b, others[1]))
     rep = verify(NncpSolution(sol.opt, bad, sol.swaps), c, g)
@@ -263,7 +270,7 @@ def test_verify_flags_noncompliant_order():
 
 def test_verify_flags_broken_swap_chain():
     c, g, sol = good_instance()
-    swaps = [(k, Transposition(1, 2)) for k, _ in sol.swaps]
+    swaps = [(k, (1, 2)) for k, _ in sol.swaps]
     rep = verify(NncpSolution(sol.opt, sol.orders, swaps), c, g)
     assert not rep["ok"]
 
@@ -271,10 +278,21 @@ def test_verify_flags_broken_swap_chain():
 def test_verify_flags_non_edge_swap():
     c, g, sol = good_instance()
     # locations 1 and 2 are both leaves: not a star edge
-    swaps = sol.swaps + [(1, Transposition(1, 2))]
+    swaps = sol.swaps + [(1, (1, 2))]
     rep = verify(NncpSolution(sol.opt + 1, sol.orders, swaps), c, g)
     assert not rep["ok"]
     assert any("not a coupling edge" in v for v in rep["violations"])
+    # a swap of one location with itself is not an edge either
+    swaps = sol.swaps + [(1, (1, 1))]
+    rep = verify(NncpSolution(sol.opt + 1, sol.orders, swaps), c, g)
+    assert "swap (2,2) is not a coupling edge" in rep["violations"]
+
+
+def test_verify_accepts_a_swap_listed_high_end_first():
+    c, g, sol = good_instance()
+    assert sol.swaps and all(i < j for _, (i, j) in sol.swaps)
+    swaps = [(k, (j, i)) for k, (i, j) in sol.swaps]
+    assert verify(NncpSolution(sol.opt, sol.orders, swaps), c, g)["ok"]
 
 
 def test_verify_flags_bad_after_gate():

@@ -96,10 +96,10 @@ def biclique_set_dp(c, n, m_side):
         a, b = 1 << pair[0], 1 << pair[1]
         return [s for s in sides if bool(s & a) != bool(s & b)]
 
-    cost = dict.fromkeys(compliant(c.gates[0].pair), 0)
+    cost = dict.fromkeys(compliant(c.gates[0]), 0)
     for gate in c.gates[1:]:
         cost = {t: min(d + bin(s & ~t).count("1") for s, d in cost.items())
-                for t in compliant(gate.pair)}
+                for t in compliant(gate)}
     return min(cost.values())
 
 

@@ -282,7 +282,7 @@ def test_compliance_is_orbit_invariant(family, m_side):
                 for b in auts[::3]:
                     member = compose(compose(a, node.rep), inverse(b))
                     loc = inverse(member)
-                    e = tuple(sorted((loc(gate.pair[0]), loc(gate.pair[1]))))
+                    e = tuple(sorted(map(loc, gate)))
                     assert (e in g.edges) == expected
 
 
@@ -317,14 +317,13 @@ def test_compliance_matches_per_gate_recomputation(pattern, family, arg):
     c = circuit_with_pattern(n, pairs + [(b, a) for a, b in pairs][::-1] + pairs)
     g = family_graph(family, arg, n)
     q = quotient_graph(c, g)
-    for k, gate in enumerate(c.gates):
-        a, b = gate.pair
+    for k, (a, b) in enumerate(c.gates):
         expected = []
         for u, node in enumerate(q.nodes):
             loc = inverse(node.rep)
             if tuple(sorted((loc(a), loc(b)))) in g.edges:
                 expected.append(u)
-        assert q.compliant[k] == expected, (k, gate.pair)
+        assert q.compliant[k] == expected, (k, a, b)
         # so no orbit is listed twice
         assert all(x < y for x, y in zip(q.compliant[k], q.compliant[k][1:]))
 
