@@ -20,8 +20,7 @@ from .generate import random_class_i, random_class_ii, to_real
 from .lp import (GnfpModel, LinearProgram, LpSolution, ReducedPath,
                  build_gnfp, build_rspp_scaled, gnfp_lp, simplex_solve,
                  solve_reduced, write_lp)
-from .perm import (Permutation, all_permutations, compose, identity, inverse,
-                   one_line_str, pair)
+from .perm import compose, inverse, one_line_str, pair, swap
 from .reconstruct import NncpSolution, reconstruct, verify
 from .symmetry import (BTau, OrbitNode, OrbitalArc, QuotientGraph, b_tau,
                        canonical_form, layer_orbits, quotient_graph,

@@ -13,13 +13,14 @@ is feasible there with the same objective, to numerical noise."""
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 from .circuit import Circuit, fixing_pattern
 from .coupling import CouplingGraph
 from .errors import CapError, SolverError
 from .lp import build_rspp_scaled
-from .perm import Permutation, all_permutations, inverse
+from .perm import Perm, inverse, swap
 from .reconstruct import NncpSolution
 from .symmetry import quotient_graph
 
@@ -44,8 +45,8 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
     dist: dict[tuple[int, tuple], int] = {}
     parent: dict[tuple[int, tuple], tuple] = {}     # state -> (previous state, swapped edge)
     dq = deque()
-    for p in all_permutations(n):
-        state = (1, p.images)
+    for p in itertools.permutations(range(n)):
+        state = (1, p)
         dist[state] = 0
         parent[state] = (None, None)
         dq.append((0, state))
@@ -68,9 +69,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
                 parent[nxt] = (state, None)
                 dq.appendleft((d, nxt))
         for (i, j) in edges:
-            lst = list(imgs)
-            lst[i], lst[j] = lst[j], lst[i]
-            nxt = (k, tuple(lst))
+            nxt = (k, swap(imgs, i, j))
             if d + 1 < dist.get(nxt, d + 2):
                 dist[nxt] = d + 1
                 parent[nxt] = (state, (i, j))
@@ -78,7 +77,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
     if final is None:
         raise SolverError("no compliant assignment reachable")
 
-    orders: dict[int, Permutation] = {m: Permutation(final[1])}
+    orders: dict[int, Perm] = {m: final[1]}
     swaps: list[tuple[int, tuple[int, int]]] = []
     state = final
     while state is not None:
@@ -86,7 +85,7 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
         if edge is not None:
             swaps.append((state[0] - 1, edge))
         elif prev is not None:                  # crossed into this layer
-            orders[state[0] - 1] = Permutation(state[1])
+            orders[state[0] - 1] = state[1]
         state = prev
     swaps.reverse()
     return NncpSolution(opt=dist[final],
@@ -100,49 +99,49 @@ def solve_spp(circuit: Circuit, coupling: CouplingGraph) -> NncpSolution:
 def flow_from_solution(sol: NncpSolution) -> tuple[dict, dict]:
     """Indicator flow of a concrete schedule on the layered graph.
 
-    x keys: (layer, src order images, (i, j)) for SWAP arcs; y keys:
-    (boundary, order images) for the source (0), crossing (1..m-1) and sink
+    x keys: (layer, src order, (i, j)) for SWAP arcs; y keys:
+    (boundary, order) for the source (0), crossing (1..m-1) and sink
     (m) arcs."""
     x: dict[tuple, float] = {}
     y: dict[tuple, float] = {}
     m = len(sol.orders)
     if m == 0:
         return x, y
-    y[(0, sol.orders[0].images)] = 1.0
+    y[(0, sol.orders[0])] = 1.0
     for k in range(1, m):
-        y[(k, sol.orders[k - 1].images)] = 1.0
+        y[(k, sol.orders[k - 1])] = 1.0
         cur = sol.orders[k - 1]
         for after_gate, t in sol.swaps:
             if after_gate == k:
-                x[(k + 1, cur.images, t)] = 1.0
-                cur = cur.swap(*t)
-    y[(m, sol.orders[m - 1].images)] = 1.0
+                x[(k + 1, cur, t)] = 1.0
+                cur = swap(cur, *t)
+    y[(m, sol.orders[m - 1])] = 1.0
     return x, y
 
 
-def brute_automorphisms(coupling: CouplingGraph) -> list[Permutation]:
+def brute_automorphisms(coupling: CouplingGraph) -> list[Perm]:
     """Filter all n! permutations for edge preservation."""
     out = []
-    for p in all_permutations(coupling.n):
-        if all(tuple(sorted((p(i), p(j)))) in coupling.edges
+    for p in itertools.permutations(range(coupling.n)):
+        if all(tuple(sorted((p[i], p[j]))) in coupling.edges
                for (i, j) in coupling.edges):
             out.append(p)
     return out
 
 
-def brute_pattern_stabilizer(circuit: Circuit) -> list[Permutation]:
+def brute_pattern_stabilizer(circuit: Circuit) -> list[Perm]:
     """Filter all n! permutations for setwise stabilization of every
     pattern class (the free set is one of them)."""
     sets = [set(cls) for cls in fixing_pattern(circuit).classes]
     out = []
-    for p in all_permutations(circuit.n):
-        if all({p(v) for v in s} == s for s in sets):
+    for p in itertools.permutations(range(circuit.n)):
+        if all({p[v] for v in s} == s for s in sets):
             out.append(p)
     return out
 
 
-def reynolds_average(x: dict, y: dict, snf: list[Permutation],
-                     aut: list[Permutation]) -> tuple[dict, dict]:
+def reynolds_average(x: dict, y: dict, snf: list[Perm],
+                     aut: list[Perm]) -> tuple[dict, dict]:
     """Average indicator flows over the product group by scattering."""
     size = len(snf) * len(aut)
     w = 1.0 / size
@@ -152,12 +151,12 @@ def reynolds_average(x: dict, y: dict, snf: list[Permutation],
         for b in aut:
             binv = inverse(b)
             for (k, imgs, (i, j)), val in x.items():
-                new = tuple(a(imgs[binv(t)]) for t in range(len(imgs)))
-                e = (b(i), b(j)) if b(i) < b(j) else (b(j), b(i))
+                new = tuple(a[imgs[binv[t]]] for t in range(len(imgs)))
+                e = (b[i], b[j]) if b[i] < b[j] else (b[j], b[i])
                 key = (k, new, e)
                 xbar[key] = xbar.get(key, 0.0) + val * w
             for (k, imgs), val in y.items():
-                new = tuple(a(imgs[binv(t)]) for t in range(len(imgs)))
+                new = tuple(a[imgs[binv[t]]] for t in range(len(imgs)))
                 key = (k, new)
                 ybar[key] = ybar.get(key, 0.0) + val * w
     return xbar, ybar
@@ -192,11 +191,11 @@ def reynolds_check(circuit: Circuit, coupling: CouplingGraph) -> dict:
             _, k, ai = tag
             arc = q.arcs[ai]
             src = q.nodes[arc.src]
-            key = (k, src.rep.images, (arc.u, arc.v))
+            key = (k, src.rep, (arc.u, arc.v))
             values.append(aut_order * xbar.get(key, 0.0))
         else:
             _, k, u = tag
-            values.append(aut_order * ybar.get((k, q.nodes[u].rep.images), 0.0))
+            values.append(aut_order * ybar.get((k, q.nodes[u].rep), 0.0))
 
     max_row = 0.0
     for row, beta in zip(lp.rows, lp.rhs):

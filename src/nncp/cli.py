@@ -14,6 +14,7 @@ nothing is printed to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -126,21 +127,39 @@ def cmd_solve(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _exact_integers():
+    """Lift the interpreter's cap on int-to-str digits (4 300 by default;
+    n! passes it at n = 1 559) and restore it afterwards: `parse_real`
+    relies on the cap to reject an oversized ``.numvars``."""
+    set_cap = getattr(sys, "set_int_max_str_digits", None)
+    if set_cap is None:         # an interpreter without the cap
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_cap(0)
+    try:
+        yield
+    finally:
+        set_cap(old)
+
+
 def cmd_stats(args) -> int:
     circuit = _load_circuit(args.circuit, args.seed)
     coupling = coupling_from_descriptor(args.coupling, circuit.n)
     stats = reduction_stats(quotient_graph(circuit, coupling))
-    if args.out == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, **stats}, indent=2))
-    elif args.out == "csv":
-        def cell(v):  # per-boundary counts are lists; keep the row comma-safe
-            return ";".join(map(str, v)) if isinstance(v, list) else str(v)
-        print(",".join(stats))
-        print(",".join(cell(v) for v in stats.values()))
-    else:
-        width = max(len(k) for k in stats)
-        for k, v in stats.items():
-            print(f"{k:<{width}}  {v}")
+    with _exact_integers():     # |Aut| and the unreduced sizes are exact
+        if args.out == "json":
+            print(json.dumps({"schema": SCHEMA_VERSION, **stats}, indent=2))
+        elif args.out == "csv":
+            def cell(v):  # per-boundary counts are lists; keep the row comma-safe
+                return ";".join(map(str, v)) if isinstance(v, list) else str(v)
+            print(",".join(stats))
+            print(",".join(cell(v) for v in stats.values()))
+        else:
+            width = max(len(k) for k in stats)
+            for k, v in stats.items():
+                print(f"{k:<{width}}  {v}")
     return 0
 
 

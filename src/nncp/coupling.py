@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapError, ParseError
-from .perm import Permutation, inverse, unchecked
+from .perm import Perm, inverse
 
 CYCLE = "cycle"
 STAR = "star"
@@ -41,21 +41,21 @@ class AutGroup:
 
     The symbolic factorial-sized families (star, biclique) carry only the
     order.  Enumerated groups (cycle, GENERAL) also carry ``elements``,
-    sorted by images; ``inverse_images[i]``, the images of elements[i]⁻¹;
+    image tuples in sorted order; ``inverse_images[i]``, elements[i]⁻¹;
     and ``chain``, the stabilizer chain (Sims) as a trie of the inverse
     images: level k is a dict keyed by b⁻¹(k), over the elements that agree
     on b⁻¹(0..k-1), and a subtree holding a single element is that
     element's index in ``elements``.  `_enumerated` builds all three."""
 
     order: int
-    elements: list[Permutation] | None = None
-    inverse_images: list[tuple[int, ...]] | None = None
+    elements: list[Perm] | None = None
+    inverse_images: list[Perm] | None = None
     chain: dict | int | None = None
 
 
-def _enumerated(elements: list[Permutation]) -> AutGroup:
+def _enumerated(elements: list[Perm]) -> AutGroup:
     """The group of the listed elements, with its inverse images and chain."""
-    inv = [inverse(b).images for b in elements]
+    inv = [inverse(b) for b in elements]
 
     def build(ids: list[int], k: int) -> dict | int:
         if len(ids) == 1:
@@ -116,10 +116,9 @@ def _connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def _is_automorphism(p: Permutation, edges: frozenset) -> bool:
-    im = p.images
+def _is_automorphism(p: Perm, edges: frozenset) -> bool:
     for a, b in edges:
-        x, y = im[a], im[b]
+        x, y = p[a], p[b]
         if ((x, y) if x < y else (y, x)) not in edges:
             return False
     return True
@@ -151,11 +150,9 @@ def _make_cycle(n: int) -> CouplingGraph:
     if n is None or n < 3:
         raise ValueError("cycle needs n >= 3")
     edges = frozenset(tuple(sorted((i, (i + 1) % n))) for i in range(n))
-    elements = []
-    for s in range(n):
-        elements.append(Permutation([(x + s) % n for x in range(n)]))       # rotations
-        elements.append(Permutation([(s - x) % n for x in range(n)]))       # reflections
-    elements.sort(key=lambda p: p.images)
+    # rotations x ↦ s + x and reflections x ↦ s − x
+    elements = sorted(tuple((s + sign * x) % n for x in range(n))
+                      for s in range(n) for sign in (1, -1))
     assert all(_is_automorphism(b, edges) for b in elements)
     return CouplingGraph(n=n, edges=edges, family=CYCLE, aut=_enumerated(elements))
 
@@ -185,23 +182,23 @@ def _make_general(edge_list) -> CouplingGraph:
     if n > GENERAL_N_CAP:
         raise CapError(f"general automorphism search capped at n <= {GENERAL_N_CAP}, got n={n}")
     elements = _enumerate_automorphisms(n, edges)
-    elements.sort(key=lambda p: p.images)
+    elements.sort()
     return CouplingGraph(n=n, edges=edges, family=GENERAL, aut=_enumerated(elements))
 
 
-def _enumerate_automorphisms(n: int, edges: frozenset) -> list[Permutation]:
+def _enumerate_automorphisms(n: int, edges: frozenset) -> list[Perm]:
     """All edge-preserving vertex bijections, by degree-respecting backtracking."""
     adj = [set() for _ in range(n)]
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
     deg = [len(a) for a in adj]
-    out: list[Permutation] = []
+    out: list[Perm] = []
 
     def extend(partial: list[int], used: set[int]):
         v = len(partial)
         if v == n:
-            out.append(Permutation(partial))
+            out.append(tuple(partial))
             if len(out) > GENERAL_ELEMENT_CAP:
                 raise CapError(
                     f"automorphism group larger than cap {GENERAL_ELEMENT_CAP}")
@@ -268,7 +265,7 @@ def coupling_from_descriptor(desc: str, n: int) -> CouplingGraph:
 # ---------------------------------------------------------------------------
 # canonical coset representatives
 
-def canonical_right(tau: Permutation, g: CouplingGraph) -> tuple[Permutation, Permutation]:
+def canonical_right(tau: Perm, g: CouplingGraph) -> tuple[Perm, Perm]:
     """Lexicographically smallest element of the left coset τ·Aut(Coup(E)),
     plus a witness ``b`` with ``tau_star == compose(tau, inverse(b))``.
 
@@ -280,18 +277,16 @@ def canonical_right(tau: Permutation, g: CouplingGraph) -> tuple[Permutation, Pe
     the walk ends at the unique minimizing element (O(n·depth), not
     O(|Aut|·n)).
     """
-    im = tau.images
     if g.split is not None:
         m = g.split
-        rep = tuple(sorted(im[:m])) + tuple(sorted(im[m:]))
+        rep = tuple(sorted(tau[:m])) + tuple(sorted(tau[m:]))
         rank = [0] * g.n                    # rank[q] = location of qubit q in rep
         for k, q in enumerate(rep):
             rank[q] = k
-        return unchecked(rep), unchecked(tuple(map(rank.__getitem__, im)))
+        return rep, tuple(map(rank.__getitem__, tau))
 
     aut = g.aut
     node = aut.chain
     while node.__class__ is dict:
-        node = node[min(node, key=im.__getitem__)]
-    rep = tuple(map(im.__getitem__, aut.inverse_images[node]))
-    return unchecked(rep), aut.elements[node]
+        node = node[min(node, key=tau.__getitem__)]
+    return tuple(map(tau.__getitem__, aut.inverse_images[node])), aut.elements[node]

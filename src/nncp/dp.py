@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .perm import Permutation
+from .perm import swap
 from .reconstruct import NncpSolution
 
 INF = float("inf")
@@ -67,14 +67,14 @@ def star_solution(circuit: Circuit, table: DpTable) -> NncpSolution:
     if m == 0:
         return NncpSolution(opt=0, orders=[], swaps=[])
     first = table.centers[0]
-    cur = Permutation((first, *sorted(set(range(n)) - {first})))
+    cur = (first, *sorted(set(range(n)) - {first}))
     orders = [cur]
     swaps: list[tuple[int, tuple[int, int]]] = []
     for k in range(1, m):
         c = table.centers[k]
         if c != table.centers[k - 1]:
-            j = cur.images.index(c)
+            j = cur.index(c)
             swaps.append((k, (0, j)))
-            cur = cur.swap(0, j)
+            cur = swap(cur, 0, j)
         orders.append(cur)
     return NncpSolution(opt=table.opt, orders=orders, swaps=swaps)

@@ -25,7 +25,7 @@ from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
 from .lp import ReducedPath
-from .perm import Permutation, pair
+from .perm import Perm, check, pair, swap
 from .symmetry import QuotientGraph
 
 SCHEMA_VERSION = 1
@@ -35,20 +35,21 @@ SCHEMA_VERSION = 1
 class NncpSolution:
     """A concrete optimum: per-gate qubit orders plus the SWAPs between them.
 
-    ``orders[k-1]`` maps locations to qubits while gate k executes; a swap
+    ``orders[k-1]`` maps locations to qubits while gate k executes (an int
+    tuple: ``orders[k-1][loc]`` is the qubit at ``loc``); a swap
     ``(after_gate=k, (i, j))`` exchanges the qubits at locations i and j
     between gates k and k+1.  Everything is 0-based in memory and 1-based in
     the JSON form."""
 
     opt: int
-    orders: list[Permutation]
+    orders: list[Perm]
     swaps: list[tuple[int, tuple[int, int]]]
 
     def to_json_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "opt": self.opt,
-            "orders": [[x + 1 for x in tau.images] for tau in self.orders],
+            "orders": [[x + 1 for x in tau] for tau in self.orders],
             "swaps": [{"after_gate": k, "swap": [i + 1, j + 1]}
                       for k, (i, j) in self.swaps],
         }
@@ -65,7 +66,7 @@ class NncpSolution:
         if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValueError(f"unsupported solution schema {data['schema']!r}")
         try:
-            orders = [Permutation(tuple(map(_location, images))) for images in data["orders"]]
+            orders = [check(tuple(map(_location, tau))) for tau in data["orders"]]
             swaps = []
             for entry in data["swaps"]:
                 i, j = entry["swap"]
@@ -130,10 +131,10 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
                 raise SolverError(
                     f"arc {ai} after gate {k} leads out of orbit {arc.src}, "
                     f"but the order is not in that orbit")
-            at = b.images.index         # b⁻¹ at one point, with no whole inverse
+            at = b.index                # b⁻¹ at one point, with no whole inverse
             t = pair(at(arc.u), at(arc.v))
             swaps.append((k, t))
-            tau = tau.swap(*t)
+            tau = swap(tau, *t)
         orders.append(tau)
     return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
 
@@ -151,14 +152,14 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
         violations.append(
             f"expected {m} qubit orders, got {len(solution.orders)}")
     for idx, tau in enumerate(solution.orders):
-        if tau.n != n:
+        if len(tau) != n:
             violations.append(
-                f"order {idx + 1} permutes {tau.n} items, expected {n}")
+                f"order {idx + 1} permutes {len(tau)} items, expected {n}")
             break
 
     if not violations:
         for k, (gate, tau) in enumerate(zip(circuit.gates, solution.orders), start=1):
-            at = tau.images.index       # the location of a qubit
+            at = tau.index              # the location of a qubit
             edge = tuple(sorted(map(at, gate)))
             if edge not in coupling.edges:
                 violations.append(
@@ -184,7 +185,7 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
                 for k in range(1, m):
                     cur = solution.orders[k - 1]
                     for t in by_layer.get(k, ()):
-                        cur = cur.swap(*t)
+                        cur = swap(cur, *t)
                     if cur != solution.orders[k]:
                         violations.append(
                             f"swaps after gate {k} do not transform order {k} "

@@ -57,7 +57,7 @@ from fractions import Fraction
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import CouplingGraph, canonical_right
 from .errors import CapError
-from .perm import Permutation, identity, unchecked
+from .perm import Perm, swap
 
 ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
@@ -68,7 +68,7 @@ Edge = tuple[int, int]
 # ---------------------------------------------------------------------------
 # the stabilizer S_n(F) on the qubit side
 
-def snf_elements(fp: FixingPattern, n: int) -> list[Permutation]:
+def snf_elements(fp: FixingPattern, n: int) -> list[Perm]:
     """All qubit relabelings that setwise stabilize every fixing-pattern
     class: independent swaps of the p pairs times permutations of the free
     set, 2^p·f! elements in total.  An enumeration oracle for tests; the
@@ -88,25 +88,24 @@ def snf_elements(fp: FixingPattern, n: int) -> list[Permutation]:
             im = list(base)
             for slot, q in zip(free, img):
                 im[slot] = q
-            out.append(Permutation(im))
-    out.sort(key=lambda p: p.images)
+            out.append(tuple(im))
+    out.sort()
     return out
 
 
 # ---------------------------------------------------------------------------
 # class words
 
-def _class_word(tau: Permutation, fp: FixingPattern) -> list[int]:
+def _class_word(tau: Perm, fp: FixingPattern) -> list[int]:
     """τ's class word: location -> pattern class of the qubit placed there."""
-    cls = fp.class_index
-    return [cls[q] for q in tau.images]
+    return list(map(fp.class_index.__getitem__, tau))
 
 
-def _fill(word: list[int], fp: FixingPattern) -> Permutation:
+def _fill(word: list[int], fp: FixingPattern) -> Perm:
     """The smallest order with this class word: each class's qubits handed
     out in ascending order along the locations."""
     members = [iter(cl) for cl in fp.classes]
-    return unchecked(tuple(next(members[c]) for c in word))
+    return tuple(next(members[c]) for c in word)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ def _finish(order, groups) -> BTau:
     return BTau(order, sorted((sorted(g) for g in groups), key=lambda cl: cl[0]))
 
 
-def b_tau(tau: Permutation, fp: FixingPattern, g: CouplingGraph) -> BTau:
+def b_tau(tau: Perm, fp: FixingPattern, g: CouplingGraph) -> BTau:
     """B_τ: the automorphisms b with ``word[b(y)] == word[y]`` for τ's class
     word, i.e. those that map every pattern class pulled back through τ onto
     itself, so that τ·b = a·τ for some a in S_n(F)."""
@@ -151,11 +150,11 @@ def b_tau(tau: Permutation, fp: FixingPattern, g: CouplingGraph) -> BTau:
 
     # enumerated groups (cycle, general): filter directly
     kept = [b for b in g.aut.elements
-            if all(word[x] == c for x, c in zip(b.images, word))]
+            if all(word[x] == c for x, c in zip(b, word))]
     return _finish(len(kept), _edge_orbits_under(kept, edges))
 
 
-def _edge_orbits_under(group: list[Permutation], edges: list[Edge]) -> list[list[Edge]]:
+def _edge_orbits_under(group: list[Perm], edges: list[Edge]) -> list[list[Edge]]:
     """Edge orbits under a group listed element by element: each orbit is
     the image set of one of its edges."""
     remaining = set(edges)
@@ -163,7 +162,7 @@ def _edge_orbits_under(group: list[Permutation], edges: list[Edge]) -> list[list
     while remaining:
         u, v = min(remaining)
         orb = {(x, y) if x < y else (y, x)
-               for x, y in ((b.images[u], b.images[v]) for b in group)}
+               for x, y in ((b[u], b[v]) for b in group)}
         groups.append(orb)
         remaining -= orb
     return groups
@@ -174,7 +173,7 @@ def _edge_orbits_under(group: list[Permutation], edges: list[Edge]) -> list[list
 
 @dataclass(eq=False, slots=True)
 class OrbitNode:
-    rep: Permutation
+    rep: Perm               # the orbit's smallest member
     orbit_size: int
 
 
@@ -191,8 +190,8 @@ class OrbitalArc:
     d_out: int
 
 
-def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
-                   ) -> tuple[Permutation, Permutation]:
+def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
+                   ) -> tuple[Perm, Perm]:
     """Canonical representative of the full orbit S_n(F)·τ·Aut(Coup(E)):
     its lexicographically smallest member.  Returns the representative and
     a witness ``b`` with ``rep == compose(a, compose(tau, inverse(b)))`` for
@@ -245,7 +244,7 @@ def canonical_form(tau: Permutation, fp: FixingPattern, g: CouplingGraph
         used[cls[best]] += 1
         frontier = survivors
     # the survivors are leaves now; the witness is the first in aut.elements
-    return unchecked(tuple(rep)), aut.elements[min(frontier)]
+    return tuple(rep), aut.elements[min(frontier)]
 
 
 @contextlib.contextmanager
@@ -367,7 +366,7 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
     arcs = []
     with _collector_paused():
         for i, (rep, k, key, ways) in enumerate(found):
-            nodes.append(OrbitNode(rep=unchecked(rep), orbit_size=g.aut.order * ways))
+            nodes.append(OrbitNode(rep=rep, orbit_size=g.aut.order * ways))
             # each class's first location on either side, in location order: the
             # sides are sorted and every class lists its members in ascending order
             low = [(u, cls[q]) for u, q in enumerate(rep[:m]) if q == classes[cls[q]][0]]
@@ -398,9 +397,9 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     its destination with no canonicalization; so there is one call for the
     start order, one per self-loop and one per pair of reverse arcs."""
     group_order = fp.group_order * g.aut.order
-    start, _ = canonical_form(identity(g.n), fp, g)
+    start, _ = canonical_form(tuple(range(g.n)), fp, g)
     reps = [start]
-    index = {start.images: 0}
+    index = {start: 0}
     trivial_bt = b_tau(start, fp, g) if fp.trivial else None
     # every B_τ is {1} under a trivial pattern, so one index serves all orbits
     trivial_class_of = (None if trivial_bt is None else
@@ -433,23 +432,23 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
             for cl, j in zip(bt.edge_orbits, dest):
                 u, v = cl[0]
                 if j is None:
-                    dst_rep, b = canonical_form(rep.swap(u, v), fp, g)
-                    j = index.get(dst_rep.images)
+                    dst_rep, b = canonical_form(swap(rep, u, v), fp, g)
+                    j = index.get(dst_rep)
                     if j is None:
                         if len(reps) >= ORBIT_NODE_CAP:
                             raise CapError(
                                 f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
                                 "use a more symmetric coupling family or smaller n")
                         j = len(reps)
-                        index[dst_rep.images] = j
+                        index[dst_rep] = j
                         reps.append(dst_rep)
                         back.append({})
                     if j > i:
-                        back[j][edge_at[b.images[u]][b.images[v]]] = i
+                        back[j][edge_at[b[u]][b[v]]] = i
                 row.append(OrbitalArc(i, j, u, v, len(cl)))
             rows.append(row)
 
-    order = sorted(range(len(reps)), key=lambda i: reps[i].images)
+    order = sorted(range(len(reps)), key=reps.__getitem__)
     new_id = [0] * len(order)
     for k, i in enumerate(order):
         new_id[i] = k
@@ -523,7 +522,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
         # the small side, the representative's first M locations
         on_small: list[list[int]] = [[] for _ in range(g.n)]
         for i, node in enumerate(nodes):
-            for x in node.rep.images[:g.split]:
+            for x in node.rep[:g.split]:
                 on_small[x].append(i)
         by_pair = {(a, b): sorted(set(on_small[a]).symmetric_difference(on_small[b]))
                    for a, b in pairs}
@@ -538,7 +537,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
             by_pair[a, b] = by_pair[b, a] = []
         holding = by_pair.get
         for i, node in enumerate(nodes):
-            rep = node.rep.images
+            rep = node.rep
             for u, v in g.edges:
                 ids = holding((rep[u], rep[v]))
                 if ids is not None:

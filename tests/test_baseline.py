@@ -75,8 +75,8 @@ def test_flow_indicators_count_path_arcs():
     assert len(y) == c.m + 1              # source, m-1 crossings, sink
     assert sum(x.values()) == sol.opt
     assert all(v == 1.0 for v in x.values())
-    assert y[(0, sol.orders[0].images)] == 1.0
-    assert y[(c.m, sol.orders[-1].images)] == 1.0
+    assert y[(0, sol.orders[0])] == 1.0
+    assert y[(c.m, sol.orders[-1])] == 1.0
 
 
 def test_brute_groups_match_structural_orders():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 import scipy.optimize
 
-from nncp.cli import main
+from nncp.circuit import parse_real
+from nncp.cli import _exact_integers, main
+from nncp.errors import ParseError
 from nncp.lp import build_rspp_scaled, simplex_solve
 
 REAL = """\
@@ -98,6 +101,25 @@ def test_stats_human_and_csv(real_file, capsys):
     header, values = out.strip().splitlines()
     assert len(header.split(",")) == len(values.split(","))
     assert "n" in header.split(",")
+
+
+def test_stats_writes_integers_past_the_digit_cap(capsys):
+    # |Aut| = 1799! has 5 000+ digits, past the interpreter's 4 300-digit cap
+    # on int-to-str conversion; the cap is lifted only while the stats are
+    # written, so a 5 000-digit .numvars is still a parse error afterwards
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["stats", "--circuit", "classI:1800:10", "--coupling", "star", "--out"]
+    outs = {}
+    for fmt in ("json", "csv", "human"):
+        code, outs[fmt], err = run(capsys, *argv, fmt)
+        assert (code, err) == (0, ""), fmt
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    with _exact_integers():
+        assert json.loads(outs["json"])["aut_order"] == math.factorial(1799)
+    assert outs["csv"].splitlines()[1].startswith("1800,10,star,")
+    assert outs["human"].splitlines()[-1].startswith("reduction_constraints_pct")
+    with pytest.raises(ParseError, match="expects an integer"):
+        parse_real(".version 2.0\n.numvars " + "9" * 5000 + "\n.begin\n.end\n")
 
 
 def test_decompose_round_trips(capsys, tmp_path):
@@ -330,6 +352,10 @@ def test_coupling_file_of_the_wrong_size_exits_1(capsys, tmp_path):
      "swaps": [{"after_gate": 1, "swap": [0, 1]}]},             # 0-based swap
     {"opt": 1, "orders": [[1, 2, 3, 4], [2, 1, 3, 4]],
      "swaps": [{"after_gate": 1, "swap": [2, 2]}]},             # one location twice
+    {"opt": 0, "orders": [[1, 1, 3, 4], [1, 2, 3, 4]],
+     "swaps": []},                                              # a repeated qubit
+    {"opt": 0, "orders": [[1, 2, 3, 5], [1, 2, 3, 4]],
+     "swaps": []},                                              # qubit 5 of 4
 ])
 def test_malformed_solution_file_exits_1(capsys, tmp_path, data):
     sol = tmp_path / "sol.json"

@@ -6,7 +6,7 @@ from nncp.baseline import brute_automorphisms
 from nncp.coupling import (GENERAL_N_CAP, CouplingGraph, canonical_right,
                            coupling_from_descriptor, make, transposition_set)
 from nncp.errors import CapError, ParseError
-from nncp.perm import Permutation, all_permutations, compose, inverse
+from nncp.perm import compose, inverse
 
 
 @pytest.mark.parametrize("family, n, m_side, order", [
@@ -28,18 +28,18 @@ def test_aut_orders(family, n, m_side, order):
     ("cycle", 5, None), ("star", 5, None), ("biclique", 5, 2)])
 def test_generators_inside_brute_group(family, n, m_side):
     g, _, aut = make(family, n=n, m_side=m_side)
-    brute = {p.images for p in brute_automorphisms(g)}
+    brute = set(brute_automorphisms(g))
     if aut.elements is not None:
-        assert {p.images for p in aut.elements} == brute
+        assert set(aut.elements) == brute
 
 
 def test_cycle_elements_closed():
     _, _, aut = make("cycle", n=6)
-    elems = {p.images for p in aut.elements}
+    elems = set(aut.elements)
     for a in aut.elements:
-        assert inverse(a).images in elems
+        assert inverse(a) in elems
         for b in aut.elements:
-            assert compose(a, b).images in elems
+            assert compose(a, b) in elems
 
 
 def test_general_family_detects_square():
@@ -73,7 +73,7 @@ def test_transposition_set_matches_edges():
 
 # --- canonical coset representatives -----------------------------------------
 
-def brute_canonical(tau: Permutation, g: CouplingGraph) -> Permutation:
+def brute_canonical(tau: tuple, g: CouplingGraph) -> tuple:
     return min(compose(tau, inverse(b)) for b in brute_automorphisms(g))
 
 
@@ -82,7 +82,7 @@ def brute_canonical(tau: Permutation, g: CouplingGraph) -> Permutation:
     ("cycle", 6, None), ("biclique", 6, 2)])
 def test_canonical_right_matches_brute_minimum(family, n, m_side):
     g, _, _ = make(family, n=n, m_side=m_side)
-    for tau in itertools.islice(all_permutations(n), 0, None, 7):
+    for tau in itertools.islice(itertools.permutations(range(n)), 0, None, 7):
         rep, b = canonical_right(tau, g)
         assert rep == brute_canonical(tau, g)
         assert rep == compose(tau, inverse(b))
@@ -92,7 +92,7 @@ def test_canonical_right_matches_brute_minimum(family, n, m_side):
     ("cycle", 5, None), ("star", 5, None), ("biclique", 5, 2)])
 def test_canonical_right_constant_on_cosets(family, n, m_side):
     g, _, _ = make(family, n=n, m_side=m_side)
-    tau = Permutation((3, 1, 4, 0, 2))
+    tau = (3, 1, 4, 0, 2)
     rep, _ = canonical_right(tau, g)
     for b in brute_automorphisms(g):
         rep2, _ = canonical_right(compose(tau, b), g)
@@ -101,10 +101,10 @@ def test_canonical_right_constant_on_cosets(family, n, m_side):
 
 def test_canonical_right_witness_in_group():
     g, _, _ = make("biclique", n=6, m_side=2)
-    brute = {p.images for p in brute_automorphisms(g)}
-    tau = Permutation((5, 3, 1, 0, 4, 2))
+    brute = set(brute_automorphisms(g))
+    tau = (5, 3, 1, 0, 4, 2)
     _, b = canonical_right(tau, g)
-    assert b.images in brute
+    assert b in brute
 
 
 # --- CLI descriptors ----------------------------------------------------------

@@ -10,7 +10,6 @@ from nncp.coupling import make
 from nncp.dp import solve_star_dp
 from nncp.errors import SolverError
 from nncp.lp import ReducedPath, solve_reduced
-from nncp.perm import Permutation
 from nncp.reconstruct import NncpSolution, reconstruct, verify
 from nncp.symmetry import quotient_graph
 
@@ -179,7 +178,7 @@ def test_reconstruct_dead_end():
 def sample_solution():
     return NncpSolution(
         opt=1,
-        orders=[Permutation((0, 1, 2)), Permutation((1, 0, 2))],
+        orders=[(0, 1, 2), (1, 0, 2)],
         swaps=[(1, (0, 1))])
 
 
@@ -234,6 +233,8 @@ def test_json_schema_guard():
     {"opt": 0, "orders": [[1.0, 2, 3]], "swaps": []},
     {"opt": 0.5, "orders": [[1, 2, 3]], "swaps": []},
     {"opt": 1, "orders": [[1, 2, 3]], "swaps": [{"after_gate": 1, "swap": [2, 2]}]},
+    {"opt": 0, "orders": [[1, 1, 3]], "swaps": []},
+    {"opt": 0, "orders": [[1, 2, 4]], "swaps": []},
 ])
 def test_json_malformed_shape_is_value_error(data):
     with pytest.raises(ValueError):
@@ -263,7 +264,7 @@ def test_verify_flags_noncompliant_order():
     # rotate qubits so gate 1 no longer touches the centre
     a, b = c.gates[0]
     others = [x for x in range(4) if x not in (a, b)]
-    bad[0] = Permutation((others[0], a, b, others[1]))
+    bad[0] = (others[0], a, b, others[1])
     rep = verify(NncpSolution(sol.opt, bad, sol.swaps), c, g)
     assert not rep["ok"] and "not a coupling edge" in rep["violations"][0]
 
@@ -310,6 +311,6 @@ def test_verify_flags_wrong_order_count():
 
 def test_verify_flags_wrong_degree():
     c, g, sol = good_instance()
-    orders = [Permutation((0, 1, 2))] + sol.orders[1:]
+    orders = [(0, 1, 2)] + sol.orders[1:]
     rep = verify(NncpSolution(sol.opt, orders, sol.swaps), c, g)
     assert not rep["ok"] and "permutes 3 items" in rep["violations"][0]

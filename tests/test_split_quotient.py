@@ -44,7 +44,7 @@ def sparse_gates(n, kind, rng):
 
 
 def as_fields(nodes, arcs):
-    return ([(nd.rep.images, nd.orbit_size) for nd in nodes],
+    return ([(nd.rep, nd.orbit_size) for nd in nodes],
             [(a.src, a.dst, a.u, a.v, a.d_out) for a in arcs])
 
 
