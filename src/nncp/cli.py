@@ -223,7 +223,12 @@ def _parser() -> argparse.ArgumentParser:
                    default="reduced")
     p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("stats", help="model sizes before/after reduction")
+    p = sub.add_parser(
+        "stats", help="model sizes before/after reduction",
+        description="Model sizes before and after the symmetry reduction.  "
+        "aut_order, unreduced_variables and unreduced_constraints are exact "
+        "integers; from about 1559 locations they pass 4300 digits, and a "
+        "Python reader must call sys.set_int_max_str_digits(0) before json.loads.")
     instance_args(p)
     p.set_defaults(run=cmd_stats)
 

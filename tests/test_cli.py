@@ -122,6 +122,29 @@ def test_stats_writes_integers_past_the_digit_cap(capsys):
         parse_real(".version 2.0\n.numvars " + "9" * 5000 + "\n.begin\n.end\n")
 
 
+def test_stats_json_reads_back_with_the_digit_cap_lifted(capsys):
+    # what a reader of `nncp stats --out json` does: json.loads refuses an
+    # integer past 4 300 digits (Python >= 3.11) until the cap is lifted
+    code, out, _ = run(capsys, "stats", "--circuit", "classI:1800:10",
+                       "--coupling", "star", "--out", "json")
+    assert code == 0
+    if hasattr(sys, "set_int_max_str_digits"):
+        cap = sys.get_int_max_str_digits()
+        if cap:
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                json.loads(out)
+        sys.set_int_max_str_digits(0)
+        try:
+            stats = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(cap)
+    else:
+        stats = json.loads(out)
+    assert stats["schema"] == 1
+    assert stats["aut_order"] == math.factorial(1799)
+    assert stats["unreduced_constraints"] == 10 * math.factorial(1800) + 2
+
+
 def test_decompose_round_trips(capsys, tmp_path):
     path = tmp_path / "toff.real"
     path.write_text(".version 2.0\n.numvars 3\n.variables a b c\n"

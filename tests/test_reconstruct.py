@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +10,9 @@ from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
 from nncp.coupling import make
 from nncp.dp import solve_star_dp
 from nncp.errors import SolverError
+from nncp.generate import random_class_i
 from nncp.lp import ReducedPath, solve_reduced
+from nncp.perm import pair, swap
 from nncp.reconstruct import NncpSolution, reconstruct, verify
 from nncp.symmetry import quotient_graph
 
@@ -153,24 +156,110 @@ def test_reconstruct_empty_circuit():
     assert schedule.opt == 0 and schedule.orders == [] and schedule.swaps == []
 
 
+# a triangle with an idle qubit on cycle-4 and the 4-star, and SPARSE7 (a
+# triangle, an isolated pair and two idle qubits) on K_{3,4}: each needs a SWAP
+DEAD_ENDS = [(4, [(0, 1), (1, 2), (0, 2)], "cycle", None),
+             (4, [(0, 1), (1, 2), (0, 2)], "star", None),
+             (7, SPARSE7, "biclique", 3)]
+
+
 def test_reconstruct_rejects_empty_support():
-    # no hop list for either of the two gate boundaries
-    _, _, q, _, sol = solved(4, [(0, 1), (1, 2), (0, 2)], "cycle")
-    with pytest.raises(SolverError, match="0 hop lists and 0 arcs, expected 2 and 0"):
-        reconstruct(q, ReducedPath(opt=0, entry=sol.entry, hops=[]))
+    # no hop list for any gate boundary
+    for n, pairs, family, m_side in DEAD_ENDS:
+        _, _, q, _, sol = solved(n, pairs, family, m_side)
+        with pytest.raises(SolverError,
+                           match=f"0 hop lists and 0 arcs, expected {q.m - 1} and 0"):
+            reconstruct(q, ReducedPath(opt=0, entry=sol.entry, hops=[]))
 
 
 def test_reconstruct_dead_end():
-    _, _, q, _, sol = solved(4, [(0, 1), (1, 2), (0, 2)], "cycle")
-    assert isinstance(sol, ReducedPath)
-    # swap along an arc that leaves some other orbit than the current one
-    k = next(k for k, hop in enumerate(sol.hops) if hop)
-    ai = sol.hops[k][0]
-    wrong = next(bi for bi, arc in enumerate(q.arcs) if arc.src != q.arcs[ai].src)
-    hops = [list(hop) for hop in sol.hops]
-    hops[k][0] = wrong
-    with pytest.raises(SolverError, match="out of orbit"):
-        reconstruct(q, ReducedPath(opt=sol.opt, entry=sol.entry, hops=hops))
+    for n, pairs, family, m_side in DEAD_ENDS:
+        _, _, q, _, sol = solved(n, pairs, family, m_side)
+        assert isinstance(sol, ReducedPath) and sol.opt > 0
+        # swap along an arc that leaves some other orbit than the current one
+        k = next(k for k, hop in enumerate(sol.hops) if hop)
+        ai = sol.hops[k][0]
+        wrong = next(bi for bi, arc in enumerate(q.arcs) if arc.src != q.arcs[ai].src)
+        hops = [list(hop) for hop in sol.hops]
+        hops[k][0] = wrong
+        with pytest.raises(SolverError, match="out of orbit"):
+            reconstruct(q, ReducedPath(opt=sol.opt, entry=sol.entry, hops=hops))
+
+
+# --- the class-vector replay on stars and bicliques ----------------------------
+
+def canonicalizing_replay(q, path):
+    """The replay that canonicalizes before every SWAP, on any coupling: the
+    witness b of the current order maps the arc's edge back through b⁻¹."""
+    tau = q.nodes[path.entry].rep
+    orders, swaps = [tau], []
+    for k, hop in enumerate(path.hops, start=1):
+        for ai in hop:
+            arc = q.arcs[ai]
+            rep, b = nncp.symmetry.canonical_form(tau, q.fp, q.coupling)
+            assert rep == q.nodes[arc.src].rep
+            t = pair(b.index(arc.u), b.index(arc.v))
+            swaps.append((k, t))
+            tau = swap(tau, *t)
+        orders.append(tau)
+    return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
+
+
+def split_instances(count, seed):
+    """Seeded stars and bicliques, n = 4..13, whose circuits leave qubits
+    idle or as isolated pairs beside a connected core (or none)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 13)
+        m_side = rng.randint(2, (n - 1) // 2) if n >= 5 and rng.random() < 0.5 else None
+        core = rng.choice([0] + list(range(3, n + 1)))
+        pairs = rng.randint(0 if core else 1, (n - core) // 2)
+        labels = rng.sample(range(n), n)
+        cq = labels[:core]
+        gates = [(cq[i], cq[rng.randrange(i)]) for i in range(1, core)]
+        gates += [tuple(rng.sample(cq, 2)) for _ in range(rng.randint(0, 12) if core else 0)]
+        gates += [(labels[core + 2 * p], labels[core + 2 * p + 1]) for p in range(pairs)]
+        rng.shuffle(gates)
+        yield n, gates, "star" if m_side is None else "biclique", m_side
+
+
+SPLIT_INSTANCES = list(split_instances(60, 2026))
+
+
+@pytest.mark.parametrize("n, pairs, family, m_side", SPLIT_INSTANCES,
+                         ids=[f"{i}-{f}{m or ''}-n{n}" for i, (n, _, f, m) in enumerate(SPLIT_INSTANCES)])
+def test_split_replay_matches_the_canonicalizing_replay(n, pairs, family, m_side):
+    c, g, q, opt, sol = solved(n, pairs, family, m_side)
+    schedule = reconstruct(q, sol)
+    assert schedule.to_json() == canonicalizing_replay(q, sol).to_json()
+    assert verify(schedule, c, g)["ok"]
+
+
+def test_split_replay_matches_the_canonicalizing_replay_on_200_qubits():
+    # `nncp solve --circuit classI:200:400 --coupling star`
+    c = decompose(random_class_i(200, 400, seed=0), n=200)
+    g, _, _ = make("star", n=200)
+    q = quotient_graph(c, g)
+    _, sol = solve_reduced(q)
+    schedule = reconstruct(q, sol)
+    assert schedule.opt > 0
+    assert schedule.to_json() == canonicalizing_replay(q, sol).to_json()
+    assert verify(schedule, c, g)["ok"]
+
+
+@pytest.mark.parametrize("family, m_side", [("star", None), ("biclique", 3)])
+def test_split_replay_never_canonicalizes(family, m_side, monkeypatch):
+    c = circ(7, SPARSE7)
+    g, _, _ = make(family, n=7, m_side=m_side)
+    q = quotient_graph(c, g)
+    _, sol = solve_reduced(q)
+    assert sol.opt > 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("canonical_form called by the split replay")
+
+    monkeypatch.setattr(nncp.symmetry, "canonical_form", boom)
+    assert verify(reconstruct(q, sol), c, g)["ok"]
 
 
 # --- JSON schedule format ------------------------------------------------------
