@@ -1,14 +1,14 @@
 """Coupling-graph families, their SWAP transposition sets, and automorphism
 groups.
 
-The structured families carry their automorphism group *symbolically* (its
-order only), so canonicalizing a qubit order against a star on 100
-locations never enumerates the (n-1)! group elements: the coset minimum is
-obtained by sorting images inside each side of the bipartition.  The cycle
-group (order 2n) and GENERAL groups (backtracking search, small n only) are
-enumerated outright, with the inverse images and stabilizer chain
-(`AutGroup.chain`) built alongside, and canonicalization walks that chain
-instead of scanning the elements.
+The structured families star and biclique carry their automorphism group
+*symbolically* (its order only): `symmetry` builds their quotients and
+replays their schedules from class vectors, so no order on them is ever
+canonicalized and the (n-1)! group elements of a 100-location star are
+never listed.  The cycle group (order 2n) and GENERAL groups (backtracking
+search, small n only) are enumerated outright, with the inverse images and
+stabilizer chain (`AutGroup.chain`) built alongside, and canonicalization
+walks that chain instead of scanning the elements.
 
 Location conventions are fixed once: star center = location 0, biclique
 small side = the first M locations, cycle = 0..n-1 in ring order.  Bicliques
@@ -265,27 +265,27 @@ def coupling_from_descriptor(desc: str, n: int) -> CouplingGraph:
 # ---------------------------------------------------------------------------
 # canonical coset representatives
 
+def enumerated_aut(g: CouplingGraph) -> AutGroup:
+    """``g``'s automorphism group, with its elements and chain listed.  A
+    star or biclique stores only the group's order, because its orders are
+    handled by class vectors; it raises ValueError."""
+    if g.aut.elements is None:
+        raise ValueError(f"{g.family} couplings are handled by class vectors, "
+                         "not by canonicalizing over a listed automorphism group")
+    return g.aut
+
+
 def canonical_right(tau: Perm, g: CouplingGraph) -> tuple[Perm, Perm]:
     """Lexicographically smallest element of the left coset τ·Aut(Coup(E)),
-    plus a witness ``b`` with ``tau_star == compose(tau, inverse(b))``.
+    plus a witness ``b`` with ``tau_star == compose(tau, inverse(b))``, on a
+    cycle or general coupling (a star or biclique raises ValueError).
 
-    For star/biclique the minimum is reached by sorting the images inside
-    each side of the bipartition (the group is exactly the side-preserving
-    permutations).  For cycle/general it is a greedy walk down the group's
-    stabilizer chain: τ·b⁻¹ puts qubit τ(b⁻¹(k)) at location k, and τ is
-    injective, so each level has one child y with the smallest τ(y), and
-    the walk ends at the unique minimizing element (O(n·depth), not
-    O(|Aut|·n)).
+    It is a greedy walk down the group's stabilizer chain: τ·b⁻¹ puts
+    qubit τ(b⁻¹(k)) at location k, and τ is injective, so each level has
+    one child y with the smallest τ(y), and the walk ends at the unique
+    minimizing element (O(n·depth), not O(|Aut|·n)).
     """
-    if g.split is not None:
-        m = g.split
-        rep = tuple(sorted(tau[:m])) + tuple(sorted(tau[m:]))
-        rank = [0] * g.n                    # rank[q] = location of qubit q in rep
-        for k, q in enumerate(rep):
-            rank[q] = k
-        return rep, tuple(map(rank.__getitem__, tau))
-
-    aut = g.aut
+    aut = enumerated_aut(g)
     node = aut.chain
     while node.__class__ is dict:
         node = node[min(node, key=tau.__getitem__)]

@@ -4,17 +4,17 @@
 it enters gate 1 at, and per gate boundary the orbital arcs it takes (one
 SWAP each).  `reconstruct` replays them on concrete qubit orders.  It
 starts at the entry orbit's representative and records one order per
-gate.  Each arc becomes one SWAP by a per-family step, which first checks
-that the current order lies in the arc's source orbit.  On cycle/general
-couplings (`_canonical_step`) it canonicalizes the order, τ ↦ (rep, b),
-and applies the coupling edge b⁻¹ maps onto the arc's representative
-edge.  On a star/biclique (`_split_step`) an orbit is its class vector:
-the arc trades class c on the small side for class d on the large side,
-and the step swaps the lowest small-side location of c with the lowest
-large-side location of d, the edge the canonicalizing step would pick,
-with no canonicalization per SWAP.  The moved order lies in the arc's
-target orbit, because the group acts by automorphisms, so the walk stays
-on the path and every order it records is compliant.
+gate.  Each arc becomes one SWAP by the step `symmetry.replay_step` picks
+for the coupling, which first checks that the current order lies in the
+arc's source orbit.  On cycle/general couplings the step canonicalizes
+the order, τ ↦ (rep, b), and applies the coupling edge b⁻¹ maps onto the
+arc's representative edge.  On a star/biclique an orbit is its class
+vector, and the step swaps the lowest small-side location of the arc's
+class c with the lowest large-side location of its class d, with no
+canonicalization; it sits beside `symmetry._split_orbits`, which fixes the
+representatives it depends on.  The moved order lies in the arc's target
+orbit, because the group acts by automorphisms, so the walk stays on the
+path and every order it records is compliant.
 
 `verify` re-checks a finished schedule against nothing but the problem
 statement: gate-by-gate compliance of the qubit orders, and that the listed
@@ -24,16 +24,14 @@ SWAPs are coupling edges transforming each order into the next.
 from __future__ import annotations
 
 import json
-from bisect import insort
 from dataclasses import dataclass
 
-from . import symmetry
 from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
 from .lp import ReducedPath
 from .perm import Perm, check, pair, swap
-from .symmetry import OrbitalArc, QuotientGraph
+from .symmetry import QuotientGraph, replay_step
 
 SCHEMA_VERSION = 1
 
@@ -128,7 +126,7 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
             f"path has {len(path.hops)} hop lists and {arc_count} arcs, "
             f"expected {q.m - 1} and {path.opt}")
     entry = q.nodes[path.entry].rep
-    step = _canonical_step(q) if q.coupling.split is None else _split_step(q, entry)
+    step = replay_step(q, entry)
     tau = list(entry)
     orders = [entry]
     swaps: list[tuple[int, tuple[int, int]]] = []
@@ -145,51 +143,6 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
             tau[i], tau[j] = tau[j], tau[i]
         orders.append(tuple(tau))
     return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
-
-
-def _canonical_step(q: QuotientGraph):
-    """``step(tau, arc)``: the swap that moves ``tau`` along ``arc``, or None
-    if ``tau`` is not in the arc's source orbit; by canonicalization."""
-
-    def step(tau: list[int], arc: OrbitalArc) -> tuple[int, int] | None:
-        rep, b = symmetry.canonical_form(tuple(tau), q.fp, q.coupling)
-        if rep != q.nodes[arc.src].rep:
-            return None
-        at = b.index                    # b⁻¹ at one point, with no whole inverse
-        return pair(at(arc.u), at(arc.v))
-
-    return step
-
-
-def _split_step(q: QuotientGraph, entry: Perm):
-    """`_canonical_step` on K_{M,N}, for a walk that starts at ``entry``.
-
-    Per pattern class it keeps the sorted small-side and large-side
-    locations of the current order.  The representative of orbit ``src``
-    (`symmetry._split_orbits`) puts the arc's ``u`` on the lowest small-side
-    location of its class c and ``v`` on the lowest large-side location of
-    its class d, so those two locations are the swap.  The order is in
-    ``src`` iff its small side holds the same classes."""
-    m = q.coupling.split
-    cls = q.fp.class_index
-    at = cls.__getitem__
-    small: list[list[int]] = [[] for _ in q.fp.classes]
-    large: list[list[int]] = [[] for _ in q.fp.classes]
-    for y, x in enumerate(entry):
-        (small if y < m else large)[cls[x]].append(y)   # ascending
-
-    def step(tau: list[int], arc: OrbitalArc) -> tuple[int, int] | None:
-        rep = q.nodes[arc.src].rep
-        if sorted(map(at, tau[:m])) != sorted(map(at, rep[:m])):
-            return None
-        c, d = cls[rep[arc.u]], cls[rep[arc.v]]
-        y = small[c].pop(0)
-        z = large[d].pop(0)
-        insort(small[d], y)
-        insort(large[c], z)
-        return y, z
-
-    return step
 
 
 def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) -> dict:

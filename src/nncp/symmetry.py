@@ -5,33 +5,34 @@ identified with every aτb⁻¹ for a in the gate-side stabilizer S_n(F) (qubit
 relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
 (location relabelings).  This module computes
 
-  * canonical forms — the lexicographically smallest member of
-    S_n(F)·τ·Aut.  S_n(F) is *every* relabeling inside the pattern classes,
-    so the left S_n(F)-orbit of an order is exactly the set of orders with
-    the same class word (location → class of its qubit), and its smallest
-    member, the word's fill, hands out each class's qubits in ascending
-    order along the locations.  The canonical form is that fill minimized
-    over the location side: on a star/biclique, fill and then sort each side
-    (`canonical_right`); on cycle/general, a walk down the stabilizer chain
-    that is built with the enumerated group (the ``AutGroup.chain`` field).
-    S_n(F), of order 2^p·f!, is never enumerated, so idle qubits and
-    isolated pairs cost nothing extra;
-  * B_τ — the stabilizer of τ's class word in Aut(Coup(E)); its order gives
-    the orbit size via orbit–stabilizer, and its edge classes give the
-    out-degrees.  How the group is stored (`g.split` or `g.aut`) is the
-    only thing these computations ask of the coupling family;
-  * orbits and orbitals.  On a star/biclique they are built in closed
-    form, with no canonicalization: an orbit is fixed by its class vector,
-    the number of qubits of each pattern class on the small side, and a
-    swap trades one class on the small side for one on the large side
-    (`_split_orbits`).  The vectors and the arcs are counted before any is
-    built, so an oversized quotient fails at once.  On cycle/general, one
-    worklist pass (`_worklist_orbits`): each orbit's representative is moved
-    along the first edge of each B_τ edge class, which gives the arc and any
-    new orbit; each orbital and its reverse share one canonicalization, and
-    the witness names the reverse edge.  One edge per class is enough,
-    because τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e)
-    land in the same orbit.  Either way, an arc stores only its out-degree;
+  * orbits and orbitals.  On a star/biclique (K_{M,N}, the couplings with a
+    ``g.split``, read only in this module) they are built in closed form:
+    an orbit is fixed by its class vector, the number of qubits of each
+    pattern class on the small side, and a swap trades one class on the
+    small side for one on the large side (`_split_orbits`).  The vectors
+    and the arcs are counted before any is built, so an oversized quotient
+    fails at once, and a schedule is replayed from the same vectors
+    (`_split_step`).  Nothing on these couplings is canonicalized, and
+    their group of (n-1)! or M!·N! elements is never listed;
+  * canonical forms, on cycle/general couplings, whose group is enumerated
+    with a stabilizer chain (the ``AutGroup.chain`` field) — the
+    lexicographically smallest member of S_n(F)·τ·Aut.  S_n(F) is *every*
+    relabeling inside the pattern classes, so the left S_n(F)-orbit of an
+    order is exactly the set of orders with the same class word (location
+    → class of its qubit), and its smallest member hands out each class's
+    qubits in ascending order along the locations.  The canonical form is
+    that minimum taken down the chain as well.  S_n(F), of order 2^p·f!, is
+    never enumerated, so idle qubits and isolated pairs cost nothing extra;
+  * B_τ — the stabilizer of τ's class word in Aut(Coup(E)), filtered from
+    the enumerated elements; its order gives the orbit size via
+    orbit–stabilizer, and its edge classes give the out-degrees;
+  * on cycle/general, the orbits and orbitals come from one worklist pass
+    (`_worklist_orbits`): each orbit's representative is moved along the
+    first edge of each B_τ edge class, which gives the arc and any new
+    orbit; each orbital and its reverse share one canonicalization, and the
+    witness names the reverse edge.  One edge per class is enough, because
+    τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e) land in
+    the same orbit.  Either way, an arc stores only its out-degree;
   * the quotient graph: orbit nodes, orbital arcs, and per-gate compliance
     marks.  All layers share one node/arc structure since the layers are
     identical copies; only the compliance marks vary by gate.  An orbital
@@ -50,14 +51,14 @@ import gc
 import itertools
 import math
 import operator
-from collections import Counter
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuit import Circuit, FixingPattern, fixing_pattern
-from .coupling import CouplingGraph, canonical_right
+from .coupling import CouplingGraph, canonical_right, enumerated_aut
 from .errors import CapError
-from .perm import Perm, swap
+from .perm import Perm, pair, swap
 
 ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
@@ -101,13 +102,6 @@ def _class_word(tau: Perm, fp: FixingPattern) -> list[int]:
     return list(map(fp.class_index.__getitem__, tau))
 
 
-def _fill(word: list[int], fp: FixingPattern) -> Perm:
-    """The smallest order with this class word: each class's qubits handed
-    out in ascending order along the locations."""
-    members = [iter(cl) for cl in fp.classes]
-    return tuple(next(members[c]) for c in word)
-
-
 # ---------------------------------------------------------------------------
 # B_tau and its edge classes
 
@@ -129,27 +123,15 @@ def _finish(order, groups) -> BTau:
 def b_tau(tau: Perm, fp: FixingPattern, g: CouplingGraph) -> BTau:
     """B_τ: the automorphisms b with ``word[b(y)] == word[y]`` for τ's class
     word, i.e. those that map every pattern class pulled back through τ onto
-    itself, so that τ·b = a·τ for some a in S_n(F)."""
+    itself, so that τ·b = a·τ for some a in S_n(F).  Filtered from the
+    enumerated group, so on a star or biclique only a trivial pattern, whose
+    B_τ is the identity alone, is accepted."""
     edges = sorted(g.edges)
     if fp.trivial:
         # every pattern class is a singleton: only the identity fixes them
         return _finish(1, [[e] for e in edges])
     word = _class_word(tau, fp)
-
-    if g.split is not None:
-        # Aut is every side-preserving relabeling, so B_τ is the direct
-        # product of the symmetric groups on the (class, side) parts
-        part = [(c, y < g.split) for y, c in enumerate(word)]
-        size = Counter(part)
-        groups: dict[tuple, list[Edge]] = {}
-        for u, v in edges:
-            groups.setdefault((part[u], part[v]), []).append((u, v))
-        for (pu, pv), cl in groups.items():
-            assert len(cl) == size[pu] * size[pv]
-        return _finish(math.prod(map(math.factorial, size.values())), groups.values())
-
-    # enumerated groups (cycle, general): filter directly
-    kept = [b for b in g.aut.elements
+    kept = [b for b in enumerated_aut(g).elements
             if all(word[x] == c for x, c in zip(b, word))]
     return _finish(len(kept), _edge_orbits_under(kept, edges))
 
@@ -200,26 +182,21 @@ def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
 
     The left S_n(F)-orbit of τ·b⁻¹ is the set of orders sharing its class
     word, and the smallest of them is that word's fill: each location takes
-    the smallest unused qubit of its class.  For star/biclique the fill of
-    τ's word is canonicalized by `canonical_right`, which sorts each side:
-    the fill already hands each side the smallest qubits of each class it
-    can get, so the sorted sides are the minimum over the group, and the
-    witness pairs each side's locations of one class in order
-    (O(n log n)).  For cycle/general the fill is minimized down Aut's
-    stabilizer chain (``aut.chain``), keeping every child that ties for
-    the smallest next qubit; of the minimizing elements the witness is the
-    first in ``aut.elements``.  S_n(F) itself is never listed.  A trivial
-    pattern is plain coset canonicalization."""
+    the smallest unused qubit of its class.  The fill is minimized down
+    Aut's stabilizer chain (``aut.chain``), keeping every child that ties
+    for the smallest next qubit; of the minimizing elements the witness is
+    the first in ``aut.elements``.  S_n(F) itself is never listed.  A
+    trivial pattern is plain coset canonicalization.  Cycle and general
+    couplings only: a star or biclique raises ValueError, as its orbits
+    are class vectors (`_split_orbits`)."""
     if fp.trivial:
         return canonical_right(tau, g)
     word = _class_word(tau, fp)
-    if g.split is not None:
-        return canonical_right(_fill(word, fp), g)
 
     # Walk the stabilizer chain with the frontier of tied nodes.  Every
     # survivor has put the same qubits on locations 0..k-1, so ``used`` is
     # shared, and child y is worth the next unused qubit of y's class.
-    aut = g.aut
+    aut = enumerated_aut(g)
     inv = aut.inverse_images
     cls = fp.class_index
     classes = fp.classes
@@ -270,8 +247,9 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
 
     A split coupling (star or biclique) is built in closed form from class
     vectors, with no canonicalization (`_split_orbits`); cycle and general
-    couplings are found by the worklist (`_worklist_orbits`).  Both give
-    the same quotient on a split coupling."""
+    couplings are found by the worklist (`_worklist_orbits`).  The two
+    share no code: tests check the closed form against the worklist run on
+    the same star or biclique given as a general edge list."""
     if g.split is not None:
         return _split_orbits(fp, g)
     return _worklist_orbits(fp, g)
@@ -329,7 +307,7 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
     S_n(F) × Aut is fixed by its class vector k: k_c qubits of pattern class
     c sit on the small side, Σ k_c = M.  Its representative puts the k_c
     smallest qubits of each class on the small side and sorts each side,
-    which is `canonical_form`'s answer for any member.  The orbit size is
+    the smallest member of the orbit.  The orbit size is
     |G| / Π_c k_c!·(|c| − k_c)!, that is |Aut|·Π_c C(|c|, k_c), since
     |S_n(F)| = Π_c |c|!.  A swap trades a class-c qubit on the small side
     for a class-d qubit on the large side: one arc per such (c, d), along
@@ -378,6 +356,62 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
                 for v, wd, left in high:
                     arcs.append(OrbitalArc(i, index[base + wd], u, v, kc * left))
     return nodes, arcs
+
+
+def replay_step(q: QuotientGraph, entry: Perm):
+    """``step(tau, arc)`` for `reconstruct`'s walk from ``entry``: the swap
+    that moves the current order ``tau`` along ``arc``, or None if ``tau`` is
+    not in the arc's source orbit.  A star or biclique steps by class
+    vectors (`_split_step`), a cycle or general coupling by
+    canonicalization (`_canonical_step`)."""
+    if q.coupling.split is None:
+        return _canonical_step(q)
+    return _split_step(q, entry)
+
+
+def _split_step(q: QuotientGraph, entry: Perm):
+    """`replay_step` on K_{M,N}, with no canonicalization.
+
+    Per pattern class it keeps the sorted small-side and large-side
+    locations of the current order.  The representative of orbit ``src``
+    (`_split_orbits`) puts the arc's ``u`` on the lowest small-side location
+    of its class c and ``v`` on the lowest large-side location of its class
+    d, so those two locations are the swap.  The order is in ``src`` iff its
+    small side holds the same classes."""
+    m = q.coupling.split
+    cls = q.fp.class_index
+    at = cls.__getitem__
+    small: list[list[int]] = [[] for _ in q.fp.classes]
+    large: list[list[int]] = [[] for _ in q.fp.classes]
+    for y, x in enumerate(entry):
+        (small if y < m else large)[cls[x]].append(y)   # ascending
+
+    def step(tau: list[int], arc: OrbitalArc) -> tuple[int, int] | None:
+        rep = q.nodes[arc.src].rep
+        if sorted(map(at, tau[:m])) != sorted(map(at, rep[:m])):
+            return None
+        c, d = cls[rep[arc.u]], cls[rep[arc.v]]
+        y = small[c].pop(0)
+        z = large[d].pop(0)
+        insort(small[d], y)
+        insort(large[c], z)
+        return y, z
+
+    return step
+
+
+def _canonical_step(q: QuotientGraph):
+    """`replay_step` on a cycle or general coupling: canonicalize the order,
+    τ ↦ (rep, b), and swap along the edge b⁻¹ maps onto the arc's edge."""
+
+    def step(tau: list[int], arc: OrbitalArc) -> tuple[int, int] | None:
+        rep, b = canonical_form(tuple(tau), q.fp, q.coupling)
+        if rep != q.nodes[arc.src].rep:
+            return None
+        at = b.index                    # b⁻¹ at one point, with no whole inverse
+        return pair(at(arc.u), at(arc.v))
+
+    return step
 
 
 def _worklist_orbits(fp: FixingPattern, g: CouplingGraph

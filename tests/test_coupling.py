@@ -77,11 +77,20 @@ def brute_canonical(tau: tuple, g: CouplingGraph) -> tuple:
     return min(compose(tau, inverse(b)) for b in brute_automorphisms(g))
 
 
+def listed(family, n, m_side):
+    """The coupling, with a star or biclique given as a general edge list:
+    canonicalization runs on listed groups only."""
+    g, _, _ = make(family, n=n, m_side=m_side)
+    if family in ("star", "biclique"):
+        g, _, _ = make("general", edges=sorted(g.edges))
+    return g
+
+
 @pytest.mark.parametrize("family, n, m_side", [
     ("cycle", 5, None), ("star", 5, None), ("biclique", 5, 2),
     ("cycle", 6, None), ("biclique", 6, 2)])
 def test_canonical_right_matches_brute_minimum(family, n, m_side):
-    g, _, _ = make(family, n=n, m_side=m_side)
+    g = listed(family, n, m_side)
     for tau in itertools.islice(itertools.permutations(range(n)), 0, None, 7):
         rep, b = canonical_right(tau, g)
         assert rep == brute_canonical(tau, g)
@@ -91,7 +100,7 @@ def test_canonical_right_matches_brute_minimum(family, n, m_side):
 @pytest.mark.parametrize("family, n, m_side", [
     ("cycle", 5, None), ("star", 5, None), ("biclique", 5, 2)])
 def test_canonical_right_constant_on_cosets(family, n, m_side):
-    g, _, _ = make(family, n=n, m_side=m_side)
+    g = listed(family, n, m_side)
     tau = (3, 1, 4, 0, 2)
     rep, _ = canonical_right(tau, g)
     for b in brute_automorphisms(g):
@@ -100,11 +109,19 @@ def test_canonical_right_constant_on_cosets(family, n, m_side):
 
 
 def test_canonical_right_witness_in_group():
-    g, _, _ = make("biclique", n=6, m_side=2)
+    g = listed("biclique", 6, 2)
     brute = set(brute_automorphisms(g))
     tau = (5, 3, 1, 0, 4, 2)
     _, b = canonical_right(tau, g)
     assert b in brute
+
+
+@pytest.mark.parametrize("family, m_side", [("star", None), ("biclique", 2)])
+def test_canonical_right_refuses_split_couplings(family, m_side):
+    # a star or biclique lists no group elements: its orders are class vectors
+    g, _, _ = make(family, n=5, m_side=m_side)
+    with pytest.raises(ValueError, match="class vectors"):
+        canonical_right((3, 1, 4, 0, 2), g)
 
 
 # --- CLI descriptors ----------------------------------------------------------

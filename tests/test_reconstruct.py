@@ -15,6 +15,7 @@ from nncp.lp import ReducedPath, solve_reduced
 from nncp.perm import pair, swap
 from nncp.reconstruct import NncpSolution, reconstruct, verify
 from nncp.symmetry import quotient_graph
+from tests.test_split_canonical import sides_oracle
 
 
 def circ(n, pairs):
@@ -189,14 +190,15 @@ def test_reconstruct_dead_end():
 # --- the class-vector replay on stars and bicliques ----------------------------
 
 def canonicalizing_replay(q, path):
-    """The replay that canonicalizes before every SWAP, on any coupling: the
-    witness b of the current order maps the arc's edge back through b⁻¹."""
+    """The replay that canonicalizes before every SWAP, on a star or
+    biclique through the test-side `sides_oracle`: the witness b of the
+    current order maps the arc's edge back through b⁻¹."""
     tau = q.nodes[path.entry].rep
     orders, swaps = [tau], []
     for k, hop in enumerate(path.hops, start=1):
         for ai in hop:
             arc = q.arcs[ai]
-            rep, b = nncp.symmetry.canonical_form(tau, q.fp, q.coupling)
+            rep, b = sides_oracle(tau, q.fp, q.coupling)
             assert rep == q.nodes[arc.src].rep
             t = pair(b.index(arc.u), b.index(arc.v))
             swaps.append((k, t))
@@ -249,16 +251,19 @@ def test_split_replay_matches_the_canonicalizing_replay_on_200_qubits():
 
 @pytest.mark.parametrize("family, m_side", [("star", None), ("biclique", 3)])
 def test_split_replay_never_canonicalizes(family, m_side, monkeypatch):
+    # the whole solve, build and compliance marking included, runs on class
+    # vectors: SPARSE7 leaves two qubits idle and one pair isolated
+    for name in ("canonical_form", "canonical_right", "b_tau"):
+        def boom(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called on a split coupling")
+
+        monkeypatch.setattr(nncp.symmetry, name, boom)
     c = circ(7, SPARSE7)
     g, _, _ = make(family, n=7, m_side=m_side)
     q = quotient_graph(c, g)
+    assert sorted(map(len, q.fp.classes)) == [1, 1, 1, 2, 2]
     _, sol = solve_reduced(q)
     assert sol.opt > 0
-
-    def boom(*args, **kwargs):
-        raise AssertionError("canonical_form called by the split replay")
-
-    monkeypatch.setattr(nncp.symmetry, "canonical_form", boom)
     assert verify(reconstruct(q, sol), c, g)["ok"]
 
 

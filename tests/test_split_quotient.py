@@ -1,12 +1,14 @@
 """The star and biclique quotient, built in closed form from class vectors.
 
 `layer_orbits` builds a split coupling's quotient without canonicalizing.
-Three independent checks pin it down: the worklist (`_worklist_orbits`,
-which canonicalizes one orbital of each reverse pair) must give the same
-quotient field by field, and the counts taken before the build its node and
-arc counts; a brute count of class vectors must give the node count at
-n = 1000; and a DP over the set of qubits on the small side must give the same
-optimum as `solve_reduced`."""
+Four independent checks pin it down: `layer_orbits` on the same graph given
+as a general edge list, where the worklist runs on the listed group, must
+give the same quotient field by field; so must the worklist run on the split
+coupling itself through the test-side oracles of `test_split_canonical.py`,
+at sizes whose group is too large to list, and the counts taken before the
+build must give its node and arc counts; a brute count of class vectors must
+give the node count at n = 1000; and a DP over the set of qubits on the
+small side must give the same optimum as `solve_reduced`."""
 
 import itertools
 import math
@@ -16,15 +18,11 @@ import pytest
 
 from nncp import symmetry
 from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
-from nncp.coupling import make
 from nncp.generate import random_class_i, random_class_ii
 from nncp.lp import solve_reduced
 from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import layer_orbits, quotient_graph
-
-
-def split_graph(n, m_side):
-    return make("star" if m_side == 1 else "biclique", n=n, m_side=m_side)[0]
+from tests.test_split_canonical import general_form, split_graph, use_split_oracles
 
 
 def sparse_gates(n, kind, rng):
@@ -49,7 +47,22 @@ def as_fields(nodes, arcs):
 
 
 @pytest.mark.parametrize("kind", ["trivial", "idle", "pairs"])
-def test_closed_form_matches_worklist(kind):
+def test_closed_form_matches_the_general_form(kind):
+    # both sides are library code and share no split code: the general form
+    # canonicalizes down the chain of its listed group (|Aut| <= 7!)
+    rng = random.Random(f"general-form-{kind}")
+    for _ in range(40):
+        n = rng.randint(5, 8)
+        m_side = rng.randint(1, (n - 1) // 2)
+        c = decompose([RawGate(CNOT, p) for p in sparse_gates(n, kind, rng)], n=n)
+        fp = fixing_pattern(c)
+        assert as_fields(*layer_orbits(fp, split_graph(n, m_side))) == \
+            as_fields(*layer_orbits(fp, general_form(n, m_side))), (n, m_side, fp.classes)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "idle", "pairs"])
+def test_closed_form_matches_worklist(kind, monkeypatch):
+    use_split_oracles(monkeypatch)
     rng = random.Random(f"closed-form-{kind}")
     for _ in range(40):
         n = rng.randint(5, 12)

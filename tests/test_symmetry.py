@@ -47,6 +47,15 @@ def family_graph(family, arg, n):
     return g
 
 
+def listed_graph(family, arg, n):
+    """`family_graph`, with a star or biclique given as a general edge list:
+    canonical forms and B_τ run on listed groups only."""
+    g = family_graph(family, arg, n)
+    if family in ("star", "biclique"):
+        g, _, _ = make("general", edges=sorted(g.edges))
+    return g
+
+
 def brute_b_tau(tau, fp, g):
     inv = inverse(tau)
     pulled = [frozenset(inv[q] for q in cls) for cls in fp.classes]
@@ -74,7 +83,7 @@ def test_b_tau_against_brute_filter(family, m_side, pattern):
     n = 5
     c = circuit_with_pattern(n, PATTERNS[pattern])
     fp = fixing_pattern(c)
-    g = family_graph(family, m_side, n)
+    g = listed_graph(family, m_side, n)
     for tau in itertools.islice(itertools.permutations(range(n)), 0, None, 11):
         bt = b_tau(tau, fp, g)
         brute = brute_b_tau(tau, fp, g)
@@ -91,6 +100,19 @@ def test_b_tau_trivial_for_connected_pattern_on_cycle():
     g, _, _ = make("cycle", n=n)
     for tau in itertools.islice(itertools.permutations(range(n)), 0, None, 97):
         assert b_tau(tau, fp, g).order == 1
+
+
+@pytest.mark.parametrize("family, m_side", [("star", None), ("biclique", 2)])
+def test_b_tau_refuses_split_couplings_under_a_pattern(family, m_side):
+    # a star or biclique lists no group elements to filter; a trivial
+    # pattern needs none, as its B_τ is the identity alone
+    g = family_graph(family, m_side, 5)
+    tau = (3, 1, 4, 0, 2)
+    fp = fixing_pattern(circuit_with_pattern(5, PATTERNS["pairs"]))
+    with pytest.raises(ValueError, match="class vectors"):
+        b_tau(tau, fp, g)
+    bt = b_tau(tau, fixing_pattern(circuit_with_pattern(5, PATTERNS["trivial"])), g)
+    assert bt.order == 1 and bt.edge_orbits == [[e] for e in sorted(g.edges)]
 
 
 # --- S_n(F) -------------------------------------------------------------------
@@ -121,7 +143,7 @@ def test_canonical_form_is_brute_minimum(family, m_side):
     # oracle: both groups found by filtering all n! permutations, never
     # through snf_elements or the structural Aut groups
     n = 5
-    g = family_graph(family, m_side, n)
+    g = listed_graph(family, m_side, n)
     auts = brute_automorphisms(g)
     for pattern in sorted(PATTERNS):
         c = circuit_with_pattern(n, PATTERNS[pattern])
@@ -136,6 +158,16 @@ def test_canonical_form_is_brute_minimum(family, m_side):
             # back to tau's frame
             assert b in auts
             assert any(compose(compose(a, tau), inverse(b)) == rep for a in stab)
+
+
+@pytest.mark.parametrize("family, m_side", [("star", None), ("biclique", 2)])
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_canonical_form_refuses_split_couplings(family, m_side, pattern):
+    # its orbits are class vectors (`layer_orbits`), so nothing canonicalizes
+    g = family_graph(family, m_side, 5)
+    fp = fixing_pattern(circuit_with_pattern(5, PATTERNS[pattern]))
+    with pytest.raises(ValueError, match="class vectors"):
+        canonical_form((3, 1, 4, 0, 2), fp, g)
 
 
 # --- layer orbits and orbitals -------------------------------------------------
@@ -187,7 +219,7 @@ def test_d_in_matches_witness_oracle(family, arg, pattern):
     # and the size of that edge's class under the destination's B_τ
     n = 6 if arg == "ladder" else 5     # qubit 5 idles on the ladder
     c = circuit_with_pattern(n, PATTERNS[pattern])
-    q = quotient_graph(c, family_graph(family, arg, n))
+    q = quotient_graph(c, listed_graph(family, arg, n))
     for a in q.arcs:
         rep = q.nodes[a.src].rep
         dst_rep, b = canonical_form(swap(rep, a.u, a.v), q.fp, q.coupling)
