@@ -10,9 +10,8 @@ schedule, then verify it.
 from .baseline import reynolds_check, solve_spp
 from .circuit import (Circuit, FixingPattern, RawGate, decompose, fixing_pattern,
                       gate_graph, parse_real)
-from .coupling import (AutGroup, CouplingGraph, TranspositionSet,
-                       canonical_right, coupling_from_descriptor, make,
-                       transposition_set)
+from .coupling import (AutGroup, CouplingGraph, canonical_right,
+                       coupling_from_descriptor, make)
 from .dp import DpTable, solve_star_dp, star_solution
 from .errors import (CapError, NncpError, ParseError, SolverError,
                      VerificationError)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ParseError
-from .perm import pair
+from .perm import components, pair
 
 # ---------------------------------------------------------------------------
 # gate kinds
@@ -293,29 +293,10 @@ class FixingPattern:
 
 
 def fixing_pattern(c: Circuit) -> FixingPattern:
-    edges = gate_graph(c)
-    adj: dict[int, set[int]] = {q: set() for q in range(c.n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    seen = [False] * c.n
     classes: list[tuple[int, ...]] = []
     free: list[int] = []
     p = 0
-    for start in range(c.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
+    for comp in components(c.n, gate_graph(c)):
         if len(comp) == 1:
             free.extend(comp)
         elif len(comp) == 2:
@@ -324,6 +305,6 @@ def fixing_pattern(c: Circuit) -> FixingPattern:
         else:
             classes.extend((q,) for q in comp)
     if free:
-        classes.append(tuple(sorted(free)))
+        classes.append(tuple(free))
     classes.sort()
-    return FixingPattern(classes=tuple(classes), p=p, f=len(free), free=tuple(sorted(free)))
+    return FixingPattern(classes=tuple(classes), p=p, f=len(free), free=tuple(free))

@@ -1,5 +1,5 @@
-"""Coupling-graph families, their SWAP transposition sets, and automorphism
-groups.
+"""Coupling-graph families and their automorphism groups.  A coupling's SWAP
+alphabet is its edge set: each edge is a sorted location pair (see `perm`).
 
 The structured families star and biclique carry their automorphism group
 *symbolically* (its order only): `symmetry` builds their quotients and
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapError, ParseError
-from .perm import Perm, inverse
+from .perm import Perm, components, inverse
 
 CYCLE = "cycle"
 STAR = "star"
@@ -78,42 +78,8 @@ class CouplingGraph:
     split: int | None = None    # M for star (1) / biclique; None otherwise
 
     def __post_init__(self):
-        if not _connected(self.n, self.edges):
+        if len(components(self.n, self.edges)) > 1:
             raise ValueError("coupling graph must be connected")
-
-
-@dataclass(frozen=True)
-class TranspositionSet:
-    """The coupling edges in sorted order; the SWAP alphabet T."""
-
-    transpositions: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.transpositions)
-
-    def __len__(self) -> int:
-        return len(self.transpositions)
-
-
-def transposition_set(g: CouplingGraph) -> TranspositionSet:
-    return TranspositionSet(tuple(sorted(g.edges)))
-
-
-def _connected(n: int, edges) -> bool:
-    if n <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def _is_automorphism(p: Perm, edges: frozenset) -> bool:
@@ -127,12 +93,13 @@ def _is_automorphism(p: Perm, edges: frozenset) -> bool:
 # ---------------------------------------------------------------------------
 # family constructors
 
-def make(family: str, n: int | None = None, m_side: int | None = None,
-         edges=None) -> tuple[CouplingGraph, TranspositionSet, AutGroup]:
-    """Build a coupling graph plus its transposition set and automorphism
-    group.  ``family`` is one of cycle/star/biclique/general; bicliques take
-    the small-side size ``m_side`` (with ``1 <= m_side < n - m_side``);
-    general graphs take an explicit 0-based edge list."""
+def make(family: str, n: int | None = None, m_side: int | None = None, edges=None
+         ) -> tuple[CouplingGraph, tuple[tuple[int, int], ...], AutGroup]:
+    """Build a coupling graph, its sorted edges (the SWAP alphabet) and its
+    automorphism group ``g.aut``.  ``family`` is one of
+    cycle/star/biclique/general; bicliques take the small-side size
+    ``m_side`` (with ``1 <= m_side < n - m_side``); general graphs take an
+    explicit 0-based edge list."""
     if family == CYCLE:
         g = _make_cycle(n)
     elif family == STAR:
@@ -143,7 +110,7 @@ def make(family: str, n: int | None = None, m_side: int | None = None,
         g = _make_general(edges)
     else:
         raise ValueError(f"unknown coupling family {family!r}")
-    return g, transposition_set(g), g.aut
+    return g, tuple(sorted(g.edges)), g.aut
 
 
 def _make_cycle(n: int) -> CouplingGraph:

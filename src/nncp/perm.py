@@ -18,6 +18,9 @@ qubits at locations ``i`` and ``j`` (a SWAP gate as a right action), while
 An unordered pair of points has one form everywhere: the sorted int tuple
 that `pair` returns.  A two-qubit gate is a pair of qubits; a SWAP and a
 coupling edge are pairs of locations, and ``swap(tau, *t)`` applies SWAP t.
+A list of pairs is a graph on 0..n-1, and `components` splits it into its
+connected components: the gate graph into the fixing pattern's classes, and
+a coupling into one piece if it is connected.
 
 Everything in this package is 0-based internally; the 1-based convention of
 circuit files and CLI output is applied only at the I/O boundary (the
@@ -50,6 +53,30 @@ def pair(i: int, j: int) -> tuple[int, int]:
     if i == j:
         raise ValueError(f"a pair needs two distinct points, got ({i}, {j})")
     return (i, j) if i < j else (j, i)
+
+
+def components(n: int, pairs) -> list[list[int]]:
+    """The connected components of the graph on 0..n-1 whose edges are
+    ``pairs``, each sorted, in order of their smallest point."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for x in comp:                  # grows as the walk finds points
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        comp.sort()
+        out.append(comp)
+    return out
 
 
 def compose(p: Perm, q: Perm) -> Perm:

@@ -443,11 +443,8 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     rows: list[list[OrbitalArc]] = []
     # per orbit not yet processed: edge -> the earlier orbit a move along it
     # reaches, named by that orbit's canonicalization of the reverse move.
-    # Keys are g's own edge tuples, so the pending dicts allocate no tuples
+    # Keys are sorted edge tuples (`pair`), equal to those in the edge classes
     back: list[dict[Edge, int] | None] = [{}]
-    edge_at: list[list[Edge | None]] = [[None] * g.n for _ in range(g.n)]
-    for e in g.edges:
-        edge_at[e[0]][e[1]] = edge_at[e[1]][e[0]] = e
     with _collector_paused():
         for i, rep in enumerate(reps):          # grows as orbits are found
             bt = trivial_bt or b_tau(rep, fp, g)
@@ -478,7 +475,7 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
                         reps.append(dst_rep)
                         back.append({})
                     if j > i:
-                        back[j][edge_at[b[u]][b[v]]] = i
+                        back[j][pair(b[u], b[v])] = i
                 row.append(OrbitalArc(i, j, u, v, len(cl)))
             rows.append(row)
 

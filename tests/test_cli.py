@@ -270,6 +270,20 @@ def test_oversized_split_arc_count_fails_fast(capsys):
     assert "arc count 109230240" in err
 
 
+def test_worklist_orbit_cap_exits_2(capsys, tmp_path, monkeypatch):
+    # a chain of gates fixes every qubit: cycle-7 has 7!/14 = 360 orbits
+    monkeypatch.setattr("nncp.symmetry.ORBIT_NODE_CAP", 100)
+    names = "abcdefg"
+    path = tmp_path / "chain7.real"
+    path.write_text(f".numvars 7\n.variables {' '.join(names)}\n.begin\n"
+                    + "".join(f"t2 {x} {y}\n" for x, y in zip(names, names[1:]))
+                    + ".end\n")
+    code, out, err = run(capsys, "solve", "--circuit", str(path), "--coupling", "cycle")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "orbit count exceeds cap 100" in err
+
+
 def test_exit_code_out_of_memory(capsys, monkeypatch):
     def out_of_memory(q):
         raise MemoryError("Unable to allocate 1.58 GiB for an array")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nncp.perm import check, compose, inverse, one_line_str, pair, swap
+from nncp.perm import check, components, compose, inverse, one_line_str, pair, swap
 
 
 def perms(n):
@@ -63,3 +63,8 @@ def test_one_line_round_trip():
 
 def test_transposition_normalized():
     assert pair(4, 1) == pair(1, 4) == (1, 4)
+
+
+def test_components():
+    assert components(6, [(3, 0), (4, 3), (1, 5)]) == [[0, 3, 4], [1, 5], [2]]
+    assert components(0, []) == []

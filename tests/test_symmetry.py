@@ -136,6 +136,21 @@ def test_snf_cap():
         snf_elements(fixing_pattern(c), 9)
 
 
+def test_worklist_orbit_cap(monkeypatch):
+    # a chain of gates fixes every qubit: cycle-7 has 7!/14 = 360 orbits
+    monkeypatch.setattr(symmetry, "ORBIT_NODE_CAP", 100)
+    c = circuit_with_pattern(7, [(i, i + 1) for i in range(6)])
+    g, _, _ = make("cycle", n=7)
+    with pytest.raises(CapError, match="orbit count exceeds cap 100"):
+        quotient_graph(c, g)
+
+
+def test_quotient_graph_rejects_size_mismatch():
+    g, _, _ = make("cycle", n=5)
+    with pytest.raises(ValueError, match="circuit has 4 qubits, coupling 5 locations"):
+        quotient_graph(circuit_with_pattern(4, [(0, 1)]), g)
+
+
 # --- canonical forms over the full group --------------------------------------
 
 @pytest.mark.parametrize("family, m_side", FAMILIES)
