@@ -21,9 +21,8 @@ from .lp import (GnfpModel, LinearProgram, LpSolution, ReducedPath,
                  solve_reduced, write_lp)
 from .perm import compose, inverse, one_line_str, pair, swap
 from .reconstruct import NncpSolution, reconstruct, verify
-from .symmetry import (BTau, OrbitNode, OrbitalArc, QuotientGraph, b_tau,
-                       canonical_form, layer_orbits, quotient_graph,
-                       reduction_stats)
+from .symmetry import (BTau, OrbitNode, QuotientGraph, b_tau, canonical_form,
+                       layer_orbits, quotient_graph, reduction_stats)
 
 __version__ = "0.1.0"
 

@@ -189,9 +189,7 @@ def reynolds_check(circuit: Circuit, coupling: CouplingGraph) -> dict:
     for tag in lp.var_tags:
         if tag[0] == "lam":
             _, k, ai = tag
-            arc = q.arcs[ai]
-            src = q.nodes[arc.src]
-            key = (k, src.rep, (arc.u, arc.v))
+            key = (k, q.nodes[q.src(ai)].rep, (q.u[ai], q.v[ai]))
             values.append(aut_order * xbar.get(key, 0.0))
         else:
             _, k, u = tag

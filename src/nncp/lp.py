@@ -19,8 +19,9 @@ at their potentials; it stops once this gate's are settled and keeps only
 their potentials, as one bitmask of orbits per level.  A whole BFS level
 expands at once: through per-chunk tables of successor masks (`_expander`,
 the Four Russians trick; only nonzero chunks are looked up) when they take
-no more bytes than the arc records (`_table_fits`), otherwise over
-adjacency lists (`_adjacency_expander`).
+at most the fixed `TABLE_BYTES_LIMIT` (`_table_fits`), otherwise over
+adjacency lists read from the quotient's ``dst`` column
+(`_adjacency_expander`).
 The replay grows spheres backward from the cheapest orbit of the last
 gate, which is exact because the quotient's adjacency is symmetric.
 `simplex_solve` solves the LP and flow models with HiGHS (`simplex.py`), which
@@ -31,11 +32,11 @@ unbounded nor an iteration limit is a `SolverError`.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, pairwise
 from operator import getitem, or_
 
 from . import simplex
@@ -45,6 +46,13 @@ from .symmetry import QuotientGraph
 Tag = tuple  # ("lam", layer, arc_id) or ("theta", boundary, orbit_id)
 
 NO_PATH = "no compliant path through the quotient graph"
+
+# the most bytes the chunk tables of `_expander` may take; above it a level
+# expands over adjacency lists.  64 MiB holds the tables of up to 11 440
+# orbits: biclique:3 n=40 (9 880 orbits, 48 MiB) and cycle-8 (2 520,
+# 3.4 MiB) take them, Petersen (30 240, 440 MiB) and the 3×3 grid (45 360,
+# 988 MiB) do not.  On cycle-8 the tables made the solve about 4× faster
+TABLE_BYTES_LIMIT = 64 << 20
 
 
 @dataclass(eq=False)
@@ -105,7 +113,7 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
 
     tags: list[Tag] = []
     for k in range(1, m + 1):
-        tags.extend(("lam", k, ai) for ai in range(len(arcs)))
+        tags.extend(("lam", k, ai) for ai in arcs)
     tags.extend(("theta", 0, u) for u in range(len(nodes)))
     for k in range(1, m + 1):
         tags.extend(("theta", k, u) for u in q.compliant[k - 1])
@@ -114,8 +122,8 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
 
     objective = [Fraction(0)] * nv
     for k in range(1, m + 1):
-        for ai, arc in enumerate(arcs):
-            objective[col[("lam", k, ai)]] = _ratio(q, nodes[arc.src].orbit_size) * arc.d_out
+        for ai in arcs:
+            objective[col[("lam", k, ai)]] = _ratio(q, nodes[q.src(ai)].orbit_size) * q.d_out[ai]
 
     rows: list[list[tuple[int, Fraction]]] = []
     rhs: list[Fraction] = []
@@ -136,11 +144,12 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
             tag = ("theta", k, u)
             if tag in col:
                 acc[u][col[tag]] = Fraction(-1)
-        for ai, arc in enumerate(arcs):
+        for ai in arcs:
             j = col[("lam", k, ai)]
+            src, dst = q.src(ai), q.dst[ai]
             # self-loop orbitals accumulate d_in - d_out on one row
-            acc[arc.dst][j] = acc[arc.dst].get(j, Fraction(0)) + q.d_in(arc)
-            acc[arc.src][j] = acc[arc.src].get(j, Fraction(0)) - arc.d_out
+            acc[dst][j] = acc[dst].get(j, Fraction(0)) + q.d_in(ai)
+            acc[src][j] = acc[src].get(j, Fraction(0)) - q.d_out[ai]
         for u in range(len(nodes)):
             rows.append([(j, cv) for j, cv in acc[u].items() if cv])
             rhs.append(Fraction(0))
@@ -184,13 +193,14 @@ def build_gnfp(q: QuotientGraph) -> GnfpModel:
                             multiplier=Fraction(1, node.orbit_size),
                             tag=("theta", 0, u)))
     for k in range(1, m + 1):
-        for ai, arc in enumerate(q.arcs):
+        for ai in q.arcs:
+            src, dst = q.src(ai), q.dst[ai]
             # the multiplier d_in/d_out is |src|/|dst| by orbit–stabilizer
-            arcs.append(GnfpArc(("v", k, arc.src), ("v", k, arc.dst),
-                                cost=Fraction(nodes[arc.src].orbit_size),
-                                upper=Fraction(arc.d_out),
-                                multiplier=Fraction(nodes[arc.src].orbit_size,
-                                                    nodes[arc.dst].orbit_size),
+            arcs.append(GnfpArc(("v", k, src), ("v", k, dst),
+                                cost=Fraction(nodes[src].orbit_size),
+                                upper=Fraction(q.d_out[ai]),
+                                multiplier=Fraction(nodes[src].orbit_size,
+                                                    nodes[dst].orbit_size),
                                 tag=("lam", k, ai)))
     for k in range(1, m):
         for u in q.compliant[k - 1]:
@@ -247,14 +257,11 @@ _NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 def _table_fits(q: QuotientGraph) -> bool:
-    """Whether the chunk tables of `_expander` take no more bytes than the
-    quotient's arc records: per 4-bit chunk of orbit ids a list of 16 masks
-    of up to len(q.nodes) bits, against a record and a list slot per arc."""
-    if not q.arcs:
-        return False
+    """Whether the chunk tables of `_expander` take at most
+    `TABLE_BYTES_LIMIT`: per 4-bit chunk of orbit ids a list of 16 masks of
+    up to len(q.nodes) bits, about 0.47·orbits² bytes."""
     n = len(q.nodes)
-    table = -(-n // 4) * (sys.getsizeof([0] * 16) + 15 * sys.getsizeof(1 << n))
-    return table <= len(q.arcs) * (sys.getsizeof(q.arcs[0]) + 8)
+    return -(-n // 4) * (sys.getsizeof([0] * 16) + 15 * sys.getsizeof(1 << n)) <= TABLE_BYTES_LIMIT
 
 
 def _expander(q: QuotientGraph) -> Callable[[int], int]:
@@ -264,20 +271,40 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
     each of its 16 values, the OR of the successor masks of the orbits the
     value selects.  Expanding a set reads its mask as hex, top chunk first,
     and ORs one table entry per nonzero chunk: a zero chunk selects no
-    orbit, so its table is skipped."""
-    chunks = -(-len(q.nodes) // 4)
-    succ_mask = [0] * (4 * chunks)
-    for arc in q.arcs:
-        succ_mask[arc.src] |= 1 << arc.dst
+    orbit, so its table is skipped.  A set of at most four orbits, as on
+    stars, where a level is often one or two orbits, and in every replay
+    hop, ORs their one-orbit entries instead, which costs less than
+    formatting the mask.  The tables are built chunk by chunk from the
+    ``dst`` column, so no list of all successor masks is held."""
+    n = len(q.nodes)
+    chunks = -(-n // 4)
+    offsets, dst = q.offsets, q.dst
     tables = []
     for c in reversed(range(chunks)):
+        # the successor masks of the chunk's orbits, none past the last orbit
+        succ = [0] * 4
+        for i, (lo, hi) in enumerate(pairwise(offsets[4 * c:4 * c + 5])):
+            mask = 0
+            for w in dst[lo:hi]:
+                mask |= 1 << w
+            succ[i] = mask
         table = [0] * 16
         for value in range(1, 16):
             low = value & -value        # the entry without its lowest bit, plus that bit's orbit
-            table[value] = table[value ^ low] | succ_mask[4 * c + low.bit_length() - 1]
+            table[value] = table[value ^ low] | succ[low.bit_length() - 1]
         tables.append(table)
 
+    top = chunks - 1
+
     def expand(mask: int) -> int:
+        if mask.bit_count() <= 4:       # a few orbits: OR their one-orbit entries
+            out = 0
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
+                out |= tables[top - (u >> 2)][1 << (u & 3)]
+                mask ^= low
+            return out
         nibbles = ("%0*x" % (chunks, mask)).encode().translate(_NIBBLES)
         return reduce(or_, map(getitem, compress(tables, nibbles), filter(None, nibbles)), 0)
     return expand
@@ -289,7 +316,7 @@ def _adjacency_expander(q: QuotientGraph) -> Callable[[int], int]:
     binary string, lowest orbit first, and marks their successors in a
     byte string read back as the result mask."""
     n = len(q.nodes)
-    succ = [[q.arcs[ai].dst for ai in out] for out in q.out_arcs]
+    succ = [q.dst[lo:hi] for lo, hi in pairwise(q.offsets)]
     one = ord("1")
 
     def expand(mask: int) -> int:
@@ -309,6 +336,14 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _members(mask: int) -> Iterator[int]:
+    """The orbit ids in a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     """One BFS pass per gate over orbit bitmasks, from the previous gate's
     compliant orbits at their potentials to this gate's; then the cheapest
@@ -325,11 +360,14 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     out-arcs measure the distance *to* t because the quotient's adjacency
     is symmetric: a swap undoes itself.  A level expands through chunk
     tables (`_expander`), one lookup per nonzero 4-bit chunk of its mask,
-    when they take no more bytes than the arc records
-    (`_table_fits`): on cycle-7, stars and the bicliques measured; larger
-    sparse quotients (cycle-8, Petersen, the 3×3 grid) expand over
-    adjacency lists (`_adjacency_expander`)."""
+    when they take at most `TABLE_BYTES_LIMIT` (`_table_fits`): on cycles
+    7 and 8, stars and the bicliques measured; larger quotients (Petersen,
+    the 3×3 grid) expand over adjacency lists (`_adjacency_expander`).  A
+    hop of the walk is the first of v's out-arcs, in ``dst`` order, into the
+    next sphere: per orbit w the sphere shares with v's successors,
+    ``dst.index`` finds v's first arc into w, and the least of those wins."""
     expand = _expander(q) if _table_fits(q) else _adjacency_expander(q)
+    offsets, dst = q.offsets, q.dst
     mask_of: dict[int, int] = {}        # per compliant list (shared per pair), its mask
     for ids in q.compliant:
         if id(ids) not in mask_of:
@@ -375,9 +413,12 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
         s = v = _lowest(spheres[-1] & prev[j])
         arcs = []
         for sphere in reversed(spheres[:-1]):   # one hop down per sphere
-            ai = next(ai for ai in q.out_arcs[v] if sphere >> q.arcs[ai].dst & 1)
+            # v's first out-arc into the sphere: the least of the first
+            # out-arcs into each of its successors there
+            lo, hi = offsets[v], offsets[v + 1]
+            ai = min(dst.index(w, lo, hi) for w in _members(sphere & expand(1 << v)))
             arcs.append(ai)
-            v = q.arcs[ai].dst
+            v = dst[ai]
         hops.append(arcs)
         t, potential = s, prev_base + j
     hops.reverse()

@@ -132,11 +132,10 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
     swaps: list[tuple[int, tuple[int, int]]] = []
     for k, hop in enumerate(path.hops, start=1):
         for ai in hop:
-            arc = q.arcs[ai]
-            t = step(tau, arc)
+            t = step(tau, ai)
             if t is None:
                 raise SolverError(
-                    f"arc {ai} after gate {k} leads out of orbit {arc.src}, "
+                    f"arc {ai} after gate {k} leads out of orbit {q.src(ai)}, "
                     f"but the order is not in that orbit")
             swaps.append((k, t))
             i, j = t

@@ -35,7 +35,10 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     the same orbit.  Either way, an arc stores only its out-degree;
   * the quotient graph: orbit nodes, orbital arcs, and per-gate compliance
     marks.  All layers share one node/arc structure since the layers are
-    identical copies; only the compliance marks vary by gate.  An orbital
+    identical copies; only the compliance marks vary by gate.  The arcs are
+    typed-array columns in CSR form, sorted by source (`QuotientGraph`):
+    per-orbit offsets and per-arc ``dst``, ``u``, ``v`` and ``d_out``, with
+    no object per arc; both builders fill them orbit by orbit.  An orbital
     holds |src|·d_out concrete moves, which is |dst|·d_in counted from its
     other end, so `QuotientGraph.d_in` computes the in-degree on demand, for
     the LP models, from the out-degree and the two orbit sizes.
@@ -46,12 +49,11 @@ tests; nothing on the solve path calls it.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import itertools
 import math
 import operator
-from bisect import insort
+from array import array
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +66,8 @@ ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
 
 Edge = tuple[int, int]
+# a layer's orbitals as columns: offsets, dst, u, v, d_out (see QuotientGraph)
+Columns = tuple[array, array, array, array, array]
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +163,6 @@ class OrbitNode:
     orbit_size: int
 
 
-@dataclass(eq=False, slots=True)
-class OrbitalArc:
-    """Orbit ``src``'s moves along the B_τ edge class of (u, v), u < v:
-    ``d_out`` per member of ``src``.  The in-degree per member of ``dst`` is
-    not stored; `QuotientGraph.d_in` derives it."""
-
-    src: int
-    dst: int
-    u: int
-    v: int
-    d_out: int
-
-
 def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
                    ) -> tuple[Perm, Perm]:
     """Canonical representative of the full orbit S_n(F)·τ·Aut(Coup(E)):
@@ -224,26 +215,12 @@ def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
     return tuple(rep), aut.elements[min(frontier)]
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector while an orbit build runs.  Its
-    records hold only ints and form no cycles, so the collector's repeated
-    passes over the growing lists find nothing; on biclique:3 n=40 (1.1M
-    arcs) they took half of the build."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def layer_orbits(fp: FixingPattern, g: CouplingGraph
-                 ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
+                 ) -> tuple[list[OrbitNode], Columns]:
     """Orbits of a layer and their orbitals.  Nodes come out sorted by
     representative, arcs by source node and then by edge (u, v), the
-    smallest edge of the arc's B_τ edge class.
+    smallest edge of the arc's B_τ edge class, as the columns of
+    `QuotientGraph`: offsets, dst, u, v and d_out.
 
     A split coupling (star or biclique) is built in closed form from class
     vectors, with no canonicalization (`_split_orbits`); cycle and general
@@ -300,7 +277,7 @@ def _small_sides(sizes: list[int], m: int) -> list[tuple[int, ...]]:
 
 
 def _split_orbits(fp: FixingPattern, g: CouplingGraph
-                  ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
+                  ) -> tuple[list[OrbitNode], Columns]:
     """`layer_orbits` on K_{M,N} (a star when M = 1), from class vectors.
 
     Aut is every relabeling that keeps each side, so an orbit of
@@ -334,34 +311,45 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
             k[c] += 1
         held = set(small)
         on_small = {q for c in held for q in classes[c][:k[c]]}
-        rep = tuple(sorted(on_small)) + tuple(q for q in range(n) if q not in on_small)
+        rep = tuple(sorted(on_small)) + tuple(itertools.filterfalse(on_small.__contains__, range(n)))
         found.append((rep, k, sum(map(weight.__getitem__, small)),
                       math.prod(math.comb(sizes[c], k[c]) for c in held)))
     found.sort(key=lambda row: row[0])
     index = {key: i for i, (_, _, key, _) in enumerate(found)}
 
     nodes = []
-    arcs = []
-    with _collector_paused():
-        for i, (rep, k, key, ways) in enumerate(found):
-            nodes.append(OrbitNode(rep=rep, orbit_size=g.aut.order * ways))
-            # each class's first location on either side, in location order: the
-            # sides are sorted and every class lists its members in ascending order
-            low = [(u, cls[q]) for u, q in enumerate(rep[:m]) if q == classes[cls[q]][0]]
-            high = [(v, weight[d], sizes[d] - k[d]) for v, q in enumerate(rep[m:], m)
-                    for d in (cls[q],) if q == classes[d][k[d]]]
-            for u, c in low:
-                kc = k[c]
-                base = key - weight[c]
-                for v, wd, left in high:
-                    arcs.append(OrbitalArc(i, index[base + wd], u, v, kc * left))
-    return nodes, arcs
+    columns = offsets, dst, us, vs, d_out = _empty_columns()
+    dst_of = index.__getitem__
+    for rep, k, key, ways in found:
+        nodes.append(OrbitNode(rep=rep, orbit_size=g.aut.order * ways))
+        # each class's first location on either side, in location order: the
+        # sides are sorted and every class lists its members in ascending order
+        low = [(u, cls[q]) for u, q in enumerate(rep[:m]) if q == classes[cls[q]][0]]
+        # the large side holds a qubit of every class with room there, so
+        # neither list is empty
+        hv, hw, room = zip(*[(v, weight[d], sizes[d] - k[d]) for v, q in enumerate(rep[m:], m)
+                             for d in (cls[q],) if q == classes[d][k[d]]])
+        for u, c in low:
+            dst.fromlist(list(map(dst_of, map((key - weight[c]).__add__, hw))))
+            us.fromlist([u] * len(hv))
+            vs.fromlist(list(hv))
+            d_out.fromlist(list(map(k[c].__mul__, room)))
+        offsets.append(len(dst))
+    return nodes, columns
+
+
+def _empty_columns() -> Columns:
+    """Offsets [0] and empty dst, u, v and d_out columns.  Orbit ids (under
+    `ORBIT_NODE_CAP`) and locations are C ints.  An offset counts arcs, up to
+    orbits·|E|, and a d_out is at most |E|, which is M·N on K_{M,N}: either
+    may pass 2^31 − 1, so those two are 64-bit."""
+    return array("q", [0]), array("i"), array("i"), array("i"), array("q")
 
 
 def replay_step(q: QuotientGraph, entry: Perm):
-    """``step(tau, arc)`` for `reconstruct`'s walk from ``entry``: the swap
-    that moves the current order ``tau`` along ``arc``, or None if ``tau`` is
-    not in the arc's source orbit.  A star or biclique steps by class
+    """``step(tau, ai)`` for `reconstruct`'s walk from ``entry``: the swap
+    that moves the current order ``tau`` along arc ``ai``, or None if ``tau``
+    is not in the arc's source orbit.  A star or biclique steps by class
     vectors (`_split_step`), a cycle or general coupling by
     canonicalization (`_canonical_step`)."""
     if q.coupling.split is None:
@@ -386,11 +374,11 @@ def _split_step(q: QuotientGraph, entry: Perm):
     for y, x in enumerate(entry):
         (small if y < m else large)[cls[x]].append(y)   # ascending
 
-    def step(tau: list[int], arc: OrbitalArc) -> tuple[int, int] | None:
-        rep = q.nodes[arc.src].rep
+    def step(tau: list[int], ai: int) -> tuple[int, int] | None:
+        rep = q.nodes[q.src(ai)].rep
         if sorted(map(at, tau[:m])) != sorted(map(at, rep[:m])):
             return None
-        c, d = cls[rep[arc.u]], cls[rep[arc.v]]
+        c, d = cls[rep[q.u[ai]]], cls[rep[q.v[ai]]]
         y = small[c].pop(0)
         z = large[d].pop(0)
         insort(small[d], y)
@@ -404,18 +392,18 @@ def _canonical_step(q: QuotientGraph):
     """`replay_step` on a cycle or general coupling: canonicalize the order,
     τ ↦ (rep, b), and swap along the edge b⁻¹ maps onto the arc's edge."""
 
-    def step(tau: list[int], arc: OrbitalArc) -> tuple[int, int] | None:
+    def step(tau: list[int], ai: int) -> tuple[int, int] | None:
         rep, b = canonical_form(tuple(tau), q.fp, q.coupling)
-        if rep != q.nodes[arc.src].rep:
+        if rep != q.nodes[q.src(ai)].rep:
             return None
         at = b.index                    # b⁻¹ at one point, with no whole inverse
-        return pair(at(arc.u), at(arc.v))
+        return pair(at(q.u[ai]), at(q.v[ai]))
 
     return step
 
 
 def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
-                     ) -> tuple[list[OrbitNode], list[OrbitalArc]]:
+                     ) -> tuple[list[OrbitNode], Columns]:
     """`layer_orbits` for any coupling, in one worklist pass.
 
     B_τ is computed when an orbit is processed (once in all for a trivial
@@ -439,57 +427,66 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     trivial_class_of = (None if trivial_bt is None else
                         {e: k for k, cl in enumerate(trivial_bt.edge_orbits) for e in cl})
     sizes: list[int] = []
-    # per orbit (by discovery id) its arcs, with discovery ids
-    rows: list[list[OrbitalArc]] = []
+    # the arcs in discovery order, with discovery ids: orbit i's are
+    # first[i]:first[i + 1]
+    first = [0]
+    dst: list[int] = []
+    us: list[int] = []
+    vs: list[int] = []
+    d_out: list[int] = []
     # per orbit not yet processed: edge -> the earlier orbit a move along it
     # reaches, named by that orbit's canonicalization of the reverse move.
     # Keys are sorted edge tuples (`pair`), equal to those in the edge classes
     back: list[dict[Edge, int] | None] = [{}]
-    with _collector_paused():
-        for i, rep in enumerate(reps):          # grows as orbits are found
-            bt = trivial_bt or b_tau(rep, fp, g)
-            size, remainder = divmod(group_order, bt.order)
-            assert remainder == 0
-            sizes.append(size)
-            # the destination of each edge class that holds a named edge
-            dest = [None] * len(bt.edge_orbits)
-            if back[i]:
-                class_of = trivial_class_of or {
-                    e: k for k, cl in enumerate(bt.edge_orbits) for e in cl}
-                for e, src in back[i].items():
-                    dest[class_of[e]] = src
-            back[i] = None
-            row = []
-            for cl, j in zip(bt.edge_orbits, dest):
-                u, v = cl[0]
+    for i, rep in enumerate(reps):          # grows as orbits are found
+        bt = trivial_bt or b_tau(rep, fp, g)
+        size, remainder = divmod(group_order, bt.order)
+        assert remainder == 0
+        sizes.append(size)
+        # the destination of each edge class that holds a named edge
+        dest = [None] * len(bt.edge_orbits)
+        if back[i]:
+            class_of = trivial_class_of or {
+                e: k for k, cl in enumerate(bt.edge_orbits) for e in cl}
+            for e, src in back[i].items():
+                dest[class_of[e]] = src
+        back[i] = None
+        for cl, j in zip(bt.edge_orbits, dest):
+            u, v = cl[0]
+            if j is None:
+                dst_rep, b = canonical_form(swap(rep, u, v), fp, g)
+                j = index.get(dst_rep)
                 if j is None:
-                    dst_rep, b = canonical_form(swap(rep, u, v), fp, g)
-                    j = index.get(dst_rep)
-                    if j is None:
-                        if len(reps) >= ORBIT_NODE_CAP:
-                            raise CapError(
-                                f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
-                                "use a more symmetric coupling family or smaller n")
-                        j = len(reps)
-                        index[dst_rep] = j
-                        reps.append(dst_rep)
-                        back.append({})
-                    if j > i:
-                        back[j][pair(b[u], b[v])] = i
-                row.append(OrbitalArc(i, j, u, v, len(cl)))
-            rows.append(row)
+                    if len(reps) >= ORBIT_NODE_CAP:
+                        raise CapError(
+                            f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
+                            "use a more symmetric coupling family or smaller n")
+                    j = len(reps)
+                    index[dst_rep] = j
+                    reps.append(dst_rep)
+                    back.append({})
+                if j > i:
+                    back[j][pair(b[u], b[v])] = i
+            dst.append(j)
+            us.append(u)
+            vs.append(v)
+            d_out.append(len(cl))
+        first.append(len(dst))
 
+    # renumber the orbits by representative, and regroup the arcs to match
     order = sorted(range(len(reps)), key=reps.__getitem__)
     new_id = [0] * len(order)
     for k, i in enumerate(order):
         new_id[i] = k
     nodes = [OrbitNode(rep=reps[i], orbit_size=sizes[i]) for i in order]
-    arcs = []
+    dst = list(map(new_id.__getitem__, dst))
+    offsets, *cols = columns = _empty_columns()
     for i in order:
-        for arc in rows[i]:
-            arc.src, arc.dst = new_id[i], new_id[arc.dst]
-            arcs.append(arc)
-    return nodes, arcs
+        lo, hi = first[i], first[i + 1]
+        for col, found in zip(cols, (dst, us, vs, d_out)):
+            col.fromlist(found[lo:hi])
+        offsets.append(offsets[-1] + hi - lo)
+    return nodes, columns
 
 
 # perfbench/spans.py wraps this name; nothing calls it
@@ -502,8 +499,13 @@ layer_orbitals = layer_orbits
 @dataclass(eq=False)
 class QuotientGraph:
     """Shared per-layer orbit/orbital structure plus per-gate compliance.
-    Arcs are sorted by source, so ``out_arcs[u]`` is the index range of
-    orbit u's arcs in ``arcs``.
+
+    The orbitals are held as columns (typed arrays), one entry per arc and
+    sorted by source: arc ``ai`` moves orbit ``src(ai)`` along the B_τ edge
+    class of the edge (``u[ai]``, ``v[ai]``), u < v, into orbit ``dst[ai]``,
+    ``d_out[ai]`` ways per member of the source.  Orbit i's arcs are
+    ``offsets[i]:offsets[i + 1]``, so the source is not stored, and neither is
+    the in-degree (`d_in`).  ``arcs`` is the range of arc ids.
 
     ``compliant[k]`` lists the orbit ids whose members put gate k's qubits on
     adjacent locations; gates on one qubit pair share the list.  The source
@@ -514,9 +516,12 @@ class QuotientGraph:
     coupling: CouplingGraph
     fp: FixingPattern
     nodes: list[OrbitNode]
-    arcs: list[OrbitalArc]
+    offsets: array
+    dst: array
+    u: array
+    v: array
+    d_out: array
     compliant: list[list[int]]
-    out_arcs: list[range]
 
     @property
     def n(self) -> int:
@@ -526,11 +531,21 @@ class QuotientGraph:
     def m(self) -> int:
         return self.circuit.m
 
-    def d_in(self, arc: OrbitalArc) -> int:
-        """Moves of ``arc`` per member of its destination, by orbit–stabilizer:
-        the orbital's |src|·d_out concrete moves are |dst|·d_in."""
-        d_in, remainder = divmod(self.nodes[arc.src].orbit_size * arc.d_out,
-                                 self.nodes[arc.dst].orbit_size)
+    @property
+    def arcs(self) -> range:
+        return range(len(self.dst))
+
+    def src(self, ai: int) -> int:
+        """The source orbit of arc ``ai``: the last orbit whose arcs start at
+        or before it."""
+        return bisect_right(self.offsets, ai) - 1
+
+    def d_in(self, ai: int) -> int:
+        """Moves of arc ``ai`` per member of its destination, by
+        orbit–stabilizer: the orbital's |src|·d_out concrete moves are
+        |dst|·d_in."""
+        d_in, remainder = divmod(self.nodes[self.src(ai)].orbit_size * self.d_out[ai],
+                                 self.nodes[self.dst[ai]].orbit_size)
         assert remainder == 0
         return d_in
 
@@ -539,13 +554,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     if c.n != g.n:
         raise ValueError(f"circuit has {c.n} qubits, coupling {g.n} locations")
     fp = fixing_pattern(c)
-    nodes, arcs = layer_orbits(fp, g)
-
-    starts = [0] * (len(nodes) + 1)
-    for arc in arcs:
-        starts[arc.src + 1] += 1
-    starts = list(itertools.accumulate(starts))
-    out_arcs = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+    nodes, (offsets, dst, us, vs, d_out) = layer_orbits(fp, g)
 
     pairs = set(c.gates)
     if g.split is not None:
@@ -576,8 +585,8 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     compliant = [by_pair[gate] for gate in c.gates]     # one list per pair
 
     return QuotientGraph(
-        circuit=c, coupling=g, fp=fp, nodes=nodes, arcs=arcs,
-        compliant=compliant, out_arcs=out_arcs)
+        circuit=c, coupling=g, fp=fp, nodes=nodes, offsets=offsets, dst=dst,
+        u=us, v=vs, d_out=d_out, compliant=compliant)
 
 
 def reduction_stats(q: QuotientGraph) -> dict:

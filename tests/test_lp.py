@@ -4,6 +4,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,13 +64,13 @@ def test_conservation_rows_balance():
     for j, tag in enumerate(lp.var_tags):
         if tag[0] != "lam":
             continue
-        arc = q.arcs[tag[2]]
-        if arc.src == arc.dst:   # self-loop orbitals merge to a net entry
-            net = Fraction(q.d_in(arc) - arc.d_out)
+        ai = tag[2]
+        if q.src(ai) == q.dst[ai]:   # self-loop orbitals merge to a net entry
+            net = Fraction(q.d_in(ai) - q.d_out[ai])
             assert by_col.get(j, []) == ([net] if net else [])
         else:
             assert sorted(by_col[j]) == sorted(
-                [Fraction(q.d_in(arc)), Fraction(-arc.d_out)])
+                [Fraction(q.d_in(ai)), Fraction(-q.d_out[ai])])
 
 
 def test_builders_reject_empty_circuits():
@@ -82,7 +83,7 @@ def test_builders_reject_empty_circuits():
 
 
 def has_multipliers(q):
-    return any(arc.d_out != 1 or q.d_in(arc) != 1 for arc in q.arcs)
+    return any(q.d_out[ai] != 1 or q.d_in(ai) != 1 for ai in q.arcs)
 
 
 def linprog_objective(lp):
@@ -245,8 +246,8 @@ def global_01_bfs(q):
                 dist[k + 1][u] = d
                 parent[(k + 1, u)] = ((k, u), None)
                 dq.appendleft((d, k + 1, u))
-        for ai in q.out_arcs[u]:
-            v = q.arcs[ai].dst
+        for ai in range(q.offsets[u], q.offsets[u + 1]):
+            v = q.dst[ai]
             if d + 1 < dist[k][v]:
                 dist[k][v] = d + 1
                 parent[(k, v)] = ((k, u), ai)
@@ -308,11 +309,95 @@ def test_per_gate_solver_matches_global_bfs(monkeypatch, seed):
         assert schedule.opt == opt
 
 
-@pytest.mark.parametrize("n, expander", [(7, "_expander"), (8, "_adjacency_expander")])
-def test_size_rule_picks_the_expander(monkeypatch, n, expander):
-    # a chain fixes every qubit: cycle-7 has 360 orbits and 2 520 arcs, so
-    # its tables (about 120 kB) fit in the arc records (about 200 kB);
-    # cycle-8 has 2 520 orbits and 20 160 arcs, tables of 3.5 MB against 1.6 MB
+def replay_oracle(q):
+    """The solver's path by plain sets and scans: each gate's potentials by
+    a BFS from the previous gate's compliant orbits at theirs, then the
+    backward walk from the cheapest orbit t of the last gate.  Spheres
+    around t grow until sphere r holds an orbit of the previous gate at
+    potential P − r; the lowest such orbit s starts the walk down the
+    spheres, each hop the first out-arc, scanning ``dst`` in order, whose
+    destination lies in the next sphere in."""
+    out = [list(q.dst[q.offsets[u]:q.offsets[u + 1]]) for u in range(len(q.nodes))]
+    pots = [dict.fromkeys(range(len(q.nodes)), 0)]
+    for ids in q.compliant:
+        dist = {}
+        start = sorted(pots[-1].items(), key=lambda kv: kv[1])
+        frontier, d = [], start[0][1]
+        while start or frontier:
+            frontier += [u for u, p in start if p == d and u not in dist]
+            start = [(u, p) for u, p in start if p != d]
+            for u in frontier:
+                dist.setdefault(u, d)
+            frontier = sorted({w for u in frontier if dist[u] == d for w in out[u]} - set(dist))
+            d += 1
+        pots.append({u: dist[u] for u in ids})
+
+    potential = min(pots[-1].values())
+    t = min(u for u, p in pots[-1].items() if p == potential)
+    opt, hops = potential, []
+    for k in range(q.m, 1, -1):
+        spheres, seen = [{t}], {t}
+        while not any(pots[k - 1].get(x) == potential - len(spheres) + 1 for x in spheres[-1]):
+            spheres.append({w for u in spheres[-1] for w in out[u]} - seen)
+            seen |= spheres[-1]
+        r = len(spheres) - 1
+        s = v = min(x for x in spheres[-1] if pots[k - 1].get(x) == potential - r)
+        arcs = []
+        for sphere in reversed(spheres[:-1]):
+            lo = q.offsets[v]
+            ai = lo + next(i for i, w in enumerate(out[v]) if w in sphere)
+            arcs.append(ai)
+            v = q.dst[ai]
+        hops.append(arcs)
+        t, potential = s, potential - r
+    hops.reverse()
+    return ReducedPath(opt=opt, entry=t, hops=hops)
+
+
+def seeded_replay_instance(seed):
+    """`random_deep_instance`, or a star of 12-30 or a biclique of 8-14
+    locations with idle qubits and an isolated pair."""
+    if seed % 3:
+        return random_deep_instance(seed)
+    rng = random.Random(f"replay-{seed}")
+    n = rng.randint(8, 14) if seed % 2 else rng.randint(12, 30)
+    qubits = rng.sample(range(n), rng.randint(3, n - 2))
+    pairs = [tuple(rng.sample(qubits, 2)) for _ in range(rng.randint(10, 40))]
+    spare = [x for x in range(n) if x not in qubits]
+    pairs.insert(rng.randrange(len(pairs)), tuple(spare[:2]))
+    c = decompose([RawGate(CNOT, p) for p in pairs], n=n)
+    if seed % 2:
+        return c, make("biclique", n=n, m_side=rng.randint(2, 3))[0]
+    return c, make("star", n=n)[0]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_replay_matches_first_arc_oracle(monkeypatch, seed):
+    # the replay finds each hop with dst.index per candidate successor; the
+    # oracle scans each orbit's out-arcs in order.  The hop lists, the entry
+    # and the optimum must be the same under both level expanders
+    c, g = seeded_replay_instance(seed)
+    q = quotient_graph(c, g)
+    ref = replay_oracle(q)
+    for tables in (True, False):
+        monkeypatch.setattr("nncp.lp._table_fits", lambda q, tables=tables: tables)
+        path = solve_reduced(q)[1]
+        assert (path.opt, path.entry, path.hops) == (ref.opt, ref.entry, ref.hops)
+    assert verify(reconstruct(q, ref), c, g)["ok"]
+
+
+@pytest.mark.parametrize("n, limit, expander", [
+    pytest.param(7, None, "_expander", id="7-_expander"),
+    pytest.param(8, None, "_expander", id="8-_expander"),
+    pytest.param(8, 1 << 20, "_adjacency_expander", id="8-_adjacency_expander"),
+])
+def test_size_rule_picks_the_expander(monkeypatch, n, limit, expander):
+    # a chain fixes every qubit: cycle-7 has 360 orbits, tables of about
+    # 110 kB, and cycle-8 has 2 520 orbits, tables of about 3.4 MiB.  Both
+    # are under TABLE_BYTES_LIMIT; under a 1 MiB limit cycle-8 expands over
+    # adjacency lists
+    if limit is not None:
+        monkeypatch.setattr("nncp.lp.TABLE_BYTES_LIMIT", limit)
     c = decompose([RawGate(CNOT, (x, x + 1)) for x in range(n - 1)], n=n)
     g, _, _ = make("cycle", n=n)
     q = quotient_graph(c, g)
@@ -326,6 +411,15 @@ def test_size_rule_picks_the_expander(monkeypatch, n, expander):
     opt, path = solve_reduced(q)
     assert called == [expander]
     assert verify(reconstruct(q, path), c, g)["ok"]
+
+
+def test_table_limit_splits_the_measured_quotients():
+    # the limit reads only the orbit count: biclique:3 n=40 (9 880 orbits)
+    # keeps its tables, Petersen (30 240) and the 3×3 grid (45 360) do not
+    def fits(orbits):
+        return _table_fits(SimpleNamespace(nodes=range(orbits)))
+
+    assert fits(9880) and not fits(30240) and not fits(45360)
 
 
 @pytest.mark.parametrize("family, n, chain, orbits", [
@@ -343,8 +437,8 @@ def test_expanders_agree(family, n, chain, orbits):
     q = quotient_graph(decompose([RawGate(CNOT, (x, x + 1)) for x in range(chain)], n=n), g)
     assert len(q.nodes) == orbits
     succ = [0] * orbits
-    for arc in q.arcs:
-        succ[arc.src] |= 1 << arc.dst
+    for ai in q.arcs:
+        succ[q.src(ai)] |= 1 << q.dst[ai]
 
     def reference(mask):
         return reduce(or_, (succ[u] for u in range(orbits) if mask >> u & 1), 0)

@@ -41,7 +41,7 @@ def test_reconstruct_from_shortest_path():
 def test_reconstruct_from_lp_support():
     # a pair pattern: orbitals with in/out multipliers other than 1
     c, g, q, opt, sol = solved(4, [(0, 1), (2, 3), (0, 1)], "star")
-    assert any(arc.d_out != 1 or q.d_in(arc) != 1 for arc in q.arcs)
+    assert any(q.d_out[ai] != 1 or q.d_in(ai) != 1 for ai in q.arcs)
     assert isinstance(sol, ReducedPath)
     schedule = reconstruct(q, sol)
     assert schedule.opt == opt == 2
@@ -180,7 +180,7 @@ def test_reconstruct_dead_end():
         # swap along an arc that leaves some other orbit than the current one
         k = next(k for k, hop in enumerate(sol.hops) if hop)
         ai = sol.hops[k][0]
-        wrong = next(bi for bi, arc in enumerate(q.arcs) if arc.src != q.arcs[ai].src)
+        wrong = next(bi for bi in q.arcs if q.src(bi) != q.src(ai))
         hops = [list(hop) for hop in sol.hops]
         hops[k][0] = wrong
         with pytest.raises(SolverError, match="out of orbit"):
@@ -197,10 +197,9 @@ def canonicalizing_replay(q, path):
     orders, swaps = [tau], []
     for k, hop in enumerate(path.hops, start=1):
         for ai in hop:
-            arc = q.arcs[ai]
             rep, b = sides_oracle(tau, q.fp, q.coupling)
-            assert rep == q.nodes[arc.src].rep
-            t = pair(b.index(arc.u), b.index(arc.v))
+            assert rep == q.nodes[q.src(ai)].rep
+            t = pair(b.index(q.u[ai]), b.index(q.v[ai]))
             swaps.append((k, t))
             tau = swap(tau, *t)
         orders.append(tau)

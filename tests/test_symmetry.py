@@ -216,14 +216,14 @@ def test_orbit_sizes_partition_all_permutations(family, m_side, pattern):
     assert sum(nd.orbit_size for nd in nodes) == 120    # partition of S_5
     q = quotient_graph(c, g)
     # arc sizes partition the concrete intra-layer arcs
-    sizes = [q.nodes[a.src].orbit_size * a.d_out for a in q.arcs]
+    sizes = [q.nodes[q.src(ai)].orbit_size * q.d_out[ai] for ai in q.arcs]
     assert sum(sizes) == 120 * len(g.edges)
-    for a, size in zip(q.arcs, sizes):
-        assert size == q.nodes[a.dst].orbit_size * q.d_in(a)
+    for ai, size in zip(q.arcs, sizes):
+        assert size == q.nodes[q.dst[ai]].orbit_size * q.d_in(ai)
     # every member of an orbit has |E| out-moves and |E| in-moves
     for u in range(len(q.nodes)):
-        assert sum(a.d_out for a in q.arcs if a.src == u) == len(g.edges)
-        assert sum(q.d_in(a) for a in q.arcs if a.dst == u) == len(g.edges)
+        assert sum(q.d_out[ai] for ai in q.arcs if q.src(ai) == u) == len(g.edges)
+        assert sum(q.d_in(ai) for ai in q.arcs if q.dst[ai] == u) == len(g.edges)
 
 
 @pytest.mark.parametrize("family, arg", FAMILIES + [("general", "ladder")])
@@ -235,18 +235,20 @@ def test_d_in_matches_witness_oracle(family, arg, pattern):
     n = 6 if arg == "ladder" else 5     # qubit 5 idles on the ladder
     c = circuit_with_pattern(n, PATTERNS[pattern])
     q = quotient_graph(c, listed_graph(family, arg, n))
-    for a in q.arcs:
-        rep = q.nodes[a.src].rep
-        dst_rep, b = canonical_form(swap(rep, a.u, a.v), q.fp, q.coupling)
-        assert dst_rep == q.nodes[a.dst].rep
-        e = tuple(sorted((b[a.u], b[a.v])))
+    for ai in q.arcs:
+        u, v = q.u[ai], q.v[ai]
+        rep = q.nodes[q.src(ai)].rep
+        dst_rep, b = canonical_form(swap(rep, u, v), q.fp, q.coupling)
+        assert dst_rep == q.nodes[q.dst[ai]].rep
+        e = tuple(sorted((b[u], b[v])))
         bt = b_tau(dst_rep, q.fp, q.coupling)
-        assert q.d_in(a) == next(len(cl) for cl in bt.edge_orbits if e in cl), a
+        assert q.d_in(ai) == next(len(cl) for cl in bt.edge_orbits if e in cl), ai
 
 
 def test_quotient_memory_per_arc():
-    # every arc is one slotted record, with no stored in-degree
-    assert symmetry.OrbitalArc.__slots__ == ("src", "dst", "u", "v", "d_out")
+    # the arcs are typed columns, with no stored source or in-degree: 20
+    # bytes per arc, and the retained total measured about 30 with the nodes
+    # and compliance lists
     c = decompose(random_class_i(16, 40, seed=1), n=16)
     g = coupling_from_descriptor("biclique:3", 16)
     quotient_graph(c, g)                # warm-up: one-time caches and interning
@@ -256,8 +258,10 @@ def test_quotient_memory_per_arc():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert [col.typecode for col in (q.offsets, q.dst, q.u, q.v, q.d_out)] == \
+        ["q", "i", "i", "i", "q"]
     assert len(q.arcs) == 21_840
-    assert retained / len(q.arcs) <= 230
+    assert retained / len(q.arcs) <= 40
 
 
 @pytest.mark.parametrize("family, arg", FAMILIES)
@@ -280,7 +284,7 @@ def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypa
     if g.split is not None:
         assert len(calls) == 0
     else:
-        loops = sum(a.src == a.dst for a in q.arcs)
+        loops = sum(q.src(ai) == q.dst[ai] for ai in q.arcs)
         assert len(calls) == 1 + (len(q.arcs) - loops) // 2 + loops
 
 
@@ -299,8 +303,9 @@ def test_worklist_orbitals_come_in_reverse_pairs(family, arg, n, pattern):
              "pairs": [(q, q + 1) for q in range(0, n - 1, 2)],
              "idle": [(1, 3)]}[pattern]
     fp = fixing_pattern(circuit_with_pattern(n, pairs))
-    nodes, arcs = symmetry.layer_orbits(fp, family_graph(family, arg, n))
-    moves = [(a.src, a.dst, nodes[a.src].orbit_size * a.d_out) for a in arcs]
+    nodes, (offsets, dst, _, _, d_out) = symmetry.layer_orbits(fp, family_graph(family, arg, n))
+    moves = [(src, dst[ai], nodes[src].orbit_size * d_out[ai])
+             for src in range(len(nodes)) for ai in range(offsets[src], offsets[src + 1])]
     assert Counter(moves) == Counter((dst, src, size) for src, dst, size in moves)
 
 
@@ -381,8 +386,13 @@ def test_quotient_lookup_tables():
     c = circuit_with_pattern(n, PATTERNS["mixed"])
     g, _, _ = make("cycle", n=n)
     q = quotient_graph(c, g)
-    for ai, arc in enumerate(q.arcs):
-        assert ai in q.out_arcs[arc.src]
+    # orbit u's arcs are offsets[u]:offsets[u + 1], and src finds u from them
+    assert q.offsets[0] == 0 and q.offsets[-1] == len(q.arcs) == len(q.dst)
+    assert len(q.offsets) == len(q.nodes) + 1
+    for u in range(len(q.nodes)):
+        assert q.offsets[u] < q.offsets[u + 1]
+        assert all(q.src(ai) == u for ai in range(q.offsets[u], q.offsets[u + 1]))
+    assert len(q.u) == len(q.v) == len(q.d_out) == len(q.arcs)
 
 
 def test_reduction_stats_formulas():
