@@ -317,18 +317,16 @@ def replay_oracle(q):
     potential P − r; the lowest such orbit s starts the walk down the
     spheres, each hop the first out-arc, scanning ``dst`` in order, whose
     destination lies in the next sphere in."""
-    out = [list(q.dst[q.offsets[u]:q.offsets[u + 1]]) for u in range(len(q.nodes))]
-    pots = [dict.fromkeys(range(len(q.nodes)), 0)]
+    n = len(q.nodes)
+    out = [list(q.dst[q.offsets[u]:q.offsets[u + 1]]) for u in range(n)]
+    pots = [dict.fromkeys(range(n), 0)]
     for ids in q.compliant:
-        dist = {}
-        start = sorted(pots[-1].items(), key=lambda kv: kv[1])
-        frontier, d = [], start[0][1]
-        while start or frontier:
-            frontier += [u for u, p in start if p == d and u not in dist]
-            start = [(u, p) for u, p in start if p != d]
-            for u in frontier:
-                dist.setdefault(u, d)
-            frontier = sorted({w for u in frontier if dist[u] == d for w in out[u]} - set(dist))
+        # level d: the orbits injected at d or reached from level d - 1
+        dist, reached, d = {}, set(), min(pots[-1].values())
+        while len(dist) < n:        # the quotient is connected
+            level = (reached | {u for u, p in pots[-1].items() if p == d}) - dist.keys()
+            dist.update(dict.fromkeys(level, d))
+            reached = {w for u in level for w in out[u]}
             d += 1
         pots.append({u: dist[u] for u in ids})
 
