@@ -13,7 +13,6 @@ no decomposition search).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ParseError
@@ -76,41 +75,78 @@ DIRECTIVES = {
 }
 
 
-@dataclass(frozen=True)
-class RawGate:
+class Frozen:
+    """Base of the immutable records (`RawGate`, `FixingPattern`,
+    `lp.GnfpArc`).  Two records are equal, and hash alike, when they are of
+    one class and their ``_fields`` agree.  ``__init__`` stores the fields
+    with `_store`; assigning or deleting an attribute afterwards raises
+    AttributeError.  `functools.cached_property` still works, as it writes
+    ``__dict__`` directly."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, **fields):
+        self.__dict__.update(fields)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RawGate(Frozen):
     """A named gate as read from a file: controls first, target(s) last."""
 
-    kind: str
-    qubits: tuple[int, ...]
+    _fields = ("kind", "qubits")
 
-    def __post_init__(self):
-        if self.kind not in ARITY:
-            raise ParseError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != ARITY[self.kind]:
-            raise ParseError(
-                f"{self.kind} expects {ARITY[self.kind]} qubits, got {len(self.qubits)}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ParseError(f"{self.kind} acts on repeated qubits {self.qubits}")
+    def __init__(self, kind: str, qubits: tuple[int, ...]):
+        if kind not in ARITY:
+            raise ParseError(f"unknown gate kind {kind!r}")
+        if len(qubits) != ARITY[kind]:
+            raise ParseError(f"{kind} expects {ARITY[kind]} qubits, got {len(qubits)}")
+        if len(set(qubits)) != len(qubits):
+            raise ParseError(f"{kind} acts on repeated qubits {qubits}")
+        self._store(kind=kind, qubits=qubits)
 
 
-@dataclass
 class Circuit:
     """A preprocessed circuit: n qubits and an ordered list of two-qubit
-    gates, each the sorted pair ``(a, b)`` with ``0 <= a < b < n``."""
+    gates, each the sorted pair ``(a, b)`` with ``0 <= a < b < n``.  Empty
+    or absent ``qubit_names`` name the qubits q1..qn.  Circuits compare by
+    value and are unhashable."""
 
-    n: int
-    gates: list[tuple[int, int]]
-    qubit_names: list[str] = field(default_factory=list)
+    def __init__(self, n: int, gates: list[tuple[int, int]],
+                 qubit_names: list[str] | None = None):
+        if not qubit_names:
+            qubit_names = [f"q{i + 1}" for i in range(n)]
+        if len(qubit_names) != n:
+            raise ValueError(f"{len(qubit_names)} names for {n} qubits")
+        for a, b in gates:
+            if not 0 <= a < b < n:
+                raise ValueError(f"gate ({a}, {b}) is not a sorted pair in 0..{n - 1}")
+        self.n = n
+        self.gates = gates
+        self.qubit_names = qubit_names
 
-    def __post_init__(self):
-        if not self.qubit_names:
-            self.qubit_names = [f"q{i + 1}" for i in range(self.n)]
-        if len(self.qubit_names) != self.n:
-            raise ValueError(f"{len(self.qubit_names)} names for {self.n} qubits")
-        for a, b in self.gates:
-            if not 0 <= a < b < self.n:
-                raise ValueError(f"gate ({a}, {b}) is not a sorted pair in 0..{self.n - 1}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.gates, self.qubit_names) == \
+            (other.n, other.gates, other.qubit_names)
+
+    __hash__ = None
 
     @property
     def m(self) -> int:
@@ -257,18 +293,21 @@ def gate_graph(c: Circuit) -> set[tuple[int, int]]:
     return set(c.gates)
 
 
-@dataclass(frozen=True)
-class FixingPattern:
+class FixingPattern(Frozen):
     """Partition of the qubits induced by the gate-graph components:
     singletons for every qubit in a component of size ≥ 3, one pair per
     2-qubit component, and all isolated qubits collected in a single free
     set.  The setwise stabilizer of this partition in S_n has order 2^p·f!.
+    ``p`` is the number of pair classes, ``f`` the size of the free set
+    (0 if there are no isolated qubits) and ``free`` the free set itself,
+    possibly empty.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    p: int          # number of pair classes
-    f: int          # size of the free set (0 if there are no isolated qubits)
-    free: tuple[int, ...]   # the free set itself (may be empty)
+    _fields = ("classes", "p", "f", "free")
+
+    def __init__(self, classes: tuple[tuple[int, ...], ...], p: int, f: int,
+                 free: tuple[int, ...]):
+        self._store(classes=classes, p=p, f=f, free=free)
 
     @property
     def group_order(self) -> int:

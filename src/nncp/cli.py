@@ -18,7 +18,6 @@ import contextlib
 import json
 import os
 import sys
-from pathlib import Path
 
 from .baseline import solve_spp
 from .circuit import Circuit, decompose, parse_real
@@ -43,11 +42,11 @@ def _load_circuit(desc: str, seed: int) -> Circuit:
                 return decompose(gen(n, m, seed), n=n)
             except ValueError as exc:
                 raise ParseError(str(exc))
-    path = Path(desc)
-    if not path.is_file():
+    if not os.path.isfile(desc):
         raise ParseError(f"no such circuit file: {desc}")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(desc, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read circuit file {desc}: {exc}")
     gates, meta = parse_real(text)
@@ -183,7 +182,8 @@ def cmd_verify(args) -> int:
     circuit = _load_circuit(args.circuit, args.seed)
     coupling = coupling_from_descriptor(args.coupling, circuit.n)
     try:
-        sol = NncpSolution.from_json(Path(args.solution).read_text())
+        with open(args.solution) as f:
+            sol = NncpSolution.from_json(f.read())
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read solution file: {exc}")
     report = verify(sol, circuit, coupling)

@@ -21,7 +21,6 @@ group, just possibly not the largest one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CapError, ParseError
 from .perm import Perm, components, inverse
@@ -35,7 +34,6 @@ GENERAL_N_CAP = 10
 GENERAL_ELEMENT_CAP = 50_000
 
 
-@dataclass(eq=False)
 class AutGroup:
     """Automorphism group of a coupling graph.
 
@@ -47,10 +45,13 @@ class AutGroup:
     on b⁻¹(0..k-1), and a subtree holding a single element is that
     element's index in ``elements``.  `_enumerated` builds all three."""
 
-    order: int
-    elements: list[Perm] | None = None
-    inverse_images: list[Perm] | None = None
-    chain: dict | int | None = None
+    def __init__(self, order: int, elements: list[Perm] | None = None,
+                 inverse_images: list[Perm] | None = None,
+                 chain: dict | int | None = None):
+        self.order = order
+        self.elements = elements
+        self.inverse_images = inverse_images
+        self.chain = chain
 
 
 def _enumerated(elements: list[Perm]) -> AutGroup:
@@ -69,17 +70,20 @@ def _enumerated(elements: list[Perm]) -> AutGroup:
                     chain=build(list(range(len(inv))), 0))
 
 
-@dataclass(eq=False)
 class CouplingGraph:
-    n: int
-    edges: frozenset[tuple[int, int]]
-    family: str
-    aut: AutGroup
-    split: int | None = None    # M for star (1) / biclique; None otherwise
+    """A connected coupling graph on locations 0..n-1, its family and its
+    automorphism group; ``split`` is M for a star (1) or biclique K_{M,N},
+    None otherwise."""
 
-    def __post_init__(self):
-        if len(components(self.n, self.edges)) > 1:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]], family: str,
+                 aut: AutGroup, split: int | None = None):
+        if len(components(n, edges)) > 1:
             raise ValueError("coupling graph must be connected")
+        self.n = n
+        self.edges = edges
+        self.family = family
+        self.aut = aut
+        self.split = split
 
 
 def _is_automorphism(p: Perm, edges: frozenset) -> bool:

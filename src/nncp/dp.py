@@ -9,8 +9,6 @@ schedules do not thrash."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import Circuit
 from .perm import swap
 from .reconstruct import NncpSolution
@@ -18,12 +16,12 @@ from .reconstruct import NncpSolution
 INF = float("inf")
 
 
-@dataclass(eq=False)
 class DpTable:
     """The optimal SWAP count and the centre qubit at each gate."""
 
-    opt: int
-    centers: list[int]
+    def __init__(self, opt: int, centers: list[int]):
+        self.opt = opt
+        self.centers = centers
 
 
 def solve_star_dp(circuit: Circuit) -> DpTable:

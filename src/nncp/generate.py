@@ -9,8 +9,6 @@ randomness flows from a single `random.Random(seed)`.
 
 from __future__ import annotations
 
-import random
-
 from .circuit import (ARITY, CNOT, CV, CVDAG, FREDKIN3, FREDKIN4, GATE_TOKENS,
                       PERES, SWAP, TOFFOLI3, TOFFOLI4, TOFFOLI5, RawGate)
 
@@ -27,6 +25,7 @@ def random_class_i(n: int, m: int, seed: int) -> list[RawGate]:
         raise ValueError("class I needs n >= 2")
     if m < 0:
         raise ValueError(f"gate count must be >= 0, got m={m}")
+    import random
     rng = random.Random(seed)
     return [RawGate(CNOT, tuple(rng.sample(range(n), 2))) for _ in range(m)]
 
@@ -37,6 +36,7 @@ def random_class_ii(n: int, m: int, seed: int) -> list[RawGate]:
         raise ValueError("class II needs n >= 5 (largest gate uses 5 lines)")
     if m < 0:
         raise ValueError(f"gate count must be >= 0, got m={m}")
+    import random
     rng = random.Random(seed)
     gates = []
     for _ in range(m):

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import compress, pairwise
 from operator import getitem, or_
 
 from . import simplex
+from .circuit import Frozen
 from .errors import SolverError
 from .symmetry import QuotientGraph
 
@@ -55,17 +54,19 @@ NO_PATH = "no compliant path through the quotient graph"
 TABLE_BYTES_LIMIT = 64 << 20
 
 
-@dataclass(eq=False)
 class LinearProgram:
     """Sparse equality-form LP over x >= 0 with upper bounds, each possibly
     absent."""
 
-    n_vars: int
-    objective: list[Fraction]
-    rows: list[list[tuple[int, Fraction]]]
-    rhs: list[Fraction]
-    upper: list[Fraction | None]
-    var_tags: list[Tag]
+    def __init__(self, n_vars: int, objective: list[Fraction],
+                 rows: list[list[tuple[int, Fraction]]], rhs: list[Fraction],
+                 upper: list[Fraction | None], var_tags: list[Tag]):
+        self.n_vars = n_vars
+        self.objective = objective
+        self.rows = rows
+        self.rhs = rhs
+        self.upper = upper
+        self.var_tags = var_tags
 
     def float_arrays(self):
         cols: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vars)]
@@ -79,22 +80,23 @@ class LinearProgram:
         return c, cols, b, lb, ub
 
 
-@dataclass(eq=False)
 class LpSolution:
-    status: str
-    objective: float
-    values: list[float]
-    residual: float = 0.0
+    def __init__(self, status: str, objective: float, values: list[float],
+                 residual: float = 0.0):
+        self.status = status
+        self.objective = objective
+        self.values = values
+        self.residual = residual
 
 
-@dataclass(eq=False)
 class ReducedPath:
     """A shortest quotient path: its length, the orbit it crosses gate 1 at,
     and the arc ids it takes, ``hops[k-1]`` between gates k and k+1."""
 
-    opt: int
-    entry: int
-    hops: list[list[int]]
+    def __init__(self, opt: int, entry: int, hops: list[list[int]]):
+        self.opt = opt
+        self.entry = entry
+        self.hops = hops
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +104,13 @@ class ReducedPath:
 
 def _ratio(q: QuotientGraph, orbit_size: int) -> Fraction:
     # orbit_size/|Aut| = |S_n(F)|/|B_τ|: small by construction
+    from fractions import Fraction
     return Fraction(orbit_size, q.coupling.aut.order)
 
 
 def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
     """The scaled reduced shortest-path LP over the quotient graph."""
+    from fractions import Fraction
     if q.m == 0:
         raise ValueError("model needs at least one gate")
     m, nodes, arcs = q.m, q.nodes, q.arcs
@@ -158,17 +162,15 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
                          upper=[None] * nv, var_tags=tags)
 
 
-@dataclass(frozen=True)
-class GnfpArc:
-    tail: tuple
-    head: tuple
-    cost: Fraction
-    upper: Fraction
-    multiplier: Fraction
-    tag: Tag
+class GnfpArc(Frozen):
+    _fields = ("tail", "head", "cost", "upper", "multiplier", "tag")
+
+    def __init__(self, tail: tuple, head: tuple, cost: Fraction, upper: Fraction,
+                 multiplier: Fraction, tag: Tag):
+        self._store(tail=tail, head=head, cost=cost, upper=upper,
+                    multiplier=multiplier, tag=tag)
 
 
-@dataclass(eq=False)
 class GnfpModel:
     """Generalized-flow view: per-arc cost, capacity and gain multiplier.
 
@@ -178,11 +180,13 @@ class GnfpModel:
     single representative's worth of flow downstream.  Sink arcs aggregate
     the other way (multiplier = orbit size)."""
 
-    arcs: list[GnfpArc]
-    internal_nodes: list[tuple]
+    def __init__(self, arcs: list[GnfpArc], internal_nodes: list[tuple]):
+        self.arcs = arcs
+        self.internal_nodes = internal_nodes
 
 
 def build_gnfp(q: QuotientGraph) -> GnfpModel:
+    from fractions import Fraction
     if q.m == 0:
         raise ValueError("model needs at least one gate")
     m, nodes = q.m, q.nodes
@@ -218,6 +222,7 @@ def build_gnfp(q: QuotientGraph) -> GnfpModel:
 
 def gnfp_lp(model: GnfpModel) -> LinearProgram:
     """Flatten the flow model into equality form for the simplex."""
+    from fractions import Fraction
     nv = len(model.arcs)
     row_of = {v: i + 2 for i, v in enumerate(model.internal_nodes)}
     acc: list[dict[int, Fraction]] = [{} for _ in range(len(row_of) + 2)]

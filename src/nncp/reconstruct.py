@@ -24,7 +24,6 @@ SWAPs are coupling edges transforming each order into the next.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .circuit import Circuit
 from .coupling import CouplingGraph
@@ -36,7 +35,6 @@ from .symmetry import QuotientGraph, replay_step
 SCHEMA_VERSION = 1
 
 
-@dataclass(eq=False)
 class NncpSolution:
     """A concrete optimum: per-gate qubit orders plus the SWAPs between them.
 
@@ -46,9 +44,11 @@ class NncpSolution:
     between gates k and k+1.  Everything is 0-based in memory and 1-based in
     the JSON form."""
 
-    opt: int
-    orders: list[Perm]
-    swaps: list[tuple[int, tuple[int, int]]]
+    def __init__(self, opt: int, orders: list[Perm],
+                 swaps: list[tuple[int, tuple[int, int]]]):
+        self.opt = opt
+        self.orders = orders
+        self.swaps = swaps
 
     def to_json_dict(self) -> dict:
         return {

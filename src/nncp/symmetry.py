@@ -54,8 +54,6 @@ import math
 import operator
 from array import array
 from bisect import bisect_right, insort
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import CouplingGraph, canonical_right, enumerated_aut
@@ -109,14 +107,14 @@ def _class_word(tau: Perm, fp: FixingPattern) -> list[int]:
 # ---------------------------------------------------------------------------
 # B_tau and its edge classes
 
-@dataclass(eq=False)
 class BTau:
     """Stabilizer (inside Aut(Coup(E))) of τ's class word: its order, and
     its orbit partition of the coupling edges, each class listed from its
     smallest edge.  The class sizes are the out-degrees of τ's orbit."""
 
-    order: int
-    edge_orbits: list[list[Edge]]
+    def __init__(self, order: int, edge_orbits: list[list[Edge]]):
+        self.order = order
+        self.edge_orbits = edge_orbits
 
 
 def _finish(order, groups) -> BTau:
@@ -157,10 +155,12 @@ def _edge_orbits_under(group: list[Perm], edges: list[Edge]) -> list[list[Edge]]
 # ---------------------------------------------------------------------------
 # orbit enumeration
 
-@dataclass(eq=False, slots=True)
 class OrbitNode:
-    rep: Perm               # the orbit's smallest member
-    orbit_size: int
+    __slots__ = ("rep", "orbit_size")
+
+    def __init__(self, rep: Perm, orbit_size: int):
+        self.rep = rep              # the orbit's smallest member
+        self.orbit_size = orbit_size
 
 
 def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
@@ -496,7 +496,6 @@ layer_orbitals = layer_orbits
 # ---------------------------------------------------------------------------
 # the full quotient structure
 
-@dataclass(eq=False)
 class QuotientGraph:
     """Shared per-layer orbit/orbital structure plus per-gate compliance.
 
@@ -512,16 +511,19 @@ class QuotientGraph:
     arcs (one per orbit, out-degree = orbit size) and sink arcs (one per
     compliant orbit of the last gate, in-degree = orbit size) are implicit."""
 
-    circuit: Circuit
-    coupling: CouplingGraph
-    fp: FixingPattern
-    nodes: list[OrbitNode]
-    offsets: array
-    dst: array
-    u: array
-    v: array
-    d_out: array
-    compliant: list[list[int]]
+    def __init__(self, circuit: Circuit, coupling: CouplingGraph, fp: FixingPattern,
+                 nodes: list[OrbitNode], offsets: array, dst: array, u: array,
+                 v: array, d_out: array, compliant: list[list[int]]):
+        self.circuit = circuit
+        self.coupling = coupling
+        self.fp = fp
+        self.nodes = nodes
+        self.offsets = offsets
+        self.dst = dst
+        self.u = u
+        self.v = v
+        self.d_out = d_out
+        self.compliant = compliant
 
     @property
     def n(self) -> int:
@@ -609,8 +611,9 @@ def reduction_stats(q: QuotientGraph) -> dict:
     unred_consts = m * n_fact + 2
 
     def pct(unred, red):
-        # Fraction first: plain int division overflows past ~1e308
-        return float(Fraction((unred - red) * 100, unred)) if unred else 0.0
+        # int / int is correctly rounded however large the operands, and the
+        # quotient is at most 100, so n! past 1e308 does not overflow
+        return (unred - red) * 100 / unred if unred else 0.0
 
     return {
         "n": n,

@@ -1,6 +1,9 @@
 """The runtime needs only the standard library: importing nncp, every CLI
 subcommand and the library's solve path never load numpy or scipy (only
-`simplex_solve`, which hands the LP and flow models to scipy's HiGHS, does)."""
+`simplex_solve`, which hands the LP and flow models to scipy's HiGHS, does).
+Nor do they load the slow-to-import `dataclasses` (with `inspect`) or
+`fractions` (with `decimal`): the exact LP and flow builders import
+`fractions` when they run."""
 
 import os
 import subprocess
@@ -9,13 +12,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = [("classI:7:30", "cycle"), ("classI:12:40", "star")]
+HEAVY = ("numpy", "scipy", "dataclasses", "inspect", "fractions", "decimal")
+
+PRELUDE = """
+import sys
+
+def assert_light(stage):
+    loaded = [name for name in HEAVY if sys.modules.get(name) is not None]
+    assert not loaded, f"{stage} loaded {loaded}"
+"""
 
 CLI_WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None             # any `import numpy` now fails
 sys.modules["scipy"] = None
 import nncp
+assert_light("import nncp")
 from nncp.cli import main
+assert_light("import nncp.cli")
 
 def run(*argv):
     out = io.StringIO()
@@ -33,10 +47,10 @@ for k, (circuit, coupling) in enumerate(INSTANCES):
         json.dump(solved, f)
     assert json.loads(run("verify", "--solution", path, *inst))["ok"]
     assert json.loads(run("stats", *inst, "--out", "json"))["m"] == solved["m"]
+assert_light("the CLI's solve, verify and stats")
 """
 
 SOLVE_PATH = """
-import sys
 import nncp
 from nncp import (decompose, make, quotient_graph, random_class_i,
                   reconstruct, solve_reduced, verify)
@@ -49,14 +63,16 @@ for circuit, family in INSTANCES:
     opt, path = solve_reduced(q)
     sol = reconstruct(q, path)
     assert sol.opt == opt and verify(sol, c, g)["ok"]
-assert not {"numpy", "scipy"} & set(sys.modules), "the solve path loaded numpy or scipy"
+assert_light("the solve path")
 """
 
 
 def run_python(code, *args):
-    """Run `code` in a fresh interpreter, with INSTANCES defined."""
+    """Run `code` in a fresh interpreter, with INSTANCES, HEAVY and
+    `assert_light(stage)` defined."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", f"INSTANCES = {INSTANCES!r}\n{code}",
+    head = f"INSTANCES = {INSTANCES!r}\nHEAVY = {HEAVY!r}\n{PRELUDE}"
+    proc = subprocess.run([sys.executable, "-c", head + code,
                            *map(str, args)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
