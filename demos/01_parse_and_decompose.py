@@ -36,4 +36,5 @@ edges = gate_graph(circuit)
 fp = fixing_pattern(circuit)
 print(f"\ngate graph has {len(edges)} distinct edges")
 print(f"pattern classes: {[sorted(cl) for cl in fp.classes]}")
-print(f"pairs p={fp.p}, free f={fp.f}, stabilizer order 2^p*f! = {fp.group_order}")
+sizes = [len(cl) for cl in fp.classes]
+print(f"class sizes {sizes}, stabilizer order prod |c|! = {fp.group_order}")

@@ -131,7 +131,7 @@ def brute_automorphisms(coupling: CouplingGraph) -> list[Perm]:
 
 def brute_pattern_stabilizer(circuit: Circuit) -> list[Perm]:
     """Filter all n! permutations for setwise stabilization of every
-    pattern class (the free set is one of them)."""
+    pattern class (the idle qubits form one of them)."""
     sets = [set(cls) for cls in fixing_pattern(circuit).classes]
     out = []
     for p in itertools.permutations(range(circuit.n)):

@@ -81,7 +81,7 @@ class Frozen:
     one class and their ``_fields`` agree.  ``__init__`` stores the fields
     with `_store`; assigning or deleting an attribute afterwards raises
     AttributeError.  `functools.cached_property` still works, as it writes
-    ``__dict__`` directly."""
+    ``__dict__`` directly (`FixingPattern.group_order`, Π_c |c|!)."""
 
     _fields: tuple[str, ...] = ()
 
@@ -294,36 +294,31 @@ def gate_graph(c: Circuit) -> set[tuple[int, int]]:
 
 
 class FixingPattern(Frozen):
-    """Partition of the qubits induced by the gate-graph components:
-    singletons for every qubit in a component of size ≥ 3, one pair per
-    2-qubit component, and all isolated qubits collected in a single free
-    set.  The setwise stabilizer of this partition in S_n has order 2^p·f!.
-    ``p`` is the number of pair classes, ``f`` the size of the free set
-    (0 if there are no isolated qubits) and ``free`` the free set itself,
-    possibly empty.
+    """A partition of the qubits 0..n-1 into classes, each listing its
+    qubits in ascending order.  S_n(F), the qubit relabelings that map every
+    class onto itself, is Π_c Sym(c), of order Π_c |c|!.  `fixing_pattern`
+    builds the paper's partition from the gate graph; the solver accepts
+    any partition.
     """
 
-    _fields = ("classes", "p", "f", "free")
+    _fields = ("classes",)
 
-    def __init__(self, classes: tuple[tuple[int, ...], ...], p: int, f: int,
-                 free: tuple[int, ...]):
-        self._store(classes=classes, p=p, f=f, free=free)
+    def __init__(self, classes: tuple[tuple[int, ...], ...]):
+        self._store(classes=classes)
 
-    @property
+    @cached_property
     def group_order(self) -> int:
-        return (2 ** self.p) * math.factorial(self.f)
+        return math.prod(math.factorial(len(cl)) for cl in self.classes)
 
-    @property
+    @cached_property
     def trivial(self) -> bool:
-        """True iff the stabilizer is trivial (every class effectively fixed),
-        i.e. ``group_order == 1``, without computing f!."""
-        return self.p == 0 and self.f <= 1
+        """True iff every class is a singleton: S_n(F) is the identity."""
+        return all(len(cl) == 1 for cl in self.classes)
 
     @cached_property
     def class_index(self) -> tuple[int, ...]:
         """``class_index[q]`` is the position in ``classes`` of qubit q's
-        class.  Built once per pattern; the classes list their members in
-        ascending order."""
+        class.  Built once per pattern."""
         index = [0] * sum(len(cl) for cl in self.classes)
         for ci, cl in enumerate(self.classes):
             for q in cl:
@@ -332,18 +327,19 @@ class FixingPattern(Frozen):
 
 
 def fixing_pattern(c: Circuit) -> FixingPattern:
+    """The paper's partition, from the gate-graph components: a singleton
+    per qubit of a component of size ≥ 3, each 2-qubit component as one
+    class, and the idle qubits together as one class."""
     classes: list[tuple[int, ...]] = []
-    free: list[int] = []
-    p = 0
+    idle: list[int] = []
     for comp in components(c.n, gate_graph(c)):
         if len(comp) == 1:
-            free.extend(comp)
+            idle.extend(comp)
         elif len(comp) == 2:
             classes.append(tuple(comp))
-            p += 1
         else:
             classes.extend((q,) for q in comp)
-    if free:
-        classes.append(tuple(free))
+    if idle:
+        classes.append(tuple(idle))
     classes.sort()
-    return FixingPattern(classes=tuple(classes), p=p, f=len(free), free=tuple(free))
+    return FixingPattern(tuple(classes))

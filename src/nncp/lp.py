@@ -3,11 +3,12 @@
 Variables follow the orbital structure: one λ̄ per (layer, intra-layer
 orbital) and one θ̄ per (layer boundary, compliant orbit).  The scaled model
 divides the orbital sizes by |Aut(Coup(E))|, which turns every coefficient
-into a small rational (at most 2^p·f!·|E|) regardless of how factorially
-large the group is; coefficients are assembled exactly as Fractions and only
-then converted to floats.  Upper bounds are omitted: the two degree rows
-bound everything.  `build_gnfp` gives the same model as a
-generalized network flow with arc multipliers; `write_lp` exports either.
+into a small rational (at most Π_c |c|!·|E|, c over the pattern classes)
+regardless of how factorially large the group is; coefficients are built
+exactly as Fractions and only then converted to floats.  Upper bounds are
+omitted: the two degree rows bound everything.  `build_gnfp` gives the same
+model as a generalized network flow with arc multipliers; `write_lp`
+exports either.
 
 `solve_reduced` never builds these models.  The group acts on every layer
 by coupling automorphisms and compliance is orbit-invariant, so the

@@ -23,8 +23,6 @@ SWAPs are coupling edges transforming each order into the next.
 
 from __future__ import annotations
 
-import json
-
 from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
@@ -68,8 +66,9 @@ class NncpSolution:
         shape (a missing key, a list where a number belongs, ...)."""
         if not isinstance(data, dict):
             raise ValueError(f"solution must be a JSON object, not {type(data).__name__}")
-        if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ValueError(f"unsupported solution schema {data['schema']!r}")
+        schema = data.get("schema", SCHEMA_VERSION)
+        if type(schema) is not int or schema != SCHEMA_VERSION:     # True == 1 == 1.0
+            raise ValueError(f"unsupported solution schema {schema!r}")
         try:
             orders = [check(tuple(map(_location, tau))) for tau in data["orders"]]
             swaps = []
@@ -84,6 +83,7 @@ class NncpSolution:
 
     @classmethod
     def from_json(cls, text: str) -> "NncpSolution":
+        import json
         return cls.from_json_dict(json.loads(text))
 
 
@@ -92,7 +92,9 @@ def dumps_rows(payload: dict) -> str:
     a nonempty list value one element per line (an order or a swap on one
     row).  Each value and row goes through ``json.dumps`` without indent,
     the C encoder; ``json.loads`` reads back the same data as from
-    ``json.dumps(payload, indent=2)``."""
+    ``json.dumps(payload, indent=2)``.  `json` is imported here and in
+    `NncpSolution.from_json`, so ``import nncp`` loads neither it nor `re`."""
+    import json
     lines = []
     for key, value in payload.items():
         if isinstance(value, list) and value:

@@ -21,8 +21,9 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     order is exactly the set of orders with the same class word (location
     → class of its qubit), and its smallest member hands out each class's
     qubits in ascending order along the locations.  The canonical form is
-    that minimum taken down the chain as well.  S_n(F), of order 2^p·f!, is
-    never enumerated, so idle qubits and isolated pairs cost nothing extra;
+    that minimum taken down the chain as well.  S_n(F) = Π_c Sym(c), of
+    order Π_c |c|!, is never enumerated, so idle qubits and isolated pairs
+    cost nothing extra;
   * B_τ — the stabilizer of τ's class word in Aut(Coup(E)), filtered from
     the enumerated elements; its order gives the orbit size via
     orbit–stabilizer, and its edge classes give the out-degrees;
@@ -72,26 +73,20 @@ Columns = tuple[array, array, array, array, array]
 # the stabilizer S_n(F) on the qubit side
 
 def snf_elements(fp: FixingPattern, n: int) -> list[Perm]:
-    """All qubit relabelings that setwise stabilize every fixing-pattern
-    class: independent swaps of the p pairs times permutations of the free
-    set, 2^p·f! elements in total.  An enumeration oracle for tests; the
-    solve path works with class words instead (see `canonical_form`)."""
+    """All qubit relabelings that map every fixing-pattern class onto
+    itself: S_n(F) = Π_c Sym(c), Π_c |c|! elements, in sorted order.  An
+    enumeration oracle for tests; the solve path works with class words
+    instead (see `canonical_form`)."""
     if fp.group_order > SNF_ELEMENT_CAP:
         raise CapError(
             f"stabilizer S_n(F) has {fp.group_order} elements, cap is {SNF_ELEMENT_CAP}")
-    pairs = [cl for cl in fp.classes if len(cl) == 2 and cl != fp.free]
-    free = list(fp.free)
     out = []
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        base = list(range(n))
-        for swap_it, (q1, q2) in zip(bits, pairs):
-            if swap_it:
-                base[q1], base[q2] = q2, q1
-        for img in itertools.permutations(free):
-            im = list(base)
-            for slot, q in zip(free, img):
-                im[slot] = q
-            out.append(tuple(im))
+    for images in itertools.product(*map(itertools.permutations, fp.classes)):
+        im = [0] * n
+        for cl, img in zip(fp.classes, images):
+            for q, x in zip(cl, img):
+                im[q] = x
+        out.append(tuple(im))
     out.sort()
     return out
 

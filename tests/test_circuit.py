@@ -157,20 +157,15 @@ def test_fixing_pattern_against_union_find(n, raw_pairs):
     # components kept whole, and all isolated vertices pooled into one class
     expected = [(v,) for comp in comps if len(comp) >= 3 for v in comp]
     expected += [tuple(sorted(comp)) for comp in comps if len(comp) == 2]
-    free = sorted(v for comp in comps if len(comp) == 1 for v in comp)
-    if free:
-        expected.append(tuple(free))
+    idle = sorted(v for comp in comps if len(comp) == 1 for v in comp)
+    if idle:
+        expected.append(tuple(idle))
 
     assert fp.classes == tuple(sorted(expected))
-    assert fp.free == tuple(free)
-    assert fp.p == sum(len(comp) == 2 for comp in comps)
-    assert fp.f == len(free)
 
     # group order equals the brute-force count of pattern-preserving perms
     if n <= 6:
         sets = [set(cls) for cls in fp.classes]
-        if fp.free:
-            sets.append(set(fp.free))
         count = sum(
             all({p[v] for v in s} == s for s in sets)
             for p in itertools.permutations(range(n)))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import nncp.symmetry
 from nncp.baseline import solve_spp
-from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
+from nncp.circuit import CNOT, FixingPattern, RawGate, decompose, fixing_pattern
 from nncp.coupling import make
 from nncp.dp import solve_star_dp
 from nncp.errors import SolverError
@@ -77,12 +77,45 @@ def test_solve_path_never_lists_the_pattern_stabilizer(family, m_side, monkeypat
     monkeypatch.setattr(nncp.symmetry, "snf_elements", boom)
     c = circ(7, SPARSE7)
     fp = fixing_pattern(c)
-    assert fp.p == 1 and fp.f == 2
+    assert fp.classes == ((0,), (1, 2), (3, 6), (4,), (5,))
     if family == "general":
         g, _, _ = make("general", edges=m_side)
     else:
         g, _, _ = make(family, n=7, m_side=m_side)
     q = quotient_graph(c, g)
+    opt, sol = solve_reduced(q)
+    schedule = reconstruct(q, sol)
+    assert verify(schedule, c, g)["ok"]
+    assert opt == schedule.opt == solve_spp(c, g).opt
+
+
+# a triangle with its idle qubits split into two 2-classes, and one with
+# its idle qubits split into a 3-class and a singleton
+REFINEMENTS = [
+    ([(0, 1), (1, 2), (0, 2), (0, 1)], ((0,), (1,), (2,), (3, 5), (4, 6))),
+    ([(2, 4), (4, 6), (2, 6), (4, 6), (2, 4)], ((0, 3, 5), (1,), (2,), (4,), (6,))),
+]
+
+
+@pytest.mark.parametrize("family, m_side", [
+    ("cycle", None), ("star", None), ("biclique", 3), ("general", K34)],
+    ids=["cycle", "star", "biclique3", "general-k34"])
+@pytest.mark.parametrize("pairs, classes", REFINEMENTS, ids=["two-2-classes", "3-class"])
+def test_a_refined_pattern_keeps_the_optimum(family, m_side, pairs, classes, monkeypatch):
+    # S_n(F) of a refinement of the circuit's pattern is a subgroup of the
+    # circuit's, so it folds the layered graph without changing distances
+    c = circ(7, pairs)
+    fine = FixingPattern(classes)
+    coarse = fixing_pattern(c).classes
+    assert all(any(set(cl) <= set(big) for big in coarse) for cl in classes)
+    assert len(classes) > len(coarse)
+    monkeypatch.setattr(nncp.symmetry, "fixing_pattern", lambda circuit: fine)
+    if family == "general":
+        g, _, _ = make("general", edges=m_side)
+    else:
+        g, _, _ = make(family, n=7, m_side=m_side)
+    q = quotient_graph(c, g)
+    assert q.fp is fine
     opt, sol = solve_reduced(q)
     schedule = reconstruct(q, sol)
     assert verify(schedule, c, g)["ok"]
@@ -312,9 +345,11 @@ def test_json_puts_each_order_and_swap_on_one_row(swaps):
     assert rows == data["orders"] + data["swaps"]
 
 
-def test_json_schema_guard():
+@pytest.mark.parametrize("schema", [99, True, 1.0])
+def test_json_schema_guard(schema):
+    # True and 1.0 compare equal to 1, but only the int 1 is schema 1
     data = json.loads(sample_solution().to_json())
-    data["schema"] = 99
+    data["schema"] = schema
     with pytest.raises(ValueError, match="schema"):
         NncpSolution.from_json_dict(data)
 

@@ -33,7 +33,7 @@ def arc(cost):
 CASES = {
     RawGate: ([("kind", EMPTY), ("qubits", EMPTY)],
               lambda x: RawGate(CNOT, (x, 2)), "value"),
-    FixingPattern: ([("classes", EMPTY), ("p", EMPTY), ("f", EMPTY), ("free", EMPTY)],
+    FixingPattern: ([("classes", EMPTY)],
                     lambda x: fixing_pattern(Circuit(3, [(0, 1 + x)])), "value"),
     GnfpArc: ([(name, EMPTY) for name in ("tail", "head", "cost", "upper",
                                           "multiplier", "tag")],

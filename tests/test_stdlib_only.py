@@ -3,7 +3,8 @@ subcommand and the library's solve path never load numpy or scipy (only
 `simplex_solve`, which hands the LP and flow models to scipy's HiGHS, does).
 Nor do they load the slow-to-import `dataclasses` (with `inspect`) or
 `fractions` (with `decimal`): the exact LP and flow builders import
-`fractions` when they run."""
+`fractions` when they run.  `import nncp` alone loads neither `json` nor
+`re`."""
 
 import os
 import subprocess
@@ -84,3 +85,14 @@ def test_cli_runs_with_numpy_unimportable(tmp_path):
 
 def test_solve_path_never_loads_numpy():
     run_python(SOLVE_PATH)
+
+
+def test_import_loads_neither_json_nor_re():
+    # without site (-S), which may import re itself: a solution imports json
+    # only when it is written or read as JSON
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import nncp, sys; print(sorted({'json', 're'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

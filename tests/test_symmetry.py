@@ -1,11 +1,12 @@
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 
 import pytest
 
 from nncp.baseline import brute_automorphisms, brute_pattern_stabilizer
-from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
+from nncp.circuit import CNOT, FixingPattern, RawGate, decompose, fixing_pattern
 from nncp.coupling import coupling_from_descriptor, make
 from nncp.errors import CapError
 from nncp.generate import random_class_i
@@ -117,13 +118,28 @@ def test_b_tau_refuses_split_couplings_under_a_pattern(family, m_side):
 
 # --- S_n(F) -------------------------------------------------------------------
 
-@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+# hand-made partitions with two multi-member classes, which no circuit's
+# fixing pattern has: it holds at most one class, the idle qubits, of more
+# than two qubits, and a singleton only beside two more from its component
+PARTITIONS = {
+    "3-2-1": ((0, 1, 2), (3, 4), (5,)),
+    "2-4": ((0, 5), (1, 2, 3, 4)),
+    "3-3": ((0, 2, 4), (1, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PATTERNS) + sorted(PARTITIONS))
 def test_snf_elements_brute(pattern):
-    n = 5
-    c = circuit_with_pattern(n, PATTERNS[pattern])
-    fp = fixing_pattern(c)
+    if pattern in PATTERNS:
+        n = 5
+        fp = fixing_pattern(circuit_with_pattern(n, PATTERNS[pattern]))
+    else:
+        n = 6
+        fp = FixingPattern(PARTITIONS[pattern])
     elems = snf_elements(fp, n)
-    assert len(elems) == fp.group_order
+    assert len(elems) == fp.group_order == math.prod(
+        math.factorial(len(cls)) for cls in fp.classes)
+    assert fp.trivial == (fp.group_order == 1)
     sets = [set(cls) for cls in fp.classes]
     brute = [p for p in itertools.permutations(range(n))
              if all({p[v] for v in s} == s for s in sets)]
@@ -149,6 +165,60 @@ def test_quotient_graph_rejects_size_mismatch():
     g, _, _ = make("cycle", n=5)
     with pytest.raises(ValueError, match="circuit has 4 qubits, coupling 5 locations"):
         quotient_graph(circuit_with_pattern(4, [(0, 1)]), g)
+
+
+def brute_orbits(fp, g):
+    """The orbits of S_n(F) × Aut on all n! orders, τ ↦ a·τ·b⁻¹, as
+    (smallest member, size) pairs: a walk from each unseen order along the
+    transpositions of consecutive members of each class, and along every
+    automorphism found by filtering the n! permutations."""
+    n = g.n
+    left = [swap(tuple(range(n)), x, y) for cls in fp.classes for x, y in zip(cls, cls[1:])]
+    right = [inverse(b) for b in brute_automorphisms(g)]
+    seen, orbits = set(), []
+    for tau in itertools.permutations(range(n)):
+        if tau in seen:
+            continue
+        seen.add(tau)
+        orbit = [tau]
+        for sigma in orbit:             # grows as the walk finds orders
+            for nxt in itertools.chain((compose(a, sigma) for a in left),
+                                       (compose(sigma, b) for b in right)):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    orbit.append(nxt)
+        orbits.append((min(orbit), len(orbit)))
+    return sorted(orbits)
+
+
+# (coupling, partitions of its locations with two multi-member classes)
+PARTITION_COUPLINGS = [
+    ("cycle", None, [PARTITIONS["3-2-1"], PARTITIONS["2-4"]]),
+    ("star", None, [PARTITIONS["3-2-1"], PARTITIONS["3-3"]]),
+    ("biclique", 2, [PARTITIONS["2-4"], PARTITIONS["3-3"]]),
+    ("general", "K34", [((0, 1, 2), (3, 4), (5,), (6,)), ((0, 4), (1, 2, 3), (5, 6))]),
+]
+
+
+@pytest.mark.parametrize("family, arg, partitions", PARTITION_COUPLINGS,
+                         ids=[case[0] for case in PARTITION_COUPLINGS])
+def test_layer_orbits_of_any_partition_match_brute_orbits(family, arg, partitions):
+    # the closed form runs on the star and biclique, the worklist on the
+    # cycle, on K_{3,4} as an edge list and on the star and biclique given
+    # as edge lists
+    n = 1 + max(map(max, partitions[0]))
+    g = family_graph(family, arg, n)
+    for classes in partitions:
+        fp = FixingPattern(classes)
+        expected = brute_orbits(fp, g)
+        assert sum(size for _, size in expected) == math.factorial(n)
+        builders = [(g, layer_orbits)]
+        if g.split is not None:
+            builders.append((listed_graph(family, arg, n), symmetry._worklist_orbits))
+        for graph, build in builders:
+            nodes, _ = build(fp, graph)
+            assert sorted((nd.rep, nd.orbit_size) for nd in nodes) == expected, \
+                (family, classes, build.__name__)
 
 
 # --- canonical forms over the full group --------------------------------------
