@@ -14,8 +14,12 @@ exports either.
 by coupling automorphisms and compliance is orbit-invariant, so the
 orbit-to-orbit distances of the layered graph are BFS distances in the
 quotient, whatever the orbitals' in/out multipliers.  Distance passes
-between gates only through compliant orbits, so each gate gets one
-level-synchronous BFS from the previous gate's compliant orbits, injected
+between gates only through compliant orbits.  On a star (a coupling whose
+``split`` is 1, the one thing this module reads of it) any two distinct
+orbits are one SWAP apart, so each gate's potentials follow from the
+previous gate's in one pass over the two compliant lists (`_star_path`),
+and no arc column, chunk table or BFS is built.  Elsewhere each gate gets
+one level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials; it stops once this gate's are settled and keeps only
 their potentials, as one bitmask of orbits per level.  A whole BFS level
 expands at once: through per-chunk tables of successor masks (`_expander`,
@@ -23,8 +27,10 @@ the Four Russians trick; only nonzero chunks are looked up) when they take
 at most the fixed `TABLE_BYTES_LIMIT` (`_table_fits`), otherwise over
 adjacency lists read from the quotient's ``dst`` column
 (`_adjacency_expander`).
-The replay grows spheres backward from the cheapest orbit of the last
-gate, which is exact because the quotient's adjacency is symmetric.
+The walk back grows spheres backward from the cheapest orbit of the last
+gate, which is exact because the quotient's adjacency is symmetric.  Either
+solver returns a `ReducedPath`: the entry orbit and the orbits the walk
+enters, one per SWAP, so `reconstruct` replays both alike.
 `simplex_solve` solves the LP and flow models with HiGHS (`simplex.py`), which
 needs scipy; a failure that HiGHS reports as neither optimal, infeasible,
 unbounded nor an iteration limit is a `SolverError`.
@@ -92,7 +98,8 @@ class LpSolution:
 
 class ReducedPath:
     """A shortest quotient path: its length, the orbit it crosses gate 1 at,
-    and the arc ids it takes, ``hops[k-1]`` between gates k and k+1."""
+    and the orbits it enters, one per SWAP, ``hops[k-1]`` between gates k
+    and k+1."""
 
     def __init__(self, opt: int, entry: int, hops: list[list[int]]):
         self.opt = opt
@@ -277,10 +284,9 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
     each of its 16 values, the OR of the successor masks of the orbits the
     value selects.  Expanding a set reads its mask as hex, top chunk first,
     and ORs one table entry per nonzero chunk: a zero chunk selects no
-    orbit, so its table is skipped.  A set of at most four orbits, as on
-    stars, where a level is often one or two orbits, and in every replay
-    hop, ORs their one-orbit entries instead, which costs less than
-    formatting the mask.  The tables are built chunk by chunk from the
+    orbit, so its table is skipped.  A set of at most four orbits, as in
+    every hop of the walk back, ORs their one-orbit entries instead, which
+    costs less than formatting the mask.  The tables are built chunk by chunk from the
     ``dst`` column, so no list of all successor masks is held."""
     n = len(q.nodes)
     chunks = -(-n // 4)
@@ -353,25 +359,27 @@ def _members(mask: int) -> Iterator[int]:
 def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     """One BFS pass per gate over orbit bitmasks, from the previous gate's
     compliant orbits at their potentials to this gate's; then the cheapest
-    chain is replayed into its entry orbit and per-boundary arc lists.
+    chain is walked back into its entry orbit and, per boundary, the orbits
+    it enters.
 
     Gate k's potentials are kept as level masks: ``levels[k]`` is (base,
     masks), where masks[j] holds the compliant orbits of gate k at potential
     base + j, and ``levels[0]`` holds every orbit at potential 0.  Each pass
     expands a whole BFS level at once and injects the previous gate's level
-    masks at their potentials.  The replay goes backward from the cheapest
+    masks at their potentials.  The walk goes backward from the cheapest
     orbit t of the last gate, at potential P: spheres around t grow until
     sphere r meets the previous gate's level at P − r, then the walk down
-    the spheres gives that boundary's arcs, one per hop.  Spheres grown along
-    out-arcs measure the distance *to* t because the quotient's adjacency
-    is symmetric: a swap undoes itself.  A level expands through chunk
+    the spheres gives that boundary's hops, one orbit per sphere.  Spheres
+    grown along out-arcs measure the distance *to* t because the quotient's
+    adjacency is symmetric: a swap undoes itself.  A level expands through chunk
     tables (`_expander`), one lookup per nonzero 4-bit chunk of its mask,
     when they take at most `TABLE_BYTES_LIMIT` (`_table_fits`): on cycles
-    7 and 8, stars and the bicliques measured; larger quotients (Petersen,
+    7 and 8 and the bicliques measured; larger quotients (Petersen,
     the 3×3 grid) expand over adjacency lists (`_adjacency_expander`).  A
-    hop of the walk is the first of v's out-arcs, in ``dst`` order, into the
-    next sphere: per orbit w the sphere shares with v's successors,
-    ``dst.index`` finds v's first arc into w, and the least of those wins."""
+    hop of the walk takes the first of v's out-arcs, in ``dst`` order, into
+    the next sphere, and enters its destination: per orbit w the sphere
+    shares with v's successors, ``dst.index`` finds v's first arc into w,
+    and the least of those wins."""
     expand = _expander(q) if _table_fits(q) else _adjacency_expander(q)
     offsets, dst = q.offsets, q.dst
     mask_of: dict[int, int] = {}        # per compliant list (shared per pair), its mask
@@ -417,24 +425,61 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
             seen |= spheres[-1]
             j -= 1
         s = v = _lowest(spheres[-1] & prev[j])
-        arcs = []
+        walk = []
         for sphere in reversed(spheres[:-1]):   # one hop down per sphere
             # v's first out-arc into the sphere: the least of the first
             # out-arcs into each of its successors there
             lo, hi = offsets[v], offsets[v + 1]
-            ai = min(dst.index(w, lo, hi) for w in _members(sphere & expand(1 << v)))
-            arcs.append(ai)
-            v = dst[ai]
-        hops.append(arcs)
+            v = dst[min(dst.index(w, lo, hi) for w in _members(sphere & expand(1 << v)))]
+            walk.append(v)
+        hops.append(walk)
         t, potential = s, prev_base + j
     hops.reverse()
     return ReducedPath(opt=opt, entry=t, hops=hops)
 
 
+def _star_path(q: QuotientGraph) -> ReducedPath:
+    """`_shortest_quotient_path` on a star, by the closed-form metric.
+
+    On K_{1,N} an orbit is the pattern class on the centre, and any two
+    distinct orbits are one SWAP apart, so gate k+1's potentials are
+    ψ_{k+1}(y) = min(ψ_k(y) if y ∈ C_k, min_{x ∈ C_k} ψ_k(x) + 1) over its
+    compliant orbits y, one O(|C_k| + |C_{k+1}|) pass per gate.  ψ_k spans
+    at most two adjacent values, so an orbit of C_k keeps its potential.  The
+    walk back takes the BFS's hops: from the lowest-id cheapest orbit t of
+    the last gate, keep t if gate k−1 holds it at the same potential, else
+    enter t from the lowest-id compliant orbit of gate k−1 at one less."""
+    if q.m == 0:
+        return ReducedPath(opt=0, entry=0, hops=[])
+    pots: list[dict[int, int]] = []     # per gate, its compliant orbits' potentials
+    prev: dict[int, int] = {}
+    for ids in q.compliant:
+        if not ids:
+            raise SolverError(NO_PATH)
+        swapped = min(prev.values()) + 1 if prev else 0
+        get = prev.get
+        prev = {y: get(y, swapped) for y in ids}
+        pots.append(prev)
+
+    potential = min(prev.values())
+    opt, t = potential, min(y for y, p in prev.items() if p == potential)
+    hops: list[list[int]] = []          # per gate boundary, last first
+    for prev in reversed(pots[:-1]):
+        if prev.get(t) == potential:
+            hops.append([])
+            continue
+        hops.append([t])
+        potential -= 1
+        t = min(x for x, p in prev.items() if p == potential)
+    hops.reverse()
+    return ReducedPath(opt=opt, entry=t, hops=hops)
+
+
 def solve_reduced(q: QuotientGraph) -> tuple[int, ReducedPath]:
-    """Solve the reduced model by one BFS pass per gate over the quotient.
+    """Solve the reduced model: on a star by the closed-form metric
+    (`_star_path`), otherwise by one BFS pass per gate over the quotient.
     Returns (opt, path); `reconstruct` replays the path as a schedule."""
-    path = _shortest_quotient_path(q)
+    path = _star_path(q) if q.coupling.split == 1 else _shortest_quotient_path(q)
     return path.opt, path
 
 

@@ -1,24 +1,26 @@
 """Turn quotient-level shortest paths back into concrete SWAP schedules.
 
 `solve_reduced` returns a shortest quotient path as plain data: the orbit
-it enters gate 1 at, and per gate boundary the orbital arcs it takes (one
-SWAP each).  `reconstruct` replays them on concrete qubit orders.  It
-starts at the entry orbit's representative and records one order per
-gate.  Each arc becomes one SWAP by the step `symmetry.replay_step` picks
-for the coupling, which first checks that the current order lies in the
-arc's source orbit.  On cycle/general couplings the step canonicalizes
-the order, τ ↦ (rep, b), and applies the coupling edge b⁻¹ maps onto the
-arc's representative edge.  On a star/biclique an orbit is its class
-vector, and the step swaps the lowest small-side location of the arc's
-class c with the lowest large-side location of its class d, with no
-canonicalization; it sits beside `symmetry._split_orbits`, which fixes the
-representatives it depends on.  The moved order lies in the arc's target
-orbit, because the group acts by automorphisms, so the walk stays on the
-path and every order it records is compliant.
+it enters gate 1 at, and per gate boundary the orbits it enters, one per
+SWAP.  `reconstruct` replays them on concrete qubit orders.  It starts at
+the entry orbit's representative and records one order per gate.  Each hop
+from orbit v into w becomes one SWAP by the step `symmetry.replay_step`
+picks for the coupling, and a hop into an orbit no SWAP reaches is a
+`SolverError`.  On cycle/general couplings the step takes v's first arc
+into w, canonicalizes the order, τ ↦ (rep, b), and applies the coupling
+edge b⁻¹ maps onto the arc's representative edge.  On a star/biclique an
+orbit is its class vector: the two vectors differ by a class c on the
+small side traded for a class d on the large side, and the step swaps the
+lowest small-side location of c with the lowest large-side location of d,
+with no canonicalization and no arc; it sits beside
+`symmetry._split_nodes`, which fixes the representatives it depends on.
+The moved order lies in w, because the group acts by automorphisms, so
+the walk stays on the path and every order it records is compliant.
 
 `verify` re-checks a finished schedule against nothing but the problem
-statement: gate-by-gate compliance of the qubit orders, and that the listed
-SWAPs are coupling edges transforming each order into the next.
+statement: that the first order is a permutation of the qubits, gate-by-gate
+compliance of the qubit orders, and that the listed SWAPs are coupling edges
+transforming each order into the next.
 """
 
 from __future__ import annotations
@@ -122,26 +124,27 @@ def reconstruct(q: QuotientGraph, path: ReducedPath) -> NncpSolution:
     """Replay a quotient shortest path as a concrete schedule."""
     if q.m == 0:
         return NncpSolution(opt=0, orders=[], swaps=[])
-    arc_count = sum(map(len, path.hops))
-    if len(path.hops) != q.m - 1 or arc_count != path.opt:
+    hop_count = sum(map(len, path.hops))
+    if len(path.hops) != q.m - 1 or hop_count != path.opt:
         raise SolverError(
-            f"path has {len(path.hops)} hop lists and {arc_count} arcs, "
+            f"path has {len(path.hops)} hop lists and {hop_count} hops, "
             f"expected {q.m - 1} and {path.opt}")
-    entry = q.nodes[path.entry].rep
+    v = path.entry
+    entry = q.nodes[v].rep
     step = replay_step(q, entry)
     tau = list(entry)
     orders = [entry]
     swaps: list[tuple[int, tuple[int, int]]] = []
     for k, hop in enumerate(path.hops, start=1):
-        for ai in hop:
-            t = step(tau, ai)
+        for w in hop:
+            t = step(tau, v, w)
             if t is None:
                 raise SolverError(
-                    f"arc {ai} after gate {k} leads out of orbit {q.src(ai)}, "
-                    f"but the order is not in that orbit")
+                    f"orbit {w} after gate {k} is not one SWAP from orbit {v}")
             swaps.append((k, t))
             i, j = t
             tau[i], tau[j] = tau[j], tau[i]
+            v = w
         orders.append(tuple(tau))
     return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
 
@@ -165,9 +168,17 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
             break
 
     if not violations:
+        # each later order is checked against order 1 moved by the swaps
+        if m and set(solution.orders[0]) != set(range(n)):
+            violations.append(f"order 1 is not a permutation of the {n} qubits")
         for k, (gate, tau) in enumerate(zip(circuit.gates, solution.orders), start=1):
-            at = tau.index              # the location of a qubit
-            edge = tuple(sorted(map(at, gate)))
+            try:
+                edge = tuple(sorted(map(tau.index, gate)))
+            except ValueError:
+                missing = next(x for x in gate if x not in tau)
+                violations.append(
+                    f"gate {k} acts on qubit {missing + 1}, which order {k} does not place")
+                break
             if edge not in coupling.edges:
                 violations.append(
                     f"gate {k} acts on locations {edge[0] + 1},{edge[1] + 1}, "

@@ -6,14 +6,17 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
 (location relabelings).  This module computes
 
   * orbits and orbitals.  On a star/biclique (K_{M,N}, the couplings with a
-    ``g.split``, read only in this module) they are built in closed form:
-    an orbit is fixed by its class vector, the number of qubits of each
-    pattern class on the small side, and a swap trades one class on the
-    small side for one on the large side (`_split_orbits`).  The vectors
-    and the arcs are counted before any is built, so an oversized quotient
-    fails at once, and a schedule is replayed from the same vectors
-    (`_split_step`).  Nothing on these couplings is canonicalized, and
-    their group of (n-1)! or M!·N! elements is never listed;
+    ``g.split``, which `lp` reads too, to solve a star by its closed-form
+    metric) they are built in closed form: an orbit is fixed by its class
+    vector, the number of qubits of each pattern class on the small side
+    (`_split_nodes`), and a swap trades one class on the small side for one
+    on the large side (`_split_columns`).  The vectors and the arcs are
+    counted before any is built, so an oversized quotient fails at once.
+    `quotient_graph` builds only the orbits there: the arc columns wait for
+    their first read, and a star solve never reads them.  A schedule is
+    replayed from the same vectors (`_split_step`).  Nothing on these
+    couplings is canonicalized, and their group of (n-1)! or M!·N!
+    elements is never listed;
   * canonical forms, on cycle/general couplings, whose group is enumerated
     with a stabilizer chain (the ``AutGroup.chain`` field) — the
     lexicographically smallest member of S_n(F)·τ·Aut.  S_n(F) is *every*
@@ -273,7 +276,15 @@ def _small_sides(sizes: list[int], m: int) -> list[tuple[int, ...]]:
 
 def _split_orbits(fp: FixingPattern, g: CouplingGraph
                   ) -> tuple[list[OrbitNode], Columns]:
-    """`layer_orbits` on K_{M,N} (a star when M = 1), from class vectors.
+    """`layer_orbits` on K_{M,N} (a star when M = 1), from class vectors:
+    the orbits (`_split_nodes`) and their arcs (`_split_columns`)."""
+    nodes = _split_nodes(fp, g)
+    return nodes, _split_columns(fp, g, nodes)
+
+
+def _split_nodes(fp: FixingPattern, g: CouplingGraph) -> list[OrbitNode]:
+    """The orbits of K_{M,N}, sorted by representative.  Both caps are
+    checked on the counts (`_split_counts`) before any orbit is built.
 
     Aut is every relabeling that keeps each side, so an orbit of
     S_n(F) × Aut is fixed by its class vector k: k_c qubits of pattern class
@@ -281,11 +292,7 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
     smallest qubits of each class on the small side and sorts each side,
     the smallest member of the orbit.  The orbit size is
     |G| / Π_c k_c!·(|c| − k_c)!, that is |Aut|·Π_c C(|c|, k_c), since
-    |S_n(F)| = Π_c |c|!.  A swap trades a class-c qubit on the small side
-    for a class-d qubit on the large side: one arc per such (c, d), along
-    the edge from c's first small-side location to d's first large-side
-    location, to k − e_c + e_d, with ``d_out = k_c·(|d| − k_d)``; c = d is
-    a self-loop."""
+    |S_n(F)| = Π_c |c|!."""
     m, n = g.split, g.n
     classes = fp.classes
     sizes = [len(cl) for cl in classes]
@@ -295,28 +302,43 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
             raise CapError(
                 f"{what} count {size} exceeds cap {ORBIT_NODE_CAP}; "
                 "use a more symmetric coupling family or smaller n")
+    qubits = tuple(range(n))
+    found = []          # (rep, Π_c C(|c|, k_c))
+    for small in _small_sides(sizes, m):
+        k = dict.fromkeys(small, 0)
+        for c in small:
+            k[c] += 1
+        on_small = sorted(q for c, kc in k.items() for q in classes[c][:kc])
+        # the large side: the runs of qubits between those on the small side
+        runs = zip([0, *[q + 1 for q in on_small]], [*on_small, n])
+        rep = sum((qubits[lo:hi] for lo, hi in runs), tuple(on_small))
+        found.append((rep, math.prod(math.comb(sizes[c], kc) for c, kc in k.items())))
+    found.sort(key=operator.itemgetter(0))
+    return [OrbitNode(rep=rep, orbit_size=g.aut.order * ways) for rep, ways in found]
+
+
+def _split_columns(fp: FixingPattern, g: CouplingGraph, nodes: list[OrbitNode]) -> Columns:
+    """The arcs of K_{M,N}'s orbits ``nodes`` (`_split_nodes`), as columns.
+    A swap trades a class-c qubit on the small side for a class-d qubit on
+    the large side: one arc per such (c, d), along the edge from c's first
+    small-side location to d's first large-side location of the
+    representative, to k − e_c + e_d, with ``d_out = k_c·(|d| − k_d)``;
+    c = d is a self-loop."""
+    m = g.split
+    classes = fp.classes
+    sizes = [len(cl) for cl in classes]
     cls = fp.class_index
     # a class vector's key is Σ k_c·weight[c], its mixed-radix number
     weight = list(itertools.accumulate([s + 1 for s in sizes[:-1]], operator.mul, initial=1))
+    keys = [sum(weight[cls[q]] for q in node.rep[:m]) for node in nodes]
+    dst_of = {key: i for i, key in enumerate(keys)}.__getitem__
 
-    found = []          # (rep, k, key, Π_c C(|c|, k_c))
-    for small in _small_sides(sizes, m):
-        k = [0] * len(classes)
-        for c in small:
-            k[c] += 1
-        held = set(small)
-        on_small = {q for c in held for q in classes[c][:k[c]]}
-        rep = tuple(sorted(on_small)) + tuple(itertools.filterfalse(on_small.__contains__, range(n)))
-        found.append((rep, k, sum(map(weight.__getitem__, small)),
-                      math.prod(math.comb(sizes[c], k[c]) for c in held)))
-    found.sort(key=lambda row: row[0])
-    index = {key: i for i, (_, _, key, _) in enumerate(found)}
-
-    nodes = []
     columns = offsets, dst, us, vs, d_out = _empty_columns()
-    dst_of = index.__getitem__
-    for rep, k, key, ways in found:
-        nodes.append(OrbitNode(rep=rep, orbit_size=g.aut.order * ways))
+    for node, key in zip(nodes, keys):
+        rep = node.rep
+        k = [0] * len(classes)
+        for q in rep[:m]:
+            k[cls[q]] += 1
         # each class's first location on either side, in location order: the
         # sides are sorted and every class lists its members in ascending order
         low = [(u, cls[q]) for u, q in enumerate(rep[:m]) if q == classes[cls[q]][0]]
@@ -330,7 +352,7 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
             vs.fromlist(list(hv))
             d_out.fromlist(list(map(k[c].__mul__, room)))
         offsets.append(len(dst))
-    return nodes, columns
+    return columns
 
 
 def _empty_columns() -> Columns:
@@ -342,38 +364,48 @@ def _empty_columns() -> Columns:
 
 
 def replay_step(q: QuotientGraph, entry: Perm):
-    """``step(tau, ai)`` for `reconstruct`'s walk from ``entry``: the swap
-    that moves the current order ``tau`` along arc ``ai``, or None if ``tau``
-    is not in the arc's source orbit.  A star or biclique steps by class
-    vectors (`_split_step`), a cycle or general coupling by
-    canonicalization (`_canonical_step`)."""
+    """``step(tau, v, w)`` for `reconstruct`'s walk from ``entry``: the swap
+    that moves the current order ``tau``, in orbit ``v``, into orbit ``w``,
+    or None for a hop it cannot take.  A star or biclique steps by class vectors
+    (`_split_step`), a cycle or general coupling along v's first arc into w
+    (`_canonical_step`)."""
     if q.coupling.split is None:
         return _canonical_step(q)
     return _split_step(q, entry)
 
 
 def _split_step(q: QuotientGraph, entry: Perm):
-    """`replay_step` on K_{M,N}, with no canonicalization.
+    """`replay_step` on K_{M,N}, with no canonicalization and no arc.
 
     Per pattern class it keeps the sorted small-side and large-side
-    locations of the current order.  The representative of orbit ``src``
-    (`_split_orbits`) puts the arc's ``u`` on the lowest small-side location
-    of its class c and ``v`` on the lowest large-side location of its class
-    d, so those two locations are the swap.  The order is in ``src`` iff its
-    small side holds the same classes."""
+    locations of the current order.  The hop trades the one class c that
+    the order holds on the small side more often than w's representative
+    does for the one class d that w holds more often, so it swaps the
+    lowest small-side location of c with the lowest large-side location of
+    d: the edge of v's first arc into w (`_split_columns`), moved onto the
+    order.  A hop into an orbit with the same class vector is refused: its
+    swap is not fixed by the two vectors, and a shortest walk never takes
+    one."""
     m = q.coupling.split
     cls = q.fp.class_index
     at = cls.__getitem__
+    nodes = q.nodes
     small: list[list[int]] = [[] for _ in q.fp.classes]
     large: list[list[int]] = [[] for _ in q.fp.classes]
     for y, x in enumerate(entry):
         (small if y < m else large)[cls[x]].append(y)   # ascending
 
-    def step(tau: list[int], ai: int) -> tuple[int, int] | None:
-        rep = q.nodes[q.src(ai)].rep
-        if sorted(map(at, tau[:m])) != sorted(map(at, rep[:m])):
+    def step(tau: list[int], v: int, w: int) -> tuple[int, int] | None:
+        lost = list(map(at, tau[:m]))
+        gained = []
+        for d in map(at, nodes[w].rep[:m]):
+            if d in lost:
+                lost.remove(d)
+            else:
+                gained.append(d)
+        if len(gained) != 1:
             return None
-        c, d = cls[rep[q.u[ai]]], cls[rep[q.v[ai]]]
+        (c,), (d,) = lost, gained
         y = small[c].pop(0)
         z = large[d].pop(0)
         insort(small[d], y)
@@ -384,15 +416,19 @@ def _split_step(q: QuotientGraph, entry: Perm):
 
 
 def _canonical_step(q: QuotientGraph):
-    """`replay_step` on a cycle or general coupling: canonicalize the order,
-    τ ↦ (rep, b), and swap along the edge b⁻¹ maps onto the arc's edge."""
+    """`replay_step` on a cycle or general coupling: take v's first arc
+    into w, canonicalize the order, τ ↦ (rep, b), and swap along the edge
+    b⁻¹ maps onto the arc's edge."""
+    offsets, dst, us, vs = q.offsets, q.dst, q.u, q.v
 
-    def step(tau: list[int], ai: int) -> tuple[int, int] | None:
-        rep, b = canonical_form(tuple(tau), q.fp, q.coupling)
-        if rep != q.nodes[q.src(ai)].rep:
+    def step(tau: list[int], v: int, w: int) -> tuple[int, int] | None:
+        try:
+            ai = dst.index(w, offsets[v], offsets[v + 1])
+        except ValueError:
             return None
+        _, b = canonical_form(tuple(tau), q.fp, q.coupling)
         at = b.index                    # b⁻¹ at one point, with no whole inverse
-        return pair(at(q.u[ai]), at(q.v[ai]))
+        return pair(at(us[ai]), at(vs[ai]))
 
     return step
 
@@ -491,6 +527,10 @@ layer_orbitals = layer_orbits
 # ---------------------------------------------------------------------------
 # the full quotient structure
 
+# a layer's orbital columns, as QuotientGraph holds them
+_COLUMNS = ("offsets", "dst", "u", "v", "d_out")
+
+
 class QuotientGraph:
     """Shared per-layer orbit/orbital structure plus per-gate compliance.
 
@@ -499,7 +539,9 @@ class QuotientGraph:
     class of the edge (``u[ai]``, ``v[ai]``), u < v, into orbit ``dst[ai]``,
     ``d_out[ai]`` ways per member of the source.  Orbit i's arcs are
     ``offsets[i]:offsets[i + 1]``, so the source is not stored, and neither is
-    the in-degree (`d_in`).  ``arcs`` is the range of arc ids.
+    the in-degree (`d_in`).  ``arcs`` is the range of arc ids.  On a star or
+    biclique, ``columns`` is None: `_split_columns` builds them from the class
+    vectors the first time one is read, and ``arcs`` is counted without them.
 
     ``compliant[k]`` lists the orbit ids whose members put gate k's qubits on
     adjacent locations; gates on one qubit pair share the list.  The source
@@ -507,18 +549,25 @@ class QuotientGraph:
     compliant orbit of the last gate, in-degree = orbit size) are implicit."""
 
     def __init__(self, circuit: Circuit, coupling: CouplingGraph, fp: FixingPattern,
-                 nodes: list[OrbitNode], offsets: array, dst: array, u: array,
-                 v: array, d_out: array, compliant: list[list[int]]):
+                 nodes: list[OrbitNode], columns: Columns | None,
+                 compliant: list[list[int]]):
         self.circuit = circuit
         self.coupling = coupling
         self.fp = fp
         self.nodes = nodes
-        self.offsets = offsets
-        self.dst = dst
-        self.u = u
-        self.v = v
-        self.d_out = d_out
+        if columns is not None:
+            self.offsets, self.dst, self.u, self.v, self.d_out = columns
         self.compliant = compliant
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute, so once a split quotient's
+        # columns are built, reading them costs nothing extra
+        if name not in _COLUMNS or "nodes" not in self.__dict__:
+            raise AttributeError(name)
+        columns = _split_columns(self.fp, self.coupling, self.nodes)
+        for key, col in zip(_COLUMNS, columns):
+            setattr(self, key, col)
+        return self.__dict__[name]
 
     @property
     def n(self) -> int:
@@ -530,7 +579,9 @@ class QuotientGraph:
 
     @property
     def arcs(self) -> range:
-        return range(len(self.dst))
+        if "dst" in self.__dict__:
+            return range(len(self.dst))
+        return range(_split_counts([len(cl) for cl in self.fp.classes], self.coupling.split)[1])
 
     def src(self, ai: int) -> int:
         """The source orbit of arc ``ai``: the last orbit whose arcs start at
@@ -548,13 +599,16 @@ class QuotientGraph:
 
 
 def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
+    """The quotient of ``c`` on ``g``.  On a star or biclique it lists only
+    the orbits and the compliance; the arc columns wait for their first read
+    (`QuotientGraph`)."""
     if c.n != g.n:
         raise ValueError(f"circuit has {c.n} qubits, coupling {g.n} locations")
     fp = fixing_pattern(c)
-    nodes, (offsets, dst, us, vs, d_out) = layer_orbits(fp, g)
 
     pairs = set(c.gates)
     if g.split is not None:
+        nodes, columns = _split_nodes(fp, g), None
         # on K_{M,N} a pair is adjacent iff exactly one of its qubits sits on
         # the small side, the representative's first M locations
         on_small: list[list[int]] = [[] for _ in range(g.n)]
@@ -564,6 +618,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
         by_pair = {(a, b): sorted(set(on_small[a]).symmetric_difference(on_small[b]))
                    for a, b in pairs}
     else:
+        nodes, columns = layer_orbits(fp, g)
         # an orbit is compliant with a pair iff one of its representative's
         # coupling edges holds the pair's two qubits, and at most one edge
         # can.  So walk each representative's edges: the qubits on an edge,
@@ -581,9 +636,8 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
                     ids.append(i)
     compliant = [by_pair[gate] for gate in c.gates]     # one list per pair
 
-    return QuotientGraph(
-        circuit=c, coupling=g, fp=fp, nodes=nodes, offsets=offsets, dst=dst,
-        u=us, v=vs, d_out=d_out, compliant=compliant)
+    return QuotientGraph(circuit=c, coupling=g, fp=fp, nodes=nodes, columns=columns,
+                         compliant=compliant)
 
 
 def reduction_stats(q: QuotientGraph) -> dict:

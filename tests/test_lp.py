@@ -254,13 +254,14 @@ def global_01_bfs(q):
                 dq.append((d + 1, k, v))
     assert end is not None
 
-    # a swap in layer k >= 2 comes between gates k-1 and k
+    # a swap in layer k >= 2 comes between gates k-1 and k; a hop names the
+    # orbit it enters
     hops = [[] for _ in range(m - 1)]
     state = end
     while parent[state][0] is not None:
         prev, ai = parent[state]
         if ai is not None:
-            hops[state[0] - 2].append(ai)
+            hops[state[0] - 2].append(q.dst[ai])
         state = prev
     for hop in hops:
         hop.reverse()
@@ -315,8 +316,8 @@ def replay_oracle(q):
     backward walk from the cheapest orbit t of the last gate.  Spheres
     around t grow until sphere r holds an orbit of the previous gate at
     potential P − r; the lowest such orbit s starts the walk down the
-    spheres, each hop the first out-arc, scanning ``dst`` in order, whose
-    destination lies in the next sphere in."""
+    spheres, each hop into the destination of the first out-arc, scanning
+    ``dst`` in order, that lies in the next sphere in."""
     n = len(q.nodes)
     out = [list(q.dst[q.offsets[u]:q.offsets[u + 1]]) for u in range(n)]
     pots = [dict.fromkeys(range(n), 0)]
@@ -340,13 +341,11 @@ def replay_oracle(q):
             seen |= spheres[-1]
         r = len(spheres) - 1
         s = v = min(x for x in spheres[-1] if pots[k - 1].get(x) == potential - r)
-        arcs = []
+        walk = []
         for sphere in reversed(spheres[:-1]):
-            lo = q.offsets[v]
-            ai = lo + next(i for i, w in enumerate(out[v]) if w in sphere)
-            arcs.append(ai)
-            v = q.dst[ai]
-        hops.append(arcs)
+            v = next(w for w in out[v] if w in sphere)
+            walk.append(v)
+        hops.append(walk)
         t, potential = s, potential - r
     hops.reverse()
     return ReducedPath(opt=opt, entry=t, hops=hops)
@@ -371,9 +370,10 @@ def seeded_replay_instance(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_replay_matches_first_arc_oracle(monkeypatch, seed):
-    # the replay finds each hop with dst.index per candidate successor; the
-    # oracle scans each orbit's out-arcs in order.  The hop lists, the entry
-    # and the optimum must be the same under both level expanders
+    # the BFS finds each hop with dst.index per candidate successor, and a
+    # star takes the closed-form metric; the oracle scans each orbit's
+    # out-arcs in order.  The hop lists, the entry and the optimum must be
+    # the same under both level expanders
     c, g = seeded_replay_instance(seed)
     q = quotient_graph(c, g)
     ref = replay_oracle(q)

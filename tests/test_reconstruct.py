@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -202,21 +203,23 @@ def test_reconstruct_rejects_empty_support():
     for n, pairs, family, m_side in DEAD_ENDS:
         _, _, q, _, sol = solved(n, pairs, family, m_side)
         with pytest.raises(SolverError,
-                           match=f"0 hop lists and 0 arcs, expected {q.m - 1} and 0"):
+                           match=f"0 hop lists and 0 hops, expected {q.m - 1} and 0"):
             reconstruct(q, ReducedPath(opt=0, entry=sol.entry, hops=[]))
 
 
 def test_reconstruct_dead_end():
     for n, pairs, family, m_side in DEAD_ENDS:
-        _, _, q, _, sol = solved(n, pairs, family, m_side)
+        _, g, q, _, sol = solved(n, pairs, family, m_side)
         assert isinstance(sol, ReducedPath) and sol.opt > 0
-        # swap along an arc that leaves some other orbit than the current one
+        # hop into the orbit the walk is already in: cycle-4's orbits have no
+        # self-loop, and a split replay refuses a hop that keeps the class
+        # vector (K_{3,4} has self-loops)
         k = next(k for k, hop in enumerate(sol.hops) if hop)
-        ai = sol.hops[k][0]
-        wrong = next(bi for bi in q.arcs if q.src(bi) != q.src(ai))
+        v = [sol.entry, *itertools.chain(*sol.hops[:k])][-1]
+        assert g.split or v not in q.dst[q.offsets[v]:q.offsets[v + 1]]
         hops = [list(hop) for hop in sol.hops]
-        hops[k][0] = wrong
-        with pytest.raises(SolverError, match="out of orbit"):
+        hops[k][0] = v
+        with pytest.raises(SolverError, match=f"orbit {v} after gate {k + 1} is not one SWAP"):
             reconstruct(q, ReducedPath(opt=sol.opt, entry=sol.entry, hops=hops))
 
 
@@ -224,17 +227,21 @@ def test_reconstruct_dead_end():
 
 def canonicalizing_replay(q, path):
     """The replay that canonicalizes before every SWAP, on a star or
-    biclique through the test-side `sides_oracle`: the witness b of the
-    current order maps the arc's edge back through b⁻¹."""
-    tau = q.nodes[path.entry].rep
+    biclique through the test-side `sides_oracle`: the hop from orbit v into
+    w takes v's first arc into w, and the witness b of the current order
+    maps the arc's edge back through b⁻¹."""
+    v = path.entry
+    tau = q.nodes[v].rep
     orders, swaps = [tau], []
     for k, hop in enumerate(path.hops, start=1):
-        for ai in hop:
+        for w in hop:
             rep, b = sides_oracle(tau, q.fp, q.coupling)
-            assert rep == q.nodes[q.src(ai)].rep
+            assert rep == q.nodes[v].rep
+            ai = q.dst.index(w, q.offsets[v], q.offsets[v + 1])
             t = pair(b.index(q.u[ai]), b.index(q.v[ai]))
             swaps.append((k, t))
             tau = swap(tau, *t)
+            v = w
         orders.append(tau)
     return NncpSolution(opt=path.opt, orders=orders, swaps=swaps)
 
@@ -442,3 +449,27 @@ def test_verify_flags_wrong_degree():
     orders = [(0, 1, 2)] + sol.orders[1:]
     rep = verify(NncpSolution(sol.opt, orders, sol.swaps), c, g)
     assert not rep["ok"] and "permutes 3 items" in rep["violations"][0]
+
+
+@pytest.mark.parametrize("order, message", [
+    ((0, 1, 1), "order 1 is not a permutation of the 3 qubits"),
+    ((0, 1, 7), "order 1 is not a permutation of the 3 qubits"),
+    ((0, 0, 2), "gate 1 acts on qubit 2, which order 1 does not place"),
+], ids=["repeat", "out-of-range", "missing-gate-qubit"])
+def test_verify_flags_an_order_that_is_not_a_permutation(order, message):
+    # star-3 with the one gate (0, 1): each order puts the gate's qubits, or
+    # the one it finds, on the edge (0, 1), but none is a permutation
+    c = circ(3, [(0, 1)])
+    g, _, _ = make("star", n=3)
+    rep = verify(NncpSolution(0, [order], []), c, g)
+    assert not rep["ok"] and message in rep["violations"]
+    assert verify(NncpSolution(0, [(0, 1, 2)], []), c, g)["ok"]
+
+
+def test_verify_flags_a_later_order_that_is_not_a_permutation():
+    # order 1 is a permutation, so a broken later order fails the swap chain
+    c, g, sol = good_instance()
+    orders = sol.orders[:-1] + [(sol.orders[-1][0],) * 4]
+    rep = verify(NncpSolution(sol.opt, orders, sol.swaps), c, g)
+    assert not rep["ok"]
+    assert any("do not transform order" in v for v in rep["violations"])

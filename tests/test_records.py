@@ -65,8 +65,7 @@ CASES = {
     OrbitNode: ([("rep", EMPTY), ("orbit_size", EMPTY)],
                 lambda x: OrbitNode((0, 1, 2), 6), "identity"),
     QuotientGraph: ([(name, EMPTY) for name in ("circuit", "coupling", "fp", "nodes",
-                                                "offsets", "dst", "u", "v", "d_out",
-                                                "compliant")],
+                                                "columns", "compliant")],
                     lambda x: quotient(), "identity"),
 }
 
