@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
-from .baseline import solve_spp
+from .baseline import BASELINE_N_CAP, solve_spp
 from .circuit import Circuit, decompose, parse_real
 from .coupling import STAR, CouplingGraph, coupling_from_descriptor
 from .dp import solve_star_dp, star_solution
@@ -76,7 +75,7 @@ def cmd_solve(args) -> int:
     methods = ["reduced"]
     skipped = []
     if args.method == "all":
-        if circuit.n <= 8:
+        if circuit.n <= BASELINE_N_CAP:
             methods.append("baseline")
         else:
             skipped.append("baseline")
@@ -149,7 +148,7 @@ def cmd_stats(args) -> int:
     stats = reduction_stats(quotient_graph(circuit, coupling))
     with _exact_integers():     # |Aut| and the unreduced sizes are exact
         if args.out == "json":
-            print(json.dumps({"schema": SCHEMA_VERSION, **stats}, indent=2))
+            print(dumps_rows({"schema": SCHEMA_VERSION, **stats}))
         elif args.out == "csv":
             def cell(v):  # per-boundary counts are lists; keep the row comma-safe
                 return ";".join(map(str, v)) if isinstance(v, list) else str(v)
@@ -187,7 +186,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read solution file: {exc}")
     report = verify(sol, circuit, coupling)
-    print(json.dumps({"schema": SCHEMA_VERSION, **report}, indent=2))
+    print(dumps_rows({"schema": SCHEMA_VERSION, **report}))
     if not report["ok"]:
         raise VerificationError(report["violations"][0])
     return 0

@@ -14,23 +14,24 @@ exports either.
 by coupling automorphisms and compliance is orbit-invariant, so the
 orbit-to-orbit distances of the layered graph are BFS distances in the
 quotient, whatever the orbitals' in/out multipliers.  Distance passes
-between gates only through compliant orbits.  On a star (a coupling whose
-``split`` is 1, the one thing this module reads of it) any two distinct
-orbits are one SWAP apart, so each gate's potentials follow from the
-previous gate's in one pass over the two compliant lists (`_star_path`),
-and no arc column, chunk table or BFS is built.  Elsewhere each gate gets
-one level-synchronous BFS from the previous gate's compliant orbits, injected
-at their potentials; it stops once this gate's are settled and keeps only
-their potentials, as one bitmask of orbits per level.  A whole BFS level
-expands at once: through per-chunk tables of successor masks (`_expander`,
-the Four Russians trick; only nonzero chunks are looked up) when they take
-at most the fixed `TABLE_BYTES_LIMIT` (`_table_fits`), otherwise over
-adjacency lists read from the quotient's ``dst`` column
-(`_adjacency_expander`).
-The walk back grows spheres backward from the cheapest orbit of the last
-gate, which is exact because the quotient's adjacency is symmetric.  Either
-solver returns a `ReducedPath`: the entry orbit and the orbits the walk
-enters, one per SWAP, so `reconstruct` replays both alike.
+between gates only through compliant orbits.  One solver
+(`_shortest_quotient_path`) keeps each gate's potentials as level masks,
+one bitmask of compliant orbits per potential, and gets them in one of two
+ways.  On a star (a coupling whose ``split`` is 1, the one thing this
+module reads of it) any two distinct orbits are one SWAP apart, so they
+follow in closed form from the previous gate's (`_star_level`), and no arc
+column, chunk table or BFS is built.  Elsewhere each gate gets one
+level-synchronous BFS from the previous gate's compliant orbits, injected
+at their potentials (`_bfs_level`); it stops once this gate's are settled.
+A whole BFS level expands at once: through per-chunk tables of successor
+masks (`_expander`, the Four Russians trick; only nonzero chunks are looked
+up) when they take at most the fixed `TABLE_BYTES_LIMIT` (`_table_fits`),
+otherwise over adjacency lists read from the quotient's ``dst`` column
+(`_adjacency_expander`).  Both go through one walk back, which grows
+spheres backward from the cheapest orbit of the last gate, exact because
+the quotient's adjacency is symmetric, and returns a `ReducedPath`: the
+entry orbit and the orbits the walk enters, one per SWAP, which
+`reconstruct` replays.
 `simplex_solve` solves the LP and flow models with HiGHS (`simplex.py`), which
 needs scipy; a failure that HiGHS reports as neither optimal, infeasible,
 unbounded nor an iteration limit is a `SolverError`.
@@ -39,8 +40,8 @@ unbounded nor an iteration limit is a `SolverError`.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterator
-from functools import reduce
+from collections.abc import Callable
+from functools import partial, reduce
 from itertools import compress, pairwise
 from operator import getitem, or_
 
@@ -284,10 +285,11 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
     each of its 16 values, the OR of the successor masks of the orbits the
     value selects.  Expanding a set reads its mask as hex, top chunk first,
     and ORs one table entry per nonzero chunk: a zero chunk selects no
-    orbit, so its table is skipped.  A set of at most four orbits, as in
-    every hop of the walk back, ORs their one-orbit entries instead, which
-    costs less than formatting the mask.  The tables are built chunk by chunk from the
-    ``dst`` column, so no list of all successor masks is held."""
+    orbit, so its table is skipped.  A set of at most four orbits, as the
+    first sphere of every walk back (one orbit), ORs their one-orbit
+    entries instead, which costs less than formatting the mask.  The tables
+    are built chunk by chunk from the ``dst`` column, so no list of all
+    successor masks is held."""
     n = len(q.nodes)
     chunks = -(-n // 4)
     offsets, dst = q.offsets, q.dst
@@ -348,67 +350,92 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _members(mask: int) -> Iterator[int]:
-    """The orbit ids in a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _star_level(prev: tuple[int, list[int]], left: int) -> tuple[int, list[int]]:
+    """Gate k+1's level masks on a star, in closed form from gate k's.
+    Any two distinct orbits are one SWAP apart, so gate k's potentials span
+    at most two adjacent values: an orbit of ``left`` (gate k+1's compliant
+    orbits) that gate k holds at its lowest potential keeps it, and every
+    other one costs one SWAP more."""
+    if not left:
+        raise SolverError(NO_PATH)
+    base, masks = prev
+    kept = left & masks[0]
+    if not kept:
+        return base + 1, [left]
+    rest = left ^ kept
+    return base, [kept, rest] if rest else [kept]
+
+
+def _bfs_level(expand: Callable[[int], int], prev: tuple[int, list[int]],
+               left: int) -> tuple[int, list[int]]:
+    """Gate k+1's level masks by one level-synchronous BFS over the
+    quotient, from gate k's level masks injected at their potentials, that
+    stops once every orbit of ``left`` (gate k+1's compliant orbits) is
+    settled."""
+    prev_base, injected = prev
+    masks: list[int] = []               # from the first level that settles one
+    settled = frontier = 0
+    j = 0                               # the level is at potential prev_base + j
+    while left and (frontier or j < len(injected)):
+        reached = expand(frontier) if frontier else 0
+        if j < len(injected):
+            reached |= injected[j]
+        reached &= ~settled
+        settled |= reached
+        hit = reached & left
+        if hit or masks:
+            masks.append(hit)
+        left ^= hit
+        frontier = reached
+        j += 1
+    if not masks:
+        raise SolverError(NO_PATH)
+    return prev_base + j - len(masks), masks
 
 
 def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
-    """One BFS pass per gate over orbit bitmasks, from the previous gate's
-    compliant orbits at their potentials to this gate's; then the cheapest
-    chain is walked back into its entry orbit and, per boundary, the orbits
-    it enters.
+    """Every gate's potentials as level masks, gate by gate; then the
+    cheapest chain is walked back into its entry orbit and, per boundary,
+    the orbits it enters.
 
     Gate k's potentials are kept as level masks: ``levels[k]`` is (base,
     masks), where masks[j] holds the compliant orbits of gate k at potential
-    base + j, and ``levels[0]`` holds every orbit at potential 0.  Each pass
-    expands a whole BFS level at once and injects the previous gate's level
-    masks at their potentials.  The walk goes backward from the cheapest
-    orbit t of the last gate, at potential P: spheres around t grow until
-    sphere r meets the previous gate's level at P − r, then the walk down
-    the spheres gives that boundary's hops, one orbit per sphere.  Spheres
-    grown along out-arcs measure the distance *to* t because the quotient's
-    adjacency is symmetric: a swap undoes itself.  A level expands through chunk
-    tables (`_expander`), one lookup per nonzero 4-bit chunk of its mask,
-    when they take at most `TABLE_BYTES_LIMIT` (`_table_fits`): on cycles
-    7 and 8 and the bicliques measured; larger quotients (Petersen,
-    the 3×3 grid) expand over adjacency lists (`_adjacency_expander`).  A
-    hop of the walk takes the first of v's out-arcs, in ``dst`` order, into
-    the next sphere, and enters its destination: per orbit w the sphere
-    shares with v's successors, ``dst.index`` finds v's first arc into w,
-    and the least of those wins."""
-    expand = _expander(q) if _table_fits(q) else _adjacency_expander(q)
-    offsets, dst = q.offsets, q.dst
+    base + j, and ``levels[0]`` holds every orbit at potential 0.  On a star
+    they follow in closed form (`_star_level`); elsewhere each gate gets one
+    BFS pass (`_bfs_level`) that expands a whole BFS level at once, through
+    chunk tables (`_expander`), one lookup per nonzero 4-bit chunk of its
+    mask, when they take at most `TABLE_BYTES_LIMIT` (`_table_fits`): on
+    cycles 7 and 8 and the bicliques measured; larger quotients (Petersen,
+    the 3×3 grid) expand over adjacency lists (`_adjacency_expander`).
+
+    The walk goes backward from the cheapest orbit t of the last gate, at
+    potential P: spheres around t grow until sphere r meets the previous
+    gate's level at P − r, then the walk down the spheres gives that
+    boundary's hops, one orbit per sphere.  Spheres grown along out-arcs
+    measure the distance *to* t because the quotient's adjacency is
+    symmetric: a swap undoes itself.  On a star the expander is the
+    constant "every orbit", since any two distinct orbits are one SWAP
+    apart.  A hop from v enters the destination of v's first out-arc, in
+    ``dst`` order, that lies in the next sphere, the arc the replay takes;
+    the last hop always enters t, so a star, whose spheres reach one SWAP
+    at most, reads no arc column."""
+    every = (1 << len(q.nodes)) - 1
+    if q.coupling.split == 1:
+        level, expand = _star_level, lambda mask: every
+    else:
+        expand = _expander(q) if _table_fits(q) else _adjacency_expander(q)
+        level = partial(_bfs_level, expand)
     mask_of: dict[int, int] = {}        # per compliant list (shared per pair), its mask
     for ids in q.compliant:
         if id(ids) not in mask_of:
-            mask_of[id(ids)] = sum(1 << u for u in ids)
+            mask = 0                    # a plain loop: about twice as fast as sum()
+            for u in ids:
+                mask |= 1 << u
+            mask_of[id(ids)] = mask
     # gate 0 stands for the source: every orbit, at potential 0
-    levels = [(0, [(1 << len(q.nodes)) - 1])]
+    levels = [(0, [every])]
     for ids in q.compliant:
-        prev_base, injected = levels[-1]
-        left = mask_of[id(ids)]         # this gate's orbits not yet settled
-        masks: list[int] = []           # from the first level that settles one
-        settled = frontier = 0
-        j = 0                           # the level is at potential prev_base + j
-        while left and (frontier or j < len(injected)):
-            reached = expand(frontier) if frontier else 0
-            if j < len(injected):
-                reached |= injected[j]
-            reached &= ~settled
-            settled |= reached
-            hit = reached & left
-            if hit or masks:
-                masks.append(hit)
-            left ^= hit
-            frontier = reached
-            j += 1
-        if not masks:
-            raise SolverError(NO_PATH)
-        levels.append((prev_base + j - len(masks), masks))
+        levels.append(level(levels[-1], mask_of[id(ids)]))
 
     base, masks = levels[-1]
     t = _lowest(masks[0])
@@ -416,70 +443,33 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     hops: list[list[int]] = []          # per gate boundary, last first
     for k in range(q.m, 1, -1):
         prev_base, prev = levels[k - 1]
-        spheres = [1 << t]              # spheres[r]: the orbits r swaps from t
-        seen = spheres[0]
+        sphere = seen = 1 << t          # sphere r: the orbits r swaps from t
+        inner: list[int] = []           # spheres 0 .. r − 1
         j = potential - prev_base       # the level of prev that sphere r must meet
-        while not (j < len(prev) and spheres[-1] & prev[j]):
+        while not (j < len(prev) and sphere & prev[j]):
             assert j > 0
-            spheres.append(expand(spheres[-1]) & ~seen)
-            seen |= spheres[-1]
+            inner.append(sphere)
+            sphere = expand(sphere) & ~seen
+            seen |= sphere
             j -= 1
-        s = v = _lowest(spheres[-1] & prev[j])
+        s = v = _lowest(sphere & prev[j])
         walk = []
-        for sphere in reversed(spheres[:-1]):   # one hop down per sphere
-            # v's first out-arc into the sphere: the least of the first
-            # out-arcs into each of its successors there
-            lo, hi = offsets[v], offsets[v + 1]
-            v = dst[min(dst.index(w, lo, hi) for w in _members(sphere & expand(1 << v)))]
+        for sphere in inner[:0:-1]:     # one hop down per sphere but t's
+            lo, hi = q.offsets[v], q.offsets[v + 1]
+            v = next(w for w in q.dst[lo:hi] if sphere >> w & 1)
             walk.append(v)
+        if inner:
+            walk.append(t)              # the last hop enters t
         hops.append(walk)
         t, potential = s, prev_base + j
     hops.reverse()
     return ReducedPath(opt=opt, entry=t, hops=hops)
 
 
-def _star_path(q: QuotientGraph) -> ReducedPath:
-    """`_shortest_quotient_path` on a star, by the closed-form metric.
-
-    On K_{1,N} an orbit is the pattern class on the centre, and any two
-    distinct orbits are one SWAP apart, so gate k+1's potentials are
-    ψ_{k+1}(y) = min(ψ_k(y) if y ∈ C_k, min_{x ∈ C_k} ψ_k(x) + 1) over its
-    compliant orbits y, one O(|C_k| + |C_{k+1}|) pass per gate.  ψ_k spans
-    at most two adjacent values, so an orbit of C_k keeps its potential.  The
-    walk back takes the BFS's hops: from the lowest-id cheapest orbit t of
-    the last gate, keep t if gate k−1 holds it at the same potential, else
-    enter t from the lowest-id compliant orbit of gate k−1 at one less."""
-    if q.m == 0:
-        return ReducedPath(opt=0, entry=0, hops=[])
-    pots: list[dict[int, int]] = []     # per gate, its compliant orbits' potentials
-    prev: dict[int, int] = {}
-    for ids in q.compliant:
-        if not ids:
-            raise SolverError(NO_PATH)
-        swapped = min(prev.values()) + 1 if prev else 0
-        get = prev.get
-        prev = {y: get(y, swapped) for y in ids}
-        pots.append(prev)
-
-    potential = min(prev.values())
-    opt, t = potential, min(y for y, p in prev.items() if p == potential)
-    hops: list[list[int]] = []          # per gate boundary, last first
-    for prev in reversed(pots[:-1]):
-        if prev.get(t) == potential:
-            hops.append([])
-            continue
-        hops.append([t])
-        potential -= 1
-        t = min(x for x, p in prev.items() if p == potential)
-    hops.reverse()
-    return ReducedPath(opt=opt, entry=t, hops=hops)
-
-
 def solve_reduced(q: QuotientGraph) -> tuple[int, ReducedPath]:
-    """Solve the reduced model: on a star by the closed-form metric
-    (`_star_path`), otherwise by one BFS pass per gate over the quotient.
-    Returns (opt, path); `reconstruct` replays the path as a schedule."""
-    path = _star_path(q) if q.coupling.split == 1 else _shortest_quotient_path(q)
+    """Solve the reduced model (`_shortest_quotient_path`).  Returns (opt,
+    path); `reconstruct` replays the path as a schedule."""
+    path = _shortest_quotient_path(q)
     return path.opt, path
 
 

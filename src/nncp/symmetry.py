@@ -6,14 +6,15 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
 (location relabelings).  This module computes
 
   * orbits and orbitals.  On a star/biclique (K_{M,N}, the couplings with a
-    ``g.split``, which `lp` reads too, to solve a star by its closed-form
-    metric) they are built in closed form: an orbit is fixed by its class
+    ``g.split``; `lp` reads it too, to take a star's level masks in closed
+    form) they are built in closed form: an orbit is fixed by its class
     vector, the number of qubits of each pattern class on the small side
     (`_split_nodes`), and a swap trades one class on the small side for one
     on the large side (`_split_columns`).  The vectors and the arcs are
     counted before any is built, so an oversized quotient fails at once.
     `quotient_graph` builds only the orbits there: the arc columns wait for
-    their first read, and a star solve never reads them.  A schedule is
+    their first read, and a star solve never reads them, so a star's arc
+    count is capped only when they are built.  A schedule is
     replayed from the same vectors (`_split_step`).  Nothing on these
     couplings is canonicalized, and their group of (n-1)! or M!·N!
     elements is never listed;
@@ -282,9 +283,17 @@ def _split_orbits(fp: FixingPattern, g: CouplingGraph
     return nodes, _split_columns(fp, g, nodes)
 
 
+def _check_cap(what: str, count: int):
+    if count > ORBIT_NODE_CAP:
+        raise CapError(f"{what} count {count} exceeds cap {ORBIT_NODE_CAP}; "
+                       "use a more symmetric coupling family or smaller n")
+
+
 def _split_nodes(fp: FixingPattern, g: CouplingGraph) -> list[OrbitNode]:
-    """The orbits of K_{M,N}, sorted by representative.  Both caps are
-    checked on the counts (`_split_counts`) before any orbit is built.
+    """The orbits of K_{M,N}, sorted by representative.  The caps are
+    checked on the counts (`_split_counts`) before any orbit is built: the
+    orbit count always, the arc count on a biclique, whose solve reads the
+    arcs; a star solve reads none, so `_split_columns` checks it there.
 
     Aut is every relabeling that keeps each side, so an orbit of
     S_n(F) × Aut is fixed by its class vector k: k_c qubits of pattern class
@@ -297,11 +306,9 @@ def _split_nodes(fp: FixingPattern, g: CouplingGraph) -> list[OrbitNode]:
     classes = fp.classes
     sizes = [len(cl) for cl in classes]
     count, arc_count = _split_counts(sizes, m)
-    for what, size in (("orbit", count), ("arc", arc_count)):
-        if size > ORBIT_NODE_CAP:
-            raise CapError(
-                f"{what} count {size} exceeds cap {ORBIT_NODE_CAP}; "
-                "use a more symmetric coupling family or smaller n")
+    _check_cap("orbit", count)
+    if m > 1:
+        _check_cap("arc", arc_count)
     qubits = tuple(range(n))
     found = []          # (rep, Π_c C(|c|, k_c))
     for small in _small_sides(sizes, m):
@@ -323,10 +330,12 @@ def _split_columns(fp: FixingPattern, g: CouplingGraph, nodes: list[OrbitNode]) 
     the large side: one arc per such (c, d), along the edge from c's first
     small-side location to d's first large-side location of the
     representative, to k − e_c + e_d, with ``d_out = k_c·(|d| − k_d)``;
-    c = d is a self-loop."""
+    c = d is a self-loop.  The arc cap is checked before any column is
+    filled."""
     m = g.split
     classes = fp.classes
     sizes = [len(cl) for cl in classes]
+    _check_cap("arc", _split_counts(sizes, m)[1])
     cls = fp.class_index
     # a class vector's key is Σ k_c·weight[c], its mixed-radix number
     weight = list(itertools.accumulate([s + 1 for s in sizes[:-1]], operator.mul, initial=1))

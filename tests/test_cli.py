@@ -270,6 +270,26 @@ def test_oversized_split_arc_count_fails_fast(capsys):
     assert "arc count 109230240" in err
 
 
+def test_a_star_whose_arcs_pass_the_cap_solves(capsys, tmp_path):
+    # a chain on a 2 300-location star: 2 300 orbits and 2 300·2 299 arcs,
+    # over the cap, but neither stats nor a star solve builds an arc
+    names = [f"x{i}" for i in range(2300)]
+    path = tmp_path / "chain2300.real"
+    path.write_text(f".numvars 2300\n.variables {' '.join(names)}\n.begin\n"
+                    + "".join(f"t2 {x} {y}\n" for x, y in zip(names, names[1:]))
+                    + ".end\n")
+    code, out, _ = run(capsys, "stats", "--circuit", str(path), "--coupling", "star",
+                       "--out", "json")
+    assert code == 0
+    with _exact_integers():
+        assert json.loads(out)["arcs_per_layer"] == 5287700
+    # solve verifies the schedule before it prints
+    code, out, _ = run(capsys, "solve", "--circuit", str(path), "--coupling", "star",
+                       "--out", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "2300,2299,star,reduced,1149,1149"
+
+
 def test_worklist_orbit_cap_exits_2(capsys, tmp_path, monkeypatch):
     # a chain of gates fixes every qubit: cycle-7 has 7!/14 = 360 orbits
     monkeypatch.setattr("nncp.symmetry.ORBIT_NODE_CAP", 100)
