@@ -12,15 +12,19 @@ edge b⁻¹ maps onto the arc's representative edge.  On a star/biclique an
 orbit is its class vector: the two vectors differ by a class c on the
 small side traded for a class d on the large side, and the step swaps the
 lowest small-side location of c with the lowest large-side location of d,
-with no canonicalization and no arc; it sits beside
-`symmetry._split_nodes`, which fixes the representatives it depends on.
-The moved order lies in w, because the group acts by automorphisms, so
-the walk stays on the path and every order it records is compliant.
+with no canonicalization and no arc; on a star c is the class of the
+centre qubit and d that of w's, so the step swaps the centre with d's
+lowest leaf.  It sits beside `symmetry._split_nodes`, which fixes the
+representatives it depends on.  The moved order lies in w, because the
+group acts by automorphisms, so the walk stays on the path and every order
+it records is compliant.
 
 `verify` re-checks a finished schedule against nothing but the problem
 statement: that the first order is a permutation of the qubits, gate-by-gate
 compliance of the qubit orders, and that the listed SWAPs are coupling edges
-transforming each order into the next.
+transforming each order into the next.  It does so in one pass, carrying
+the current order and its inverse through the swaps, so a gate costs two
+lookups, a SWAP O(1) and each order one comparison.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .circuit import Circuit
 from .coupling import CouplingGraph
 from .errors import SolverError
 from .lp import ReducedPath
-from .perm import Perm, check, pair, swap
+from .perm import Perm, check, pair
 from .symmetry import QuotientGraph, replay_step
 
 SCHEMA_VERSION = 1
@@ -154,61 +158,79 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
 
     Returns ``{"ok": bool, "violations": [...], "gates": m, "swaps": ...}``;
     a populated ``violations`` list pinpoints the first failure of each
-    kind rather than every instance."""
+    kind rather than every instance.
+
+    One pass over the gates carries the current order ``cur`` and its
+    inverse ``where`` (qubit -> location): a gate's locations are two
+    lookups, a SWAP exchanges two entries of each, and each given order is
+    compared once with the carried one.  Once they differ, or if order 1 is
+    no permutation or a swap fails the range or edge check, a gate reads
+    its given order itself; such swaps are never applied."""
     violations: list[str] = []
     m, n = circuit.m, circuit.n
+    orders = solution.orders
 
-    if len(solution.orders) != m:
+    if len(orders) != m:
         violations.append(
-            f"expected {m} qubit orders, got {len(solution.orders)}")
-    for idx, tau in enumerate(solution.orders):
+            f"expected {m} qubit orders, got {len(orders)}")
+    for idx, tau in enumerate(orders):
         if len(tau) != n:
             violations.append(
                 f"order {idx + 1} permutes {len(tau)} items, expected {n}")
             break
 
     if not violations:
-        # each later order is checked against order 1 moved by the swaps
-        if m and set(solution.orders[0]) != set(range(n)):
+        if m and set(orders[0]) != set(range(n)):
             violations.append(f"order 1 is not a permutation of the {n} qubits")
-        for k, (gate, tau) in enumerate(zip(circuit.gates, solution.orders), start=1):
-            try:
-                edge = tuple(sorted(map(tau.index, gate)))
-            except ValueError:
-                missing = next(x for x in gate if x not in tau)
-                violations.append(
-                    f"gate {k} acts on qubit {missing + 1}, which order {k} does not place")
-                break
-            if edge not in coupling.edges:
-                violations.append(
-                    f"gate {k} acts on locations {edge[0] + 1},{edge[1] + 1}, "
-                    f"not a coupling edge")
-                break
 
+        edges = coupling.edges
         by_layer: dict[int, list[tuple[int, int]]] = {}
+        swap_violation = edge_violation = None
         for after_gate, t in solution.swaps:
             if not 1 <= after_gate <= m - 1:
-                violations.append(
+                swap_violation = (
                     f"swap scheduled after gate {after_gate}, outside 1..{m - 1}")
                 break
             by_layer.setdefault(after_gate, []).append(t)
+            i, j = t                    # a hand-built swap may list either end first
+            if edge_violation is None and ((i, j) if i < j else (j, i)) not in edges:
+                edge_violation = (
+                    f"swap ({min(t) + 1},{max(t) + 1}) is not a coupling edge")
         else:
-            for _, t in solution.swaps:
-                edge = tuple(sorted(t))     # a hand-built swap may list either end first
-                if edge not in coupling.edges:
-                    violations.append(
-                        f"swap ({edge[0] + 1},{edge[1] + 1}) is not a coupling edge")
+            swap_violation = edge_violation
+        # each later order is checked against the one before moved by its
+        # swaps; while that holds, cur is the current order and where its
+        # inverse (None if cur is no permutation)
+        chain = swap_violation is None
+        gate_violation = chain_violation = None
+        cur = list(orders[0]) if m else []
+        where = _where(cur, n) if chain else None
+        for k, (a, b) in enumerate(circuit.gates, start=1):
+            if gate_violation is None:
+                if where is not None:
+                    i, j = where[a], where[b]
+                if where is None or ((i, j) if i < j else (j, i)) not in edges:
+                    gate_violation = _gate_violation(k, (a, b), orders[k - 1], edges)
+            if not chain:
+                if gate_violation is not None:
                     break
+                continue
+            if k == m:
+                break
+            if where is None:
+                for i, j in by_layer.get(k, ()):
+                    cur[i], cur[j] = cur[j], cur[i]
             else:
-                for k in range(1, m):
-                    cur = solution.orders[k - 1]
-                    for t in by_layer.get(k, ()):
-                        cur = swap(cur, *t)
-                    if cur != solution.orders[k]:
-                        violations.append(
-                            f"swaps after gate {k} do not transform order {k} "
-                            f"into order {k + 1}")
-                        break
+                for i, j in by_layer.get(k, ()):
+                    x, y = cur[i], cur[j]
+                    cur[i], cur[j] = y, x
+                    where[x], where[y] = j, i
+            if tuple(cur) != orders[k]:
+                chain_violation = (
+                    f"swaps after gate {k} do not transform order {k} "
+                    f"into order {k + 1}")
+                chain, where = False, None
+        violations += filter(None, (gate_violation, swap_violation, chain_violation))
 
     if len(solution.swaps) != solution.opt:
         violations.append(
@@ -222,3 +244,28 @@ def verify(solution: NncpSolution, circuit: Circuit, coupling: CouplingGraph) ->
         "swaps": len(solution.swaps),
         "opt": solution.opt,
     }
+
+
+def _where(tau: list[int], n: int) -> list[int] | None:
+    """qubit -> location in ``tau``, if it permutes 0..n-1; else None."""
+    where = [-1] * n
+    for loc, x in enumerate(tau):
+        if type(x) is not int or not 0 <= x < n or where[x] >= 0:
+            return None
+        where[x] = loc
+    return where
+
+
+def _gate_violation(k: int, gate: tuple[int, int], tau: Perm,
+                    edges: frozenset[tuple[int, int]]) -> str | None:
+    """Why gate k does not act on a coupling edge of order ``tau``, or None."""
+    try:
+        i, j = map(tau.index, gate)
+    except ValueError:
+        missing = next(x for x in gate if x not in tau)
+        return f"gate {k} acts on qubit {missing + 1}, which order {k} does not place"
+    edge = (i, j) if i < j else (j, i)
+    if edge not in edges:
+        return (f"gate {k} acts on locations {edge[0] + 1},{edge[1] + 1}, "
+                f"not a coupling edge")
+    return None

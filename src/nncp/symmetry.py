@@ -128,13 +128,15 @@ def b_tau(tau: Perm, fp: FixingPattern, g: CouplingGraph) -> BTau:
     enumerated group, so on a star or biclique only a trivial pattern, whose
     B_τ is the identity alone, is accepted."""
     edges = sorted(g.edges)
-    if fp.trivial:
-        # every pattern class is a singleton: only the identity fixes them
-        return _finish(1, [[e] for e in edges])
-    word = _class_word(tau, fp)
-    kept = [b for b in enumerated_aut(g).elements
-            if all(word[x] == c for x, c in zip(b, word))]
-    return _finish(len(kept), _edge_orbits_under(kept, edges))
+    if not fp.trivial:
+        word = _class_word(tau, fp)
+        kept = [b for b in enumerated_aut(g).elements
+                if list(map(word.__getitem__, b)) == word]
+        if len(kept) > 1:
+            return _finish(len(kept), _edge_orbits_under(kept, edges))
+    # the identity alone, always so when every pattern class is a singleton:
+    # each edge is its own class
+    return BTau(1, [[e] for e in edges])
 
 
 def _edge_orbits_under(group: list[Perm], edges: list[Edge]) -> list[list[Edge]]:
@@ -291,8 +293,8 @@ def _check_cap(what: str, count: int):
 
 def _split_nodes(fp: FixingPattern, g: CouplingGraph) -> list[OrbitNode]:
     """The orbits of K_{M,N}, sorted by representative.  The caps are
-    checked on the counts (`_split_counts`) before any orbit is built: the
-    orbit count always, the arc count on a biclique, whose solve reads the
+    checked on the counts before any orbit is built: the orbit count always,
+    the arc count (`_split_counts`) on a biclique, whose solve reads the
     arcs; a star solve reads none, so `_split_columns` checks it there.
 
     Aut is every relabeling that keeps each side, so an orbit of
@@ -301,15 +303,22 @@ def _split_nodes(fp: FixingPattern, g: CouplingGraph) -> list[OrbitNode]:
     smallest qubits of each class on the small side and sorts each side,
     the smallest member of the orbit.  The orbit size is
     |G| / Π_c k_c!·(|c| − k_c)!, that is |Aut|·Π_c C(|c|, k_c), since
-    |S_n(F)| = Π_c |c|!."""
+    |S_n(F)| = Π_c |c|!.  On a star (M = 1) k is one class, the class of
+    the centre qubit, and the representative puts that class's first qubit
+    at the centre and the rest in ascending order."""
     m, n = g.split, g.n
     classes = fp.classes
+    qubits = tuple(range(n))
+    if m == 1:
+        # a star's small side is its centre: one orbit per class, the class
+        # of the qubit there, of size |Aut|·|c|
+        _check_cap("orbit", len(classes))
+        return [OrbitNode(rep=(cl[0], *qubits[:cl[0]], *qubits[cl[0] + 1:]),
+                          orbit_size=g.aut.order * len(cl)) for cl in classes]
     sizes = [len(cl) for cl in classes]
     count, arc_count = _split_counts(sizes, m)
     _check_cap("orbit", count)
-    if m > 1:
-        _check_cap("arc", arc_count)
-    qubits = tuple(range(n))
+    _check_cap("arc", arc_count)
     found = []          # (rep, Π_c C(|c|, k_c))
     for small in _small_sides(sizes, m):
         k = dict.fromkeys(small, 0)
@@ -404,6 +413,19 @@ def _split_step(q: QuotientGraph, entry: Perm):
     for y, x in enumerate(entry):
         (small if y < m else large)[cls[x]].append(y)   # ascending
 
+    if m == 1:
+        def star_step(tau: list[int], v: int, w: int) -> tuple[int, int] | None:
+            # trade the centre's class c for w's centre class d; the centre
+            # is the only small-side location, so only ``large`` changes
+            c, d = cls[tau[0]], cls[nodes[w].rep[0]]
+            if c == d:
+                return None
+            z = large[d].pop(0)
+            insort(large[c], z)
+            return 0, z
+
+        return star_step
+
     def step(tau: list[int], v: int, w: int) -> tuple[int, int] | None:
         lost = list(map(at, tau[:m]))
         gained = []
@@ -447,8 +469,8 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     """`layer_orbits` for any coupling, in one worklist pass.
 
     B_τ is computed when an orbit is processed (once in all for a trivial
-    pattern, where every B_τ is {1}, and so is its edge-class index); only
-    the orbit size it gives is kept.
+    pattern, where every B_τ is {1}); every B_τ of {1} shares one
+    edge-class index.  Only the orbit size it gives is kept.
     Per B_τ edge class, the representative moved along the class's first
     edge names the destination orbit (new if unseen), and the class size is
     ``d_out``.  Each orbital and its reverse share one canonicalization;
@@ -462,10 +484,10 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     start, _ = canonical_form(tuple(range(g.n)), fp, g)
     reps = [start]
     index = {start: 0}
+    # every B_τ is {1} under a trivial pattern, so one B_τ serves all orbits;
+    # a B_τ of {1} puts each edge in its own class, so one index serves all
     trivial_bt = b_tau(start, fp, g) if fp.trivial else None
-    # every B_τ is {1} under a trivial pattern, so one index serves all orbits
-    trivial_class_of = (None if trivial_bt is None else
-                        {e: k for k, cl in enumerate(trivial_bt.edge_orbits) for e in cl})
+    identity_class_of = {e: k for k, e in enumerate(sorted(g.edges))}
     sizes: list[int] = []
     # the arcs in discovery order, with discovery ids: orbit i's are
     # first[i]:first[i + 1]
@@ -486,7 +508,7 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
         # the destination of each edge class that holds a named edge
         dest = [None] * len(bt.edge_orbits)
         if back[i]:
-            class_of = trivial_class_of or {
+            class_of = identity_class_of if bt.order == 1 else {
                 e: k for k, cl in enumerate(bt.edge_orbits) for e in cl}
             for e, src in back[i].items():
                 dest[class_of[e]] = src
@@ -620,12 +642,11 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
         nodes, columns = _split_nodes(fp, g), None
         # on K_{M,N} a pair is adjacent iff exactly one of its qubits sits on
         # the small side, the representative's first M locations
-        on_small: list[list[int]] = [[] for _ in range(g.n)]
+        on_small: list[set[int]] = [set() for _ in range(g.n)]
         for i, node in enumerate(nodes):
             for x in node.rep[:g.split]:
-                on_small[x].append(i)
-        by_pair = {(a, b): sorted(set(on_small[a]).symmetric_difference(on_small[b]))
-                   for a, b in pairs}
+                on_small[x].add(i)
+        by_pair = {(a, b): sorted(on_small[a] ^ on_small[b]) for a, b in pairs}
     else:
         nodes, columns = layer_orbits(fp, g)
         # an orbit is compliant with a pair iff one of its representative's

@@ -306,6 +306,61 @@ def test_split_replay_never_canonicalizes(family, m_side, monkeypatch):
     assert verify(reconstruct(q, sol), c, g)["ok"]
 
 
+def star_class_instances(count, seed):
+    """Seeded stars, n = 8..24, whose circuits hold a connected core beside
+    several isolated pairs and idle qubits, so that pattern classes of two
+    or more qubits hold several leaves."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(8, 24)
+        core = rng.randint(3, n // 2)
+        pairs = rng.randint(2, (n - core) // 2)
+        labels = rng.sample(range(n), n)
+        cq = labels[:core]
+        gates = [(cq[i], cq[rng.randrange(i)]) for i in range(1, core)]
+        gates += [tuple(rng.sample(cq, 2)) for _ in range(rng.randint(4, 16))]
+        gates += [(labels[core + 2 * p], labels[core + 2 * p + 1])
+                  for p in range(pairs) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(gates)
+        yield n, gates
+
+
+def test_star_step_matches_the_canonicalizing_replay_on_multi_member_classes():
+    # the star step swaps the centre with the lowest leaf of the class it
+    # enters; count the hops that choose among several such leaves
+    choices = 0
+    for n, pairs in star_class_instances(40, 29):
+        c, g, q, _, sol = solved(n, pairs, "star")
+        schedule = reconstruct(q, sol)
+        assert schedule.to_json() == canonicalizing_replay(q, sol).to_json()
+        assert verify(schedule, c, g)["ok"]
+        cls = q.fp.class_index
+        orders = iter(schedule.orders)
+        tau = next(orders)
+        for k, (i, j) in schedule.swaps:
+            assert i == 0
+            d = cls[tau[j]]
+            choices += sum(cls[x] == d for x in tau[1:]) > 1
+            tau = swap(tau, i, j)
+    assert choices > 50
+
+
+def test_star_step_refuses_a_hop_that_keeps_the_centre_class():
+    n, pairs = next(star_class_instances(1, 5))
+    _, _, q, _, sol = solved(n, pairs, "star")
+    k = next(k for k, hop in enumerate(sol.hops) if hop)
+    v = [sol.entry, *itertools.chain(*sol.hops[:k])][-1]
+    hops = [list(hop) for hop in sol.hops]
+    hops[k][0] = v
+    with pytest.raises(SolverError, match=f"orbit {v} after gate {k + 1} is not one SWAP"):
+        reconstruct(q, ReducedPath(opt=sol.opt, entry=sol.entry, hops=hops))
+    # the step itself: the centre's class is v's, so v and no other orbit is refused
+    rep = q.nodes[v].rep
+    for w in range(len(q.nodes)):
+        step = nncp.symmetry.replay_step(q, rep)
+        assert (step(list(rep), v, w) is None) == (w == v)
+
+
 # --- JSON schedule format ------------------------------------------------------
 
 def sample_solution():
@@ -473,3 +528,151 @@ def test_verify_flags_a_later_order_that_is_not_a_permutation():
     rep = verify(NncpSolution(sol.opt, orders, sol.swaps), c, g)
     assert not rep["ok"]
     assert any("do not transform order" in v for v in rep["violations"])
+
+
+# --- the one-pass verify against the per-layer check it replaced ---------------
+
+def verify_oracle(solution, circuit, coupling):
+    """The earlier `verify`: ``tuple.index`` per gate and a new order per
+    SWAP, each layer's swaps applied to the given order before it."""
+    violations = []
+    m, n = circuit.m, circuit.n
+
+    if len(solution.orders) != m:
+        violations.append(
+            f"expected {m} qubit orders, got {len(solution.orders)}")
+    for idx, tau in enumerate(solution.orders):
+        if len(tau) != n:
+            violations.append(
+                f"order {idx + 1} permutes {len(tau)} items, expected {n}")
+            break
+
+    if not violations:
+        if m and set(solution.orders[0]) != set(range(n)):
+            violations.append(f"order 1 is not a permutation of the {n} qubits")
+        for k, (gate, tau) in enumerate(zip(circuit.gates, solution.orders), start=1):
+            try:
+                edge = tuple(sorted(map(tau.index, gate)))
+            except ValueError:
+                missing = next(x for x in gate if x not in tau)
+                violations.append(
+                    f"gate {k} acts on qubit {missing + 1}, which order {k} does not place")
+                break
+            if edge not in coupling.edges:
+                violations.append(
+                    f"gate {k} acts on locations {edge[0] + 1},{edge[1] + 1}, "
+                    f"not a coupling edge")
+                break
+
+        by_layer = {}
+        for after_gate, t in solution.swaps:
+            if not 1 <= after_gate <= m - 1:
+                violations.append(
+                    f"swap scheduled after gate {after_gate}, outside 1..{m - 1}")
+                break
+            by_layer.setdefault(after_gate, []).append(t)
+        else:
+            for _, t in solution.swaps:
+                edge = tuple(sorted(t))
+                if edge not in coupling.edges:
+                    violations.append(
+                        f"swap ({edge[0] + 1},{edge[1] + 1}) is not a coupling edge")
+                    break
+            else:
+                for k in range(1, m):
+                    cur = solution.orders[k - 1]
+                    for t in by_layer.get(k, ()):
+                        cur = swap(cur, *t)
+                    if cur != solution.orders[k]:
+                        violations.append(
+                            f"swaps after gate {k} do not transform order {k} "
+                            f"into order {k + 1}")
+                        break
+
+    if len(solution.swaps) != solution.opt:
+        violations.append(
+            f"solution lists {len(solution.swaps)} swaps but claims "
+            f"opt={solution.opt}")
+
+    return {"ok": not violations, "violations": violations, "gates": m,
+            "swaps": len(solution.swaps), "opt": solution.opt}
+
+
+def _mutate(orders, swaps, opt, n, m, edges, rng):
+    """One seeded tampering of a schedule, in place; returns the new opt."""
+    kind = rng.randrange(12)
+    k = rng.randrange(len(orders)) if orders else None
+    if kind == 0 and orders and len(orders[k]) > 1:     # two entries exchanged
+        tau = list(orders[k])
+        i, j = rng.sample(range(len(tau)), 2)
+        tau[i], tau[j] = tau[j], tau[i]
+        orders[k] = tuple(tau)
+    elif kind in (1, 2) and orders:                     # an entry repeated or out of range
+        k = 0 if kind == 1 or len(orders) == 1 else rng.randrange(1, len(orders))
+        tau = list(orders[k])
+        i = rng.randrange(len(tau))
+        tau[i] = rng.choice([tau[(i + 1) % len(tau)], n, n + 3, -1])
+        orders[k] = tuple(tau)
+    elif kind == 3 and orders:                          # an order deleted
+        del orders[k]
+    elif kind == 4 and orders:                          # an order shortened
+        orders[k] = orders[k][:-1]
+    elif kind == 5 and orders:                          # an order shuffled
+        orders[k] = tuple(rng.sample(orders[k], len(orders[k])))
+    elif kind == 6 and swaps:                           # after_gate 0, m or -1
+        s = rng.randrange(len(swaps))
+        swaps[s] = (rng.choice([0, m, -1]), swaps[s][1])
+    elif kind == 7:                                     # a non-edge swap
+        t = rng.choice([(i, j) for i in range(n) for j in range(i + 1, n)
+                        if (i, j) not in edges] or [(0, 0)])
+        swaps.insert(rng.randrange(len(swaps) + 1), (rng.randint(1, max(m - 1, 1)), t))
+    elif kind == 8 and swaps:                           # high end first
+        s = rng.randrange(len(swaps))
+        k, (i, j) = swaps[s]
+        swaps[s] = (k, (j, i))
+    elif kind == 9 and swaps:                           # a location >= n or negative
+        s = rng.randrange(len(swaps))
+        k, (i, j) = swaps[s]
+        swaps[s] = (k, (i, rng.choice([n, n + 2, -1, -n])))
+    elif kind == 10:                                    # a wrong opt
+        return opt + rng.choice([-1, 1])
+    elif kind == 11 and len(swaps) > 1:                 # a swap moved to another layer
+        s = rng.randrange(len(swaps))
+        k, t = swaps.pop(s)
+        swaps.append((rng.randint(1, max(m - 1, 1)), t))
+    return opt
+
+
+def _verify_instances():
+    """Real schedules on star, cycle, biclique:2 and a general edge list."""
+    wheel = [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)]
+    for family, n, m_side, edges in (("star", 9, None, None), ("cycle", 7, None, None),
+                                     ("biclique", 7, 2, None), ("general", 7, None, wheel)):
+        for seed, m in enumerate((0, 1, 5, 12, 20)):
+            c = decompose(random_class_i(n, m, seed=seed), n=n) if m else circ(n, [])
+            g, _, _ = make(family, n=n, m_side=m_side, edges=edges)
+            q = quotient_graph(c, g)
+            _, sol = solve_reduced(q)
+            yield f"{family}-m{m}", c, g, reconstruct(q, sol)
+
+
+VERIFY_INSTANCES = list(_verify_instances())
+
+
+@pytest.mark.parametrize("name, c, g, sol", VERIFY_INSTANCES,
+                         ids=[case[0] for case in VERIFY_INSTANCES])
+def test_verify_matches_the_per_layer_check_on_tampered_schedules(name, c, g, sol):
+    assert verify(sol, c, g) == verify_oracle(sol, c, g)
+    assert verify(sol, c, g)["ok"]
+    rng = random.Random(name)
+    flagged = 0
+    for _ in range(150):
+        orders, swaps = list(sol.orders), list(sol.swaps)
+        opt = sol.opt
+        for _ in range(rng.randint(1, 3)):
+            opt = _mutate(orders, swaps, opt, c.n, c.m, g.edges, rng)
+        tampered = NncpSolution(opt, orders, swaps)
+        report = verify(tampered, c, g)
+        assert report == verify_oracle(tampered, c, g), (orders, swaps, opt)
+        flagged += not report["ok"]
+    assert flagged > (0 if c.m == 0 else 100)
