@@ -28,8 +28,9 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     that minimum taken down the chain as well.  S_n(F) = Π_c Sym(c), of
     order Π_c |c|!, is never enumerated, so idle qubits and isolated pairs
     cost nothing extra;
-  * B_τ — the stabilizer of τ's class word in Aut(Coup(E)), filtered from
-    the enumerated elements; its order gives the orbit size via
+  * B_τ — the stabilizer of τ's class word in Aut(Coup(E)), found by a walk
+    down the stabilizer chain that keeps each level's children whose
+    location holds the level's class; its order gives the orbit size via
     orbit–stabilizer, and its edge classes give the out-degrees;
   * on cycle/general, the orbits and orbitals come from one worklist pass
     (`_worklist_orbits`): each orbit's representative is moved along the
@@ -37,7 +38,9 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     orbit; each orbital and its reverse share one canonicalization, and the
     witness names the reverse edge.  One edge per class is enough, because
     τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e) land in
-    the same orbit.  Either way, an arc stores only its out-degree;
+    the same orbit.  The orbits of one B_τ share their arcs' edges and
+    out-degrees, so only the destinations are each orbit's own.  Either
+    way, an arc stores only its out-degree;
   * the quotient graph: orbit nodes, orbital arcs, and per-gate compliance
     marks.  All layers share one node/arc structure since the layers are
     identical copies; only the compliance marks vary by gate.  The arcs are
@@ -63,7 +66,7 @@ from bisect import bisect_right, insort
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import CouplingGraph, canonical_right, enumerated_aut
 from .errors import CapError
-from .perm import Perm, pair, swap
+from .perm import Perm, pair
 
 ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
@@ -124,18 +127,37 @@ def _finish(order, groups) -> BTau:
 def b_tau(tau: Perm, fp: FixingPattern, g: CouplingGraph) -> BTau:
     """B_τ: the automorphisms b with ``word[b(y)] == word[y]`` for τ's class
     word, i.e. those that map every pattern class pulled back through τ onto
-    itself, so that τ·b = a·τ for some a in S_n(F).  Filtered from the
-    enumerated group, so on a star or biclique only a trivial pattern, whose
-    B_τ is the identity alone, is accepted."""
+    itself, so that τ·b = a·τ for some a in S_n(F).  Equivalently
+    ``word[b⁻¹(k)] == word[k]`` at every location k, which is what a walk
+    down Aut's stabilizer chain (``aut.chain``) tests level by level: at
+    level k it keeps the children y = b⁻¹(k) with ``word[y] == word[k]``,
+    and a collapsed leaf checks its own inverse image.  The surviving leaves
+    are B_τ; ``aut.elements`` is indexed by them, never scanned.  A star or
+    biclique raises ValueError, unless the pattern is trivial and B_τ is the
+    identity alone."""
     edges = sorted(g.edges)
     if not fp.trivial:
         word = _class_word(tau, fp)
-        kept = [b for b in enumerated_aut(g).elements
-                if list(map(word.__getitem__, b)) == word]
-        if len(kept) > 1:
+        aut = enumerated_aut(g)
+        inv = aut.inverse_images
+        frontier = [aut.chain]
+        for k, c in enumerate(word):
+            survivors = []
+            for node in frontier:
+                if node.__class__ is dict:
+                    survivors += [child for y, child in node.items() if word[y] == c]
+                elif word[inv[node][k]] == c:
+                    survivors.append(node)
+            frontier = survivors
+        if len(frontier) > 1:
+            kept = list(map(aut.elements.__getitem__, frontier))
             return _finish(len(kept), _edge_orbits_under(kept, edges))
-    # the identity alone, always so when every pattern class is a singleton:
-    # each edge is its own class
+    return _identity_b_tau(edges)
+
+
+def _identity_b_tau(edges: list[Edge]) -> BTau:
+    """B_τ = {1}, always so when every pattern class is a singleton: each
+    edge is its own class."""
     return BTau(1, [[e] for e in edges])
 
 
@@ -464,90 +486,106 @@ def _canonical_step(q: QuotientGraph):
     return step
 
 
+class _Shape:
+    """What an orbit's arcs share with every orbit of the same B_τ: the
+    orbit size, the class index of each edge (keyed by the edge in either
+    orientation), each class's first edge, and the arcs' u, v and d_out
+    columns.  Only the destinations are the orbit's own."""
+    __slots__ = ("size", "class_of", "firsts", "u", "v", "d_out")
+
+    def __init__(self, bt: BTau, group_order: int):
+        size, remainder = divmod(group_order, bt.order)
+        assert remainder == 0
+        self.size = size
+        self.class_of = {}
+        for k, cl in enumerate(bt.edge_orbits):
+            for u, v in cl:
+                self.class_of[u, v] = self.class_of[v, u] = k
+        self.firsts = [cl[0] for cl in bt.edge_orbits]
+        self.u = array("i", [u for u, _ in self.firsts])
+        self.v = array("i", [v for _, v in self.firsts])
+        self.d_out = array("q", map(len, bt.edge_orbits))
+
+
 def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
                      ) -> tuple[list[OrbitNode], Columns]:
     """`layer_orbits` for any coupling, in one worklist pass.
 
-    B_τ is computed when an orbit is processed (once in all for a trivial
-    pattern, where every B_τ is {1}); every B_τ of {1} shares one
-    edge-class index.  Only the orbit size it gives is kept.
-    Per B_τ edge class, the representative moved along the class's first
-    edge names the destination orbit (new if unseen), and the class size is
-    ``d_out``.  Each orbital and its reverse share one canonicalization;
-    the witness names the reverse edge.  If orbit i's representative ρ
-    moved along (u, v) canonicalizes to (ρ_j, b), then ρ_j = a·ρ·(u v)·b⁻¹
-    for some a in S_n(F), so ρ_j moved along (b(u), b(v)) is a·ρ·b⁻¹, in
-    orbit i.  When j comes later, that edge's class of B_{ρ_j} takes i as
-    its destination with no canonicalization; so there is one call for the
-    start order, one per self-loop and one per pair of reverse arcs."""
+    B_τ is computed when an orbit is found (never under a trivial pattern,
+    where every B_τ is {1}), and the orbits of one B_τ share its `_Shape`;
+    every B_τ of {1} shares one.  Per B_τ edge class, the representative
+    moved along the class's first edge names the destination orbit (new if
+    unseen), and the class size is ``d_out``.  Each orbital and its reverse
+    share one canonicalization; the witness names the reverse edge.  If
+    orbit i's representative ρ moved along (u, v) canonicalizes to
+    (ρ_j, b), then ρ_j = a·ρ·(u v)·b⁻¹ for some a in S_n(F), so ρ_j moved
+    along (b(u), b(v)) is a·ρ·b⁻¹, in orbit i.  When j comes later, that
+    edge's class of B_{ρ_j} takes i as its destination with no
+    canonicalization; so there is one call for the start order, one per
+    self-loop and one per pair of reverse arcs."""
     group_order = fp.group_order * g.aut.order
+    identity = _Shape(_identity_b_tau(sorted(g.edges)), group_order)
+    shapes: dict[tuple, _Shape] = {}        # the others, by order and edge classes
+
+    def shape_of(rep: Perm) -> _Shape:
+        if fp.trivial:
+            return identity
+        bt = b_tau(rep, fp, g)
+        if bt.order == 1:
+            return identity
+        key = (bt.order, *map(tuple, bt.edge_orbits))
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _Shape(bt, group_order)
+        return shape
+
     start, _ = canonical_form(tuple(range(g.n)), fp, g)
     reps = [start]
     index = {start: 0}
-    # every B_τ is {1} under a trivial pattern, so one B_τ serves all orbits;
-    # a B_τ of {1} puts each edge in its own class, so one index serves all
-    trivial_bt = b_tau(start, fp, g) if fp.trivial else None
-    identity_class_of = {e: k for k, e in enumerate(sorted(g.edges))}
-    sizes: list[int] = []
-    # the arcs in discovery order, with discovery ids: orbit i's are
-    # first[i]:first[i + 1]
-    first = [0]
-    dst: list[int] = []
-    us: list[int] = []
-    vs: list[int] = []
-    d_out: list[int] = []
-    # per orbit not yet processed: edge -> the earlier orbit a move along it
-    # reaches, named by that orbit's canonicalization of the reverse move.
-    # Keys are sorted edge tuples (`pair`), equal to those in the edge classes
-    back: list[dict[Edge, int] | None] = [{}]
+    orbit_shapes = [shape_of(start)]
+    # per orbit, the destination of each of its shape's edge classes, in
+    # discovery ids; None until a move or a reverse move names it
+    dests: list[list[int | None]] = [[None] * len(orbit_shapes[0].firsts)]
     for i, rep in enumerate(reps):          # grows as orbits are found
-        bt = trivial_bt or b_tau(rep, fp, g)
-        size, remainder = divmod(group_order, bt.order)
-        assert remainder == 0
-        sizes.append(size)
-        # the destination of each edge class that holds a named edge
-        dest = [None] * len(bt.edge_orbits)
-        if back[i]:
-            class_of = identity_class_of if bt.order == 1 else {
-                e: k for k, cl in enumerate(bt.edge_orbits) for e in cl}
-            for e, src in back[i].items():
-                dest[class_of[e]] = src
-        back[i] = None
-        for cl, j in zip(bt.edge_orbits, dest):
-            u, v = cl[0]
+        dest = dests[i]
+        moved = list(rep)                   # rep, with one edge swapped at a time
+        for k, (u, v) in enumerate(orbit_shapes[i].firsts):
+            if dest[k] is not None:
+                continue
+            moved[u], moved[v] = moved[v], moved[u]
+            dst_rep, b = canonical_form(tuple(moved), fp, g)
+            moved[u], moved[v] = moved[v], moved[u]
+            j = index.get(dst_rep)
             if j is None:
-                dst_rep, b = canonical_form(swap(rep, u, v), fp, g)
-                j = index.get(dst_rep)
-                if j is None:
-                    if len(reps) >= ORBIT_NODE_CAP:
-                        raise CapError(
-                            f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
-                            "use a more symmetric coupling family or smaller n")
-                    j = len(reps)
-                    index[dst_rep] = j
-                    reps.append(dst_rep)
-                    back.append({})
-                if j > i:
-                    back[j][pair(b[u], b[v])] = i
-            dst.append(j)
-            us.append(u)
-            vs.append(v)
-            d_out.append(len(cl))
-        first.append(len(dst))
+                if len(reps) >= ORBIT_NODE_CAP:
+                    raise CapError(
+                        f"orbit count exceeds cap {ORBIT_NODE_CAP}; "
+                        "use a more symmetric coupling family or smaller n")
+                j = len(reps)
+                index[dst_rep] = j
+                reps.append(dst_rep)
+                orbit_shapes.append(shape_of(dst_rep))
+                dests.append([None] * len(orbit_shapes[j].firsts))
+            if j > i:
+                dests[j][orbit_shapes[j].class_of[b[u], b[v]]] = i
+            dest[k] = j
 
-    # renumber the orbits by representative, and regroup the arcs to match
+    # renumber the orbits by representative, and fill the columns to match
     order = sorted(range(len(reps)), key=reps.__getitem__)
     new_id = [0] * len(order)
     for k, i in enumerate(order):
         new_id[i] = k
-    nodes = [OrbitNode(rep=reps[i], orbit_size=sizes[i]) for i in order]
-    dst = list(map(new_id.__getitem__, dst))
-    offsets, *cols = columns = _empty_columns()
+    renumber = new_id.__getitem__
+    nodes = []
+    offsets, dst, us, vs, d_out = columns = _empty_columns()
     for i in order:
-        lo, hi = first[i], first[i + 1]
-        for col, found in zip(cols, (dst, us, vs, d_out)):
-            col.fromlist(found[lo:hi])
-        offsets.append(offsets[-1] + hi - lo)
+        shape = orbit_shapes[i]
+        nodes.append(OrbitNode(rep=reps[i], orbit_size=shape.size))
+        dst.fromlist(list(map(renumber, dests[i])))
+        us += shape.u
+        vs += shape.v
+        d_out += shape.d_out
+        offsets.append(len(dst))
     return nodes, columns
 
 

@@ -1,10 +1,10 @@
-"""Canonicalization down the stabilizer chain against the Aut scans it
-replaced, past the sizes a brute n! search reaches.
+"""Canonicalization and B_τ down the stabilizer chain against the Aut
+scans they replaced, past the sizes a brute n! search reaches.
 
 The oracles scan a group found by networkx's isomorphism matcher, never
 through `nncp.coupling`: every element's coset member (or greedy fill) is
 formed, and the first element in image order that reaches the minimum is
-the witness."""
+the witness; B_τ is the elements that keep τ's class word."""
 
 import random
 
@@ -12,12 +12,12 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
+from nncp.circuit import CNOT, FixingPattern, RawGate, decompose, fixing_pattern
 from nncp.coupling import canonical_right, make
 from nncp.lp import solve_reduced
 from nncp.perm import inverse
 from nncp.reconstruct import reconstruct, verify
-from nncp.symmetry import canonical_form, quotient_graph
+from nncp.symmetry import b_tau, canonical_form, quotient_graph
 
 
 def grid(rows, cols):
@@ -170,20 +170,78 @@ class NoScan(list):
         raise AssertionError("Aut was scanned")
 
 
-@pytest.mark.parametrize("family, arg", [("general", "wheel7"), ("cycle", 7)])
+@pytest.mark.parametrize("family, arg", [("general", "wheel7"), ("cycle", 7), ("general", "k34")])
 def test_solve_path_never_iterates_aut(family, arg):
     g = build(family, arg)
     n = g.n
     rng = random.Random(5)
-    pairs = patterns(n)["trivial"] + [tuple(rng.sample(range(n), 2)) for _ in range(12)]
-    c = decompose([RawGate(CNOT, p) for p in pairs], n=n)
+    # a trivial pattern, then idle qubits and isolated pairs: under those,
+    # every orbit's B_τ is found down the chain too, and its elements are
+    # indexed by the walk's leaves
+    circuits = [patterns(n)["trivial"] + [tuple(rng.sample(range(n), 2)) for _ in range(12)]]
+    circuits += [patterns(n)[p] * 3 for p in ("idle", "pairs", "pairs-idle")]
     # the inverse images and the chain are built with the group, so not
     # even the first canonicalization reads the element list
     g.aut.elements = NoScan(g.aut.elements)
     with pytest.raises(AssertionError, match="scanned"):
         list(g.aut.elements)
 
-    q = quotient_graph(c, g)
-    _, path = solve_reduced(q)
-    sol = reconstruct(q, path)
-    assert verify(sol, c, g)["ok"]
+    for k, pairs in enumerate(circuits):
+        c = decompose([RawGate(CNOT, p) for p in pairs], n=n)
+        assert fixing_pattern(c).trivial == (k == 0)
+        q = quotient_graph(c, g)
+        _, path = solve_reduced(q)
+        sol = reconstruct(q, path)
+        assert verify(sol, c, g)["ok"]
+
+
+# --- B_τ down the chain ----------------------------------------------------------
+
+B_TAU_GRAPHS = ([("cycle", n) for n in range(5, 9)]
+                + [("general", name) for name in ("k34", "wheel7", "petersen")])
+PARTITIONS_PER_GRAPH = 200
+
+
+def filter_b_tau(tau, fp, group, edges):
+    """B_τ by the element filter the chain walk replaced: the order of the
+    automorphisms that keep τ's class word, and their edge classes as a
+    set of frozensets."""
+    word = [fp.class_index[q] for q in tau]
+    kept = [b for b in group if [word[x] for x in b] == word]
+    classes = {frozenset(tuple(sorted((b[u], b[v]))) for b in kept) for u, v in edges}
+    return len(kept), classes
+
+
+def random_partition(n, rng):
+    """A random partition of 0..n-1 into classes of one to five qubits,
+    each sorted, in order of their smallest qubit."""
+    qubits = list(range(n))
+    rng.shuffle(qubits)
+    classes = []
+    while qubits:
+        k = rng.randint(1, 5)
+        classes.append(tuple(sorted(qubits[:k])))
+        del qubits[:k]
+    return FixingPattern(tuple(sorted(classes)))
+
+
+@pytest.mark.parametrize("family, arg", B_TAU_GRAPHS)
+def test_b_tau_walk_matches_element_filter(family, arg):
+    g = build(family, arg)
+    group = networkx_group(g)
+    rng = random.Random(f"b_tau/{family}/{arg}")
+    nontrivial = 0
+    for _ in range(PARTITIONS_PER_GRAPH):
+        fp = random_partition(g.n, rng)
+        tau = list(range(g.n))
+        rng.shuffle(tau)
+        tau = tuple(tau)
+        bt = b_tau(tau, fp, g)
+        order, classes = filter_b_tau(tau, fp, group, g.edges)
+        assert bt.order == order, (fp.classes, tau)
+        assert {frozenset(cl) for cl in bt.edge_orbits} == classes, (fp.classes, tau)
+        # listed from the smallest edge, classes sorted by it
+        assert all(cl == sorted(cl) for cl in bt.edge_orbits)
+        assert [cl[0] for cl in bt.edge_orbits] == sorted(cl[0] for cl in bt.edge_orbits)
+        nontrivial += order > 1
+    assert nontrivial > PARTITIONS_PER_GRAPH // 10

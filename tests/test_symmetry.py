@@ -14,6 +14,7 @@ from nncp import symmetry
 from nncp.perm import compose, inverse, swap
 from nncp.symmetry import (b_tau, canonical_form, layer_orbits,
                            quotient_graph, reduction_stats, snf_elements)
+from tests.test_stabilizer_chain import patterns
 
 
 def circuit_with_pattern(n, pairs):
@@ -219,6 +220,53 @@ def test_layer_orbits_of_any_partition_match_brute_orbits(family, arg, partition
             nodes, _ = build(fp, graph)
             assert sorted((nd.rep, nd.orbit_size) for nd in nodes) == expected, \
                 (family, classes, build.__name__)
+
+
+def brute_orbit_names(c, g):
+    """Every order's orbit under S_n(F) × Aut, τ ↦ a·τ·b⁻¹, named by its
+    smallest member, with both groups found by filtering all n!
+    permutations."""
+    stab = brute_pattern_stabilizer(c)
+    right = [inverse(b) for b in brute_automorphisms(g)]
+    names = {}
+    for tau in itertools.permutations(range(g.n)):
+        if tau not in names:
+            orbit = {compose(compose(a, tau), b) for a in stab for b in right}
+            names.update(dict.fromkeys(orbit, min(orbit)))
+    return names
+
+
+# (family, general graph name, n): the worklist's couplings
+ARC_COUPLINGS = [("cycle", None, 5), ("cycle", None, 6), ("cycle", None, 7),
+                 ("general", "K34", 7), ("general", "wheel7", 7), ("general", "ladder", 6)]
+
+
+@pytest.mark.parametrize("pattern", ["trivial", "idle", "pairs", "pairs-idle"])
+@pytest.mark.parametrize("family, arg, n", ARC_COUPLINGS)
+def test_worklist_arcs_match_brute_moves(family, arg, n, pattern):
+    # every concrete move out of a representative, along each coupling edge,
+    # lands in the orbit of one of its arcs: counted with d_out, the arcs
+    # are the brute orbits of the |E| moved representatives
+    c = circuit_with_pattern(n, patterns(n)[pattern])
+    g = family_graph(family, arg, n)
+    q = quotient_graph(c, g)
+    names = brute_orbit_names(c, g)
+    id_of = {node.rep: i for i, node in enumerate(q.nodes)}
+    assert set(id_of) == set(names.values())
+    for i, node in enumerate(q.nodes):
+        arcs = range(q.offsets[i], q.offsets[i + 1])
+        weighted = Counter()
+        for ai in arcs:
+            weighted[q.dst[ai]] += q.d_out[ai]
+            # the arc's own edge moves the representative into its destination
+            assert names[swap(node.rep, q.u[ai], q.v[ai])] == q.nodes[q.dst[ai]].rep
+        assert weighted == Counter(id_of[names[swap(node.rep, u, v)]] for u, v in g.edges), i
+        edges = [(q.u[ai], q.v[ai]) for ai in arcs]
+        assert edges == sorted(set(edges))
+    # pairs beside idle qubits leave some orbit a B_τ other than {1}, on
+    # every coupling here
+    if pattern == "pairs-idle":
+        assert max(q.d_out) > 1
 
 
 # --- canonical forms over the full group --------------------------------------
