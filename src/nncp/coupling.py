@@ -73,7 +73,9 @@ def _enumerated(elements: list[Perm]) -> AutGroup:
 class CouplingGraph:
     """A connected coupling graph on locations 0..n-1, its family and its
     automorphism group; ``split`` is M for a star (1) or biclique K_{M,N},
-    None otherwise."""
+    None otherwise.  ``trivial_layer`` is None until `symmetry.quotient_graph`
+    builds the layer (nodes, columns) every trivial-pattern circuit shares on
+    a cycle or general coupling; it then holds that read-only layer."""
 
     def __init__(self, n: int, edges: frozenset[tuple[int, int]], family: str,
                  aut: AutGroup, split: int | None = None):
@@ -84,6 +86,7 @@ class CouplingGraph:
         self.family = family
         self.aut = aut
         self.split = split
+        self.trivial_layer = None
 
 
 def _is_automorphism(p: Perm, edges: frozenset) -> bool:

@@ -49,7 +49,10 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     no object per arc; both builders fill them orbit by orbit.  An orbital
     holds |src|·d_out concrete moves, which is |dst|·d_in counted from its
     other end, so `QuotientGraph.d_in` computes the in-degree on demand, for
-    the LP models, from the out-degree and the two orbit sizes.
+    the LP models, from the out-degree and the two orbit sizes.  Under a
+    trivial pattern the layer depends on the coupling alone, so a cycle or
+    general coupling keeps it (``g.trivial_layer``) and every circuit solved
+    there shares its nodes and columns, which are read-only.
 
 `snf_elements` still lists S_n(F) outright, as an enumeration oracle for
 tests; nothing on the solve path calls it.
@@ -62,6 +65,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_right, insort
+from functools import cached_property
 
 from .circuit import Circuit, FixingPattern, fixing_pattern
 from .coupling import CouplingGraph, canonical_right, enumerated_aut
@@ -135,7 +139,6 @@ def b_tau(tau: Perm, fp: FixingPattern, g: CouplingGraph) -> BTau:
     are B_τ; ``aut.elements`` is indexed by them, never scanned.  A star or
     biclique raises ValueError, unless the pattern is trivial and B_τ is the
     identity alone."""
-    edges = sorted(g.edges)
     if not fp.trivial:
         word = _class_word(tau, fp)
         aut = enumerated_aut(g)
@@ -151,14 +154,22 @@ def b_tau(tau: Perm, fp: FixingPattern, g: CouplingGraph) -> BTau:
             frontier = survivors
         if len(frontier) > 1:
             kept = list(map(aut.elements.__getitem__, frontier))
-            return _finish(len(kept), _edge_orbits_under(kept, edges))
-    return _identity_b_tau(edges)
+            return _finish(len(kept), _edge_orbits_under(kept, sorted(g.edges)))
+    return _IdentityBTau(g.edges)
 
 
-def _identity_b_tau(edges: list[Edge]) -> BTau:
+class _IdentityBTau(BTau):
     """B_τ = {1}, always so when every pattern class is a singleton: each
-    edge is its own class."""
-    return BTau(1, [[e] for e in edges])
+    edge is its own class.  The classes are listed on first read, because
+    the worklist reads only the order of a B_τ = {1}."""
+    order = 1
+
+    def __init__(self, edges: frozenset[Edge]):
+        self.edges = edges
+
+    @cached_property
+    def edge_orbits(self) -> list[list[Edge]]:
+        return [[e] for e in sorted(self.edges)]
 
 
 def _edge_orbits_under(group: list[Perm], edges: list[Edge]) -> list[list[Edge]]:
@@ -524,7 +535,7 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     canonicalization; so there is one call for the start order, one per
     self-loop and one per pair of reverse arcs."""
     group_order = fp.group_order * g.aut.order
-    identity = _Shape(_identity_b_tau(sorted(g.edges)), group_order)
+    identity = _Shape(_IdentityBTau(g.edges), group_order)
     shapes: dict[tuple, _Shape] = {}        # the others, by order and edge classes
 
     def shape_of(rep: Perm) -> _Shape:
@@ -670,7 +681,10 @@ class QuotientGraph:
 def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     """The quotient of ``c`` on ``g``.  On a star or biclique it lists only
     the orbits and the compliance; the arc columns wait for their first read
-    (`QuotientGraph`)."""
+    (`QuotientGraph`).  On a cycle or general coupling, every circuit with a
+    trivial pattern shares one layer, built by the first such call and kept
+    in ``g.trivial_layer``: its nodes and columns are read-only, and only
+    the compliance lists are the circuit's own."""
     if c.n != g.n:
         raise ValueError(f"circuit has {c.n} qubits, coupling {g.n} locations")
     fp = fixing_pattern(c)
@@ -686,7 +700,10 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
                 on_small[x].add(i)
         by_pair = {(a, b): sorted(on_small[a] ^ on_small[b]) for a, b in pairs}
     else:
-        nodes, columns = layer_orbits(fp, g)
+        # every trivial pattern has the same layer on g: build it once
+        if fp.trivial and g.trivial_layer is None:
+            g.trivial_layer = layer_orbits(fp, g)
+        nodes, columns = g.trivial_layer if fp.trivial else layer_orbits(fp, g)
         # an orbit is compliant with a pair iff one of its representative's
         # coupling edges holds the pair's two qubits, and at most one edge
         # can.  So walk each representative's edges: the qubits on an edge,
