@@ -8,9 +8,11 @@ layer gives the same schedules and statistics as a layer built afresh, that
 only trivial patterns on cycle and general couplings fill it, that a capped
 build leaves it empty, and that solving never writes into it."""
 
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -149,3 +151,25 @@ def test_layer_orbits_builds_afresh_on_every_call():
     assert all(a is not b for a, b in zip(cols1, cols2))
     assert layer_copy(n1, cols1) == layer_copy(n2, cols2)
     assert g.trivial_layer is None
+
+
+def test_the_layer_is_freed_with_its_coupling():
+    # the slot holds the layer after every quotient is gone, and only as
+    # long as the coupling lives: cycle-8 has 8!/16 = 2 520 orbits
+    c = decompose(random_class_i(8, 40, seed=0), n=8)
+    solved(c, make("cycle", n=8)[0])        # warm-up: one-time caches and interning
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = make("cycle", n=8)[0]
+        q, _ = solved(c, g)
+        del q
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        del g
+        gc.collect()
+        freed, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > 300_000
+    assert freed < held / 10
