@@ -75,7 +75,8 @@ class CouplingGraph:
     automorphism group; ``split`` is M for a star (1) or biclique K_{M,N},
     None otherwise.  ``trivial_layer`` is None until `symmetry.quotient_graph`
     builds the layer (nodes, columns) every trivial-pattern circuit shares on
-    a cycle or general coupling; it then holds that read-only layer for as
+    any coupling (the columns are None on a star or biclique, whose
+    quotients build their own); it then holds that read-only layer for as
     long as the coupling lives, and is freed with it."""
 
     def __init__(self, n: int, edges: frozenset[tuple[int, int]], family: str,

@@ -12,7 +12,7 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     (`_split_nodes`), and a swap trades one class on the small side for one
     on the large side (`_split_columns`).  The vectors and the arcs are
     counted before any is built, so an oversized quotient fails at once.
-    `quotient_graph` builds only the orbits there: the arc columns wait for
+    `layer_orbits` builds only the orbits there: the arc columns wait for
     their first read, and a star solve never reads them, so a star's arc
     count is capped only when they are built.  A schedule is
     replayed from the same vectors (`_split_step`).  Nothing on these
@@ -49,10 +49,12 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     no object per arc; both builders fill them orbit by orbit.  An orbital
     holds |src|·d_out concrete moves, which is |dst|·d_in counted from its
     other end, so `QuotientGraph.d_in` computes the in-degree on demand, for
-    the LP models, from the out-degree and the two orbit sizes.  Under a
-    trivial pattern the layer depends on the coupling alone, so a cycle or
-    general coupling keeps it (``g.trivial_layer``) and every circuit solved
-    there shares its nodes and columns, which are read-only.
+    the LP models, from the out-degree and the two orbit sizes.
+    `layer_orbits` builds every layer.  Under a trivial pattern the layer
+    depends on the coupling alone, so any coupling keeps it
+    (``g.trivial_layer``) and every circuit solved there shares its nodes
+    and columns, which are read-only; on a star or biclique its columns
+    are None, and each quotient builds its own.
 
 `snf_elements` still lists S_n(F) outright, as an enumeration oracle for
 tests; nothing on the solve path calls it.
@@ -213,7 +215,7 @@ def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
     the first in ``aut.elements``.  S_n(F) itself is never listed.  A
     trivial pattern is plain coset canonicalization.  Cycle and general
     couplings only: a star or biclique raises ValueError, as its orbits
-    are class vectors (`_split_orbits`)."""
+    are class vectors (`_split_nodes`)."""
     if fp.trivial:
         return canonical_right(tau, g)
     word = _class_word(tau, fp)
@@ -250,19 +252,21 @@ def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
 
 
 def layer_orbits(fp: FixingPattern, g: CouplingGraph
-                 ) -> tuple[list[OrbitNode], Columns]:
-    """Orbits of a layer and their orbitals.  Nodes come out sorted by
-    representative, arcs by source node and then by edge (u, v), the
-    smallest edge of the arc's B_τ edge class, as the columns of
-    `QuotientGraph`: offsets, dst, u, v and d_out.
+                 ) -> tuple[list[OrbitNode], Columns | None]:
+    """Orbits of a layer and their orbitals, the one builder of a layer.
+    Nodes come out sorted by representative, arcs by source node and then
+    by edge (u, v), the smallest edge of the arc's B_τ edge class, as the
+    columns of `QuotientGraph`: offsets, dst, u, v and d_out.
 
-    A split coupling (star or biclique) is built in closed form from class
-    vectors, with no canonicalization (`_split_orbits`); cycle and general
-    couplings are found by the worklist (`_worklist_orbits`).  The two
-    share no code: tests check the closed form against the worklist run on
-    the same star or biclique given as a general edge list."""
+    A split coupling (star or biclique) lists its orbits in closed form
+    from class vectors, with no canonicalization (`_split_nodes`), and
+    returns None for the columns: `QuotientGraph` builds them from the
+    nodes on first read (`_split_columns`).  Cycle and general couplings
+    are found by the worklist (`_worklist_orbits`).  The two share no code:
+    tests check the closed form against the worklist run on the same star
+    or biclique given as a general edge list."""
     if g.split is not None:
-        return _split_orbits(fp, g)
+        return _split_nodes(fp, g), None
     return _worklist_orbits(fp, g)
 
 
@@ -294,28 +298,8 @@ def _small_sides(sizes: list[int], m: int) -> list[tuple[int, ...]]:
     """Every class vector k with Σ k_c = m and 0 <= k_c <= sizes[c], as the
     non-decreasing tuple of classes it puts on the small side (class c
     k_c times)."""
-    out = []
-
-    def extend(prefix: tuple[int, ...], lo: int, run: int):
-        # ``run`` counts the copies of prefix[-1] at the end of the prefix
-        if len(prefix) == m:
-            out.append(prefix)
-            return
-        for d in range(lo, len(sizes)):
-            r = run + 1 if prefix and d == prefix[-1] else 1
-            if r <= sizes[d]:
-                extend(prefix + (d,), d, r)
-
-    extend((), 0, 0)
-    return out
-
-
-def _split_orbits(fp: FixingPattern, g: CouplingGraph
-                  ) -> tuple[list[OrbitNode], Columns]:
-    """`layer_orbits` on K_{M,N} (a star when M = 1), from class vectors:
-    the orbits (`_split_nodes`) and their arcs (`_split_columns`)."""
-    nodes = _split_nodes(fp, g)
-    return nodes, _split_columns(fp, g, nodes)
+    return [small for small in itertools.combinations_with_replacement(range(len(sizes)), m)
+            if all(small.count(c) <= sizes[c] for c in set(small))]
 
 
 def _check_cap(what: str, count: int):
@@ -628,10 +612,9 @@ class QuotientGraph:
     arcs (one per orbit, out-degree = orbit size) and sink arcs (one per
     compliant orbit of the last gate, in-degree = orbit size) are implicit."""
 
-    def __init__(self, circuit: Circuit, coupling: CouplingGraph, fp: FixingPattern,
+    def __init__(self, coupling: CouplingGraph, fp: FixingPattern,
                  nodes: list[OrbitNode], columns: Columns | None,
                  compliant: list[list[int]]):
-        self.circuit = circuit
         self.coupling = coupling
         self.fp = fp
         self.nodes = nodes
@@ -655,7 +638,7 @@ class QuotientGraph:
 
     @property
     def m(self) -> int:
-        return self.circuit.m
+        return len(self.compliant)
 
     @property
     def arcs(self) -> range:
@@ -679,19 +662,22 @@ class QuotientGraph:
 
 
 def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
-    """The quotient of ``c`` on ``g``.  On a star or biclique it lists only
-    the orbits and the compliance; the arc columns wait for their first read
-    (`QuotientGraph`).  On a cycle or general coupling, every circuit with a
-    trivial pattern shares one layer, built by the first such call and kept
-    in ``g.trivial_layer``: its nodes and columns are read-only, and only
-    the compliance lists are the circuit's own."""
+    """The quotient of ``c`` on ``g``: the layer from `layer_orbits`, and
+    the circuit's own compliance lists.  On any coupling, every circuit
+    with a trivial pattern shares one layer, built by the first such call
+    and kept in ``g.trivial_layer``; its nodes and columns are read-only.
+    On a star or biclique the layer's columns are None, and each quotient
+    builds its own on first read (`QuotientGraph`)."""
     if c.n != g.n:
         raise ValueError(f"circuit has {c.n} qubits, coupling {g.n} locations")
     fp = fixing_pattern(c)
+    # every trivial pattern has the same layer on g: build it once
+    if fp.trivial and g.trivial_layer is None:
+        g.trivial_layer = layer_orbits(fp, g)
+    nodes, columns = g.trivial_layer if fp.trivial else layer_orbits(fp, g)
 
     pairs = set(c.gates)
     if g.split is not None:
-        nodes, columns = _split_nodes(fp, g), None
         # on K_{M,N} a pair is adjacent iff exactly one of its qubits sits on
         # the small side, the representative's first M locations
         on_small: list[set[int]] = [set() for _ in range(g.n)]
@@ -700,10 +686,6 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
                 on_small[x].add(i)
         by_pair = {(a, b): sorted(on_small[a] ^ on_small[b]) for a, b in pairs}
     else:
-        # every trivial pattern has the same layer on g: build it once
-        if fp.trivial and g.trivial_layer is None:
-            g.trivial_layer = layer_orbits(fp, g)
-        nodes, columns = g.trivial_layer if fp.trivial else layer_orbits(fp, g)
         # an orbit is compliant with a pair iff one of its representative's
         # coupling edges holds the pair's two qubits, and at most one edge
         # can.  So walk each representative's edges: the qubits on an edge,
@@ -721,7 +703,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
                     ids.append(i)
     compliant = [by_pair[gate] for gate in c.gates]     # one list per pair
 
-    return QuotientGraph(circuit=c, coupling=g, fp=fp, nodes=nodes, columns=columns,
+    return QuotientGraph(coupling=g, fp=fp, nodes=nodes, columns=columns,
                          compliant=compliant)
 
 

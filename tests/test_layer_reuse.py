@@ -1,12 +1,16 @@
-"""One trivial-pattern layer per cycle or general coupling.
+"""One trivial-pattern layer per coupling, of any family.
 
-Under a trivial pattern (every class a singleton) a layer's orbits and
-orbitals depend on the coupling alone, so `quotient_graph` builds them once
-per coupling, into ``g.trivial_layer``, and every later trivial-pattern
-circuit on that coupling shares them.  These tests pin down that the shared
-layer gives the same schedules and statistics as a layer built afresh, that
-only trivial patterns on cycle and general couplings fill it, that a capped
-build leaves it empty, and that solving never writes into it."""
+`layer_orbits` is the one builder of a layer.  Under a trivial pattern
+(every class a singleton) a layer's orbits and orbitals depend on the
+coupling alone, so `quotient_graph` builds them once per coupling, into
+``g.trivial_layer``, and every later trivial-pattern circuit on that
+coupling shares them; on a star or biclique the layer's columns are None,
+and each quotient builds its own on first read.  These tests pin down that
+the shared layer gives the same schedules and statistics as a layer built
+afresh, that every layer comes through `layer_orbits` (once per coupling
+for trivial patterns, once per call otherwise), that only trivial patterns
+fill the slot, that a capped build leaves it empty, and that solving never
+writes into it."""
 
 import gc
 import hashlib
@@ -26,12 +30,15 @@ from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import layer_orbits, quotient_graph, reduction_stats
 from tests.test_symmetry import GENERAL_GRAPHS, circuit_with_pattern
 
-# (name, coupling builder, n): couplings whose quotients take the worklist
-WORKLIST_COUPLINGS = [
+# (name, coupling builder, n): couplings whose quotients take the worklist,
+# then a star and a biclique, whose layers are listed from class vectors
+COUPLINGS = [
     ("cycle7", lambda: make("cycle", n=7)[0], 7),
     ("wheel7", lambda: make("general", edges=GENERAL_GRAPHS["wheel7"])[0], 7),
     ("K34-edges", lambda: make("general", edges=GENERAL_GRAPHS["K34"])[0], 7),
     ("ladder", lambda: make("general", edges=GENERAL_GRAPHS["ladder"])[0], 6),
+    ("star7", lambda: make("star", n=7)[0], 7),
+    ("biclique3-7", lambda: make("biclique", n=7, m_side=3)[0], 7),
 ]
 
 
@@ -65,11 +72,12 @@ def solved(c, g):
 
 
 def layer_copy(nodes, columns):
-    return [(nd.rep, nd.orbit_size) for nd in nodes], [col.tolist() for col in columns]
+    # a star's or biclique's layer has no columns
+    return ([(nd.rep, nd.orbit_size) for nd in nodes],
+            columns and [col.tolist() for col in columns])
 
 
-@pytest.mark.parametrize("name, build, n", WORKLIST_COUPLINGS,
-                         ids=[case[0] for case in WORKLIST_COUPLINGS])
+@pytest.mark.parametrize("name, build, n", COUPLINGS, ids=[case[0] for case in COUPLINGS])
 def test_trivial_patterns_share_one_layer(name, build, n):
     g = build()
     assert g.trivial_layer is None
@@ -80,7 +88,13 @@ def test_trivial_patterns_share_one_layer(name, build, n):
         q, digest = solved(c, g)
         assert q.nodes is q1.nodes
         for col in symmetry._COLUMNS:
-            assert getattr(q, col) is getattr(q1, col)
+            if g.split is None:
+                assert getattr(q, col) is getattr(q1, col)
+            else:
+                # built by each quotient from the shared nodes, never kept
+                assert getattr(q, col) is not getattr(q1, col)
+                assert getattr(q, col) == getattr(q1, col)
+        assert (g.trivial_layer[1] is None) == (g.split is not None)
         # the same circuit on a newly made coupling builds its own layer
         fresh = build()
         q_fresh, digest_fresh = solved(c, fresh)
@@ -105,16 +119,55 @@ def test_each_coupling_keeps_its_own_layer():
 @pytest.mark.parametrize("family, m_side, gates", [
     ("cycle", None, [(0, 1), (1, 2), (2, 3)]),                 # qubits 4, 5, 6 idle
     ("cycle", None, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)]),  # isolated pair
-    ("star", None, [(x, x + 1) for x in range(6)]),            # trivial, but split
-    ("biclique", 3, [(x, x + 1) for x in range(6)]),
 ])
 def test_other_quotients_leave_the_slot_empty(family, m_side, gates):
     g = make(family, n=7, m_side=m_side)[0]
     c = circuit_with_pattern(7, gates)
-    assert fixing_pattern(c).trivial == (family != "cycle")
+    assert not fixing_pattern(c).trivial
     q = quotient_graph(c, g)
     assert g.trivial_layer is None
     assert quotient_graph(c, g).nodes is not q.nodes
+
+
+# star, biclique:3, cycle-7 and K_{3,4} as an edge list
+DOOR_COUPLINGS = [case for case in COUPLINGS if case[0] not in ("wheel7", "ladder")]
+
+
+@pytest.mark.parametrize("name, build, n", DOOR_COUPLINGS,
+                         ids=[case[0] for case in DOOR_COUPLINGS])
+def test_every_layer_comes_through_layer_orbits(name, build, n, monkeypatch):
+    # layer_orbits runs once for ten trivial-pattern circuits on one
+    # coupling, and once per call under a non-trivial pattern; a star's or
+    # biclique's orbits are listed only under it
+    real_layer, real_nodes = symmetry.layer_orbits, symmetry._split_nodes
+    calls, inside, listed = [], [], []
+
+    def counted(fp, g):
+        calls.append(fp.trivial)
+        inside.append(g)
+        try:
+            return real_layer(fp, g)
+        finally:
+            inside.pop()
+
+    def listed_inside(fp, g):
+        assert inside == [g], "_split_nodes ran outside layer_orbits"
+        listed.append(fp.trivial)
+        return real_nodes(fp, g)
+
+    monkeypatch.setattr(symmetry, "layer_orbits", counted)
+    monkeypatch.setattr(symmetry, "_split_nodes", listed_inside)
+    g = build()
+    for c in trivial_circuits(n, 10, seed=f"door/{name}"):
+        q, _ = solved(c, g)
+        assert q.nodes is g.trivial_layer[0]
+    assert calls == [True]
+    idle = circuit_with_pattern(n, [(0, 1), (1, 2), (2, 3)])
+    for _ in range(3):
+        q, _ = solved(idle, g)
+        assert q.nodes is not g.trivial_layer[0]
+    assert calls == [True, False, False, False]
+    assert listed == ([] if g.split is None else calls)
 
 
 def test_a_capped_build_leaves_the_slot_empty(monkeypatch):
@@ -129,18 +182,25 @@ def test_a_capped_build_leaves_the_slot_empty(monkeypatch):
 
 
 def test_solving_never_writes_into_the_shared_layer():
-    g = make("cycle", n=7)[0]
     circuits = [decompose(random_class_i(7, 24, seed), n=7) for seed in range(20)]
     assert all(fixing_pattern(c).trivial for c in circuits)
-    first = quotient_graph(circuits[0], g)
-    before = layer_copy(*g.trivial_layer)
-    for c in circuits:
-        q, _ = solved(c, g)
-        assert q.nodes is first.nodes
-    nodes, columns = g.trivial_layer
-    assert nodes is first.nodes
-    assert layer_copy(nodes, columns) == before
-    assert len(before[0]) == 360
+    # 7!/14 orbits on cycle-7, one per centre qubit on star-7, and one per
+    # small side on biclique:3, C(7, 3)
+    for family, m_side, orbits in [("cycle", None, 360), ("star", None, 7), ("biclique", 3, 35)]:
+        g = make(family, n=7, m_side=m_side)[0]
+        first = quotient_graph(circuits[0], g)
+        before = layer_copy(*g.trivial_layer)
+        for c in circuits:
+            q, _ = solved(c, g)
+            assert q.nodes is first.nodes
+            if family == "biclique":
+                # the solve read the columns, which land on the quotient
+                assert "dst" in vars(q) and q.dst is not first.dst
+        nodes, columns = g.trivial_layer
+        assert nodes is first.nodes
+        assert layer_copy(nodes, columns) == before
+        assert len(before[0]) == orbits
+        assert (columns is None) == (g.split is not None)
 
 
 def test_layer_orbits_builds_afresh_on_every_call():

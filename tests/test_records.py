@@ -64,7 +64,7 @@ CASES = {
            lambda x: BTau(1, [[(0, 1)]]), "identity"),
     OrbitNode: ([("rep", EMPTY), ("orbit_size", EMPTY)],
                 lambda x: OrbitNode((0, 1, 2), 6), "identity"),
-    QuotientGraph: ([(name, EMPTY) for name in ("circuit", "coupling", "fp", "nodes",
+    QuotientGraph: ([(name, EMPTY) for name in ("coupling", "fp", "nodes",
                                                 "columns", "compliant")],
                     lambda x: quotient(), "identity"),
 }
@@ -94,6 +94,16 @@ def test_record_signature_and_equality(cls):
         setattr(a, name, getattr(b, name))
     with pytest.raises(AttributeError):
         delattr(a, name)
+
+
+@pytest.mark.parametrize("family", ["cycle", "star"])
+def test_a_quotient_counts_its_gates_by_their_compliance_lists(family):
+    # a quotient keeps no circuit: m is the number of compliance lists
+    g, _, _ = make(family, n=4)
+    for gates in ([], [(0, 1), (2, 3), (1, 2)]):
+        q = quotient_graph(Circuit(4, gates), g)
+        assert q.m == len(q.compliant) == len(gates)
+        assert not hasattr(q, "circuit")
 
 
 def test_defaults_and_slots():

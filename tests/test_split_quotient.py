@@ -1,7 +1,8 @@
 """The star and biclique quotient, built in closed form from class vectors.
 
-`layer_orbits` builds a split coupling's quotient without canonicalizing.
-Four independent checks pin it down: `layer_orbits` on the same graph given
+`layer_orbits` lists a split coupling's orbits without canonicalizing, and
+`_split_columns` their arcs, as `QuotientGraph` does on first read.  Four
+independent checks pin them down: `layer_orbits` on the same graph given
 as a general edge list, where the worklist runs on the listed group, must
 give the same quotient field by field; so must the worklist run on the split
 coupling itself through the test-side oracles of `test_split_canonical.py`,
@@ -46,6 +47,14 @@ def as_fields(nodes, columns):
     return [(nd.rep, nd.orbit_size) for nd in nodes], columns
 
 
+def split_layer(fp, g):
+    """`layer_orbits` on a star or biclique, whose columns are None, with
+    the columns `QuotientGraph` builds from its nodes on first read."""
+    nodes, columns = layer_orbits(fp, g)
+    assert columns is None
+    return nodes, symmetry._split_columns(fp, g, nodes)
+
+
 @pytest.mark.parametrize("kind", ["trivial", "idle", "pairs"])
 def test_closed_form_matches_the_general_form(kind):
     # both sides are library code and share no split code: the general form
@@ -56,7 +65,7 @@ def test_closed_form_matches_the_general_form(kind):
         m_side = rng.randint(1, (n - 1) // 2)
         c = decompose([RawGate(CNOT, p) for p in sparse_gates(n, kind, rng)], n=n)
         fp = fixing_pattern(c)
-        assert as_fields(*layer_orbits(fp, split_graph(n, m_side))) == \
+        assert as_fields(*split_layer(fp, split_graph(n, m_side))) == \
             as_fields(*layer_orbits(fp, general_form(n, m_side))), (n, m_side, fp.classes)
 
 
@@ -70,7 +79,7 @@ def test_closed_form_matches_worklist(kind, monkeypatch):
         g = split_graph(n, m_side)
         c = decompose([RawGate(CNOT, p) for p in sparse_gates(n, kind, rng)], n=n)
         fp = fixing_pattern(c)
-        nodes, columns = layer_orbits(fp, g)
+        nodes, columns = split_layer(fp, g)
         assert as_fields(nodes, columns) == as_fields(*symmetry._worklist_orbits(fp, g)), \
             (n, m_side, fp.classes)
         assert symmetry._split_counts([len(cl) for cl in fp.classes], m_side) \

@@ -213,10 +213,13 @@ def test_arcs_are_counted_before_the_columns_are_built(family, n, m_side):
     assert len(q.arcs) == count and "dst" not in vars(q)
     assert len(q.dst) == len(q.arcs) == count
     assert q.offsets[-1] == count and len(q.offsets) == len(q.nodes) + 1
-    # the columns are those `layer_orbits` builds, and are built once
+    # the columns are those `_split_columns` builds from a layer built
+    # afresh, and are built once
     dst = q.dst
+    nodes, columns = nncp.symmetry.layer_orbits(q.fp, g)
+    assert columns is None
     assert [list(col) for col in (q.offsets, dst, q.u, q.v, q.d_out)] == \
-        [list(col) for col in nncp.symmetry.layer_orbits(q.fp, g)[1]]
+        [list(col) for col in nncp.symmetry._split_columns(q.fp, g, nodes)]
     assert q.dst is dst
 
 
