@@ -27,7 +27,12 @@ A whole BFS level expands at once: through per-chunk tables of successor
 masks (`_expander`, the Four Russians trick; only nonzero chunks are looked
 up) when they take at most the fixed `TABLE_BYTES_LIMIT` (`_table_fits`),
 otherwise over adjacency lists read from the quotient's ``dst`` column
-(`_adjacency_expander`).  Both go through one walk back, which grows
+(`_adjacency_expander`).  The tables depend on the layer alone, so a
+coupling's shared trivial-pattern layer keeps them (``g.trivial_tables``):
+the first solve on it builds them, with 8 orbits per chunk where those fit
+and 4 otherwise, and every later circuit on the coupling reuses them.  A
+layer built for one circuit gets 4-orbit tables per solve, cheaper to
+build for one use.  Both go through one walk back, which grows
 spheres backward from the cheapest orbit of the last gate, exact because
 the quotient's adjacency is symmetric, and returns a `ReducedPath`: the
 entry orbit and the orbits the walk enters, one per SWAP, which
@@ -55,10 +60,12 @@ Tag = tuple  # ("lam", layer, arc_id) or ("theta", boundary, orbit_id)
 NO_PATH = "no compliant path through the quotient graph"
 
 # the most bytes the chunk tables of `_expander` may take; above it a level
-# expands over adjacency lists.  64 MiB holds the tables of up to 11 440
-# orbits: biclique:3 n=40 (9 880 orbits, 48 MiB) and cycle-8 (2 520,
-# 3.4 MiB) take them, Petersen (30 240, 440 MiB) and the 3×3 grid (45 360,
-# 988 MiB) do not.  On cycle-8 the tables made the solve about 4× faster
+# expands over adjacency lists.  64 MiB holds 8-orbit tables of up to 3 840
+# orbits: cycle-7 (360 orbits, 0.9 MiB) and cycle-8 (2 520, 26 MiB) take
+# them on their shared layer.  It holds 4-orbit tables of up to 11 440:
+# biclique:3 n=40 (9 880 orbits, 48 MiB) takes them, Petersen (30 240,
+# 440 MiB) and the 3×3 grid (45 360, 988 MiB) do not.  On cycle-8 the
+# 4-orbit tables made the solve about 4× faster than adjacency lists
 TABLE_BYTES_LIMIT = 64 << 20
 
 
@@ -270,34 +277,31 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
 _NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def _table_fits(q: QuotientGraph) -> bool:
-    """Whether the chunk tables of `_expander` take at most
-    `TABLE_BYTES_LIMIT`: per 4-bit chunk of orbit ids a list of 16 masks of
-    up to len(q.nodes) bits, about 0.47·orbits² bytes."""
-    n = len(q.nodes)
-    return -(-n // 4) * (sys.getsizeof([0] * 16) + 15 * sys.getsizeof(1 << n)) <= TABLE_BYTES_LIMIT
+def _table_fits(q: QuotientGraph, width: int = 4) -> bool:
+    """Whether chunk tables of ``width`` (4 or 8) orbits per chunk
+    (`_chunk_tables`) take at most `TABLE_BYTES_LIMIT`: per chunk a list of
+    2**width masks of up to len(q.nodes) bits, about 0.5·orbits² bytes at
+    width 4 and 4.3·orbits² at width 8.  It reads only the orbit count, so
+    it is checked before any table is built."""
+    n, size = len(q.nodes), 1 << width
+    return -(-n // width) * (sys.getsizeof([0] * size)
+                             + (size - 1) * sys.getsizeof(1 << n)) <= TABLE_BYTES_LIMIT
 
 
-def _expander(q: QuotientGraph) -> Callable[[int], int]:
-    """The map from a set of orbits to the set of their successors, both as
-    int bitmasks (bit u for orbit u), by the Four Russians table trick.
-    The orbit ids are cut into chunks of 4 bits; a chunk's table holds, for
-    each of its 16 values, the OR of the successor masks of the orbits the
-    value selects.  Expanding a set reads its mask as hex, top chunk first,
-    and ORs one table entry per nonzero chunk: a zero chunk selects no
-    orbit, so its table is skipped.  A set of at most four orbits, as the
-    first sphere of every walk back (one orbit), ORs their one-orbit
-    entries instead, which costs less than formatting the mask.  The tables
-    are built chunk by chunk from the ``dst`` column, so no list of all
-    successor masks is held."""
+def _chunk_tables(q: QuotientGraph, width: int) -> list[list[int]]:
+    """The Four Russians tables of the quotient's successor map, top chunk
+    first.  The orbit ids are cut into chunks of ``width`` (4 or 8) bits; a
+    chunk's table holds, for each of its 2**width values, the OR of the
+    successor masks of the orbits the value selects.  A table is built per
+    4-orbit half from the ``dst`` column, and an 8-orbit table ORs its two
+    halves' 16-entry tables, so no list of all successor masks is held."""
     n = len(q.nodes)
-    chunks = -(-n // 4)
     offsets, dst = q.offsets, q.dst
-    tables = []
-    for c in reversed(range(chunks)):
-        # the successor masks of the chunk's orbits, none past the last orbit
+
+    def half(first: int) -> list[int]:
+        # the successor masks of orbits first .. first + 3, none past the last
         succ = [0] * 4
-        for i, (lo, hi) in enumerate(pairwise(offsets[4 * c:4 * c + 5])):
+        for i, (lo, hi) in enumerate(pairwise(offsets[first:first + 5])):
             mask = 0
             for w in dst[lo:hi]:
                 mask |= 1 << w
@@ -306,9 +310,55 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
         for value in range(1, 16):
             low = value & -value        # the entry without its lowest bit, plus that bit's orbit
             table[value] = table[value ^ low] | succ[low.bit_length() - 1]
-        tables.append(table)
+        return table
 
-    top = chunks - 1
+    tables = []
+    for c in reversed(range(-(-n // width))):
+        if width == 4:
+            tables.append(half(4 * c))
+        else:
+            # entry 16·a + b is entry a of the upper half OR entry b of the lower
+            lower, upper = half(8 * c), half(8 * c + 4)
+            tables.append([a | b for a in upper for b in lower])
+    return tables
+
+
+def _expander(q: QuotientGraph) -> Callable[[int], int]:
+    """The map from a set of orbits to the set of their successors, both as
+    int bitmasks (bit u for orbit u), through chunk tables
+    (`_table_expander`).  The shared trivial-pattern layer of a coupling
+    (``q.dst`` is the ``dst`` of ``g.trivial_layer``) keeps its tables in
+    ``g.trivial_tables``: the first solve that expands a level builds them,
+    with 8 orbits per chunk when they fit `TABLE_BYTES_LIMIT`, else with 4,
+    and every later circuit on the coupling reuses them.  A layer built for
+    one circuit gets 4-orbit tables, built per solve and never kept."""
+    g = q.coupling
+    layer = g.trivial_layer
+    if layer is None or layer[1] is None or q.dst is not layer[1][1]:
+        return _table_expander(_chunk_tables(q, 4))
+    if g.trivial_tables is None:
+        g.trivial_tables = _chunk_tables(q, 8 if _table_fits(q, 8) else 4)
+    return _table_expander(g.trivial_tables)
+
+
+def _table_expander(tables: list[list[int]]) -> Callable[[int], int]:
+    """The successor map of `_chunk_tables`' tables, by the Four Russians
+    trick.  Expanding a set cuts its mask into chunks, top chunk first (an
+    8-orbit chunk is a byte of ``mask.to_bytes``, a 4-orbit chunk a hex
+    digit), and ORs one table entry per nonzero chunk: a zero chunk selects
+    no orbit, so its table is skipped.  A set of at most four orbits, as the
+    first sphere of every walk back (one orbit), ORs their one-orbit entries
+    instead, which costs less than cutting the mask."""
+    width = len(tables[0]).bit_length() - 1
+    chunks, top, low_bits = len(tables), len(tables) - 1, width - 1
+    shift = low_bits.bit_length()       # log2(width)
+    if width == 8:
+        chunk_values = partial(int.to_bytes, length=chunks, byteorder="big")
+    else:
+        digits = f"%0{chunks}x"
+
+        def chunk_values(mask: int) -> bytes:
+            return (digits % mask).encode().translate(_NIBBLES)
 
     def expand(mask: int) -> int:
         if mask.bit_count() <= 4:       # a few orbits: OR their one-orbit entries
@@ -316,11 +366,11 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
             while mask:
                 low = mask & -mask
                 u = low.bit_length() - 1
-                out |= tables[top - (u >> 2)][1 << (u & 3)]
+                out |= tables[top - (u >> shift)][1 << (u & low_bits)]
                 mask ^= low
             return out
-        nibbles = ("%0*x" % (chunks, mask)).encode().translate(_NIBBLES)
-        return reduce(or_, map(getitem, compress(tables, nibbles), filter(None, nibbles)), 0)
+        values = chunk_values(mask)
+        return reduce(or_, map(getitem, compress(tables, values), filter(None, values)), 0)
     return expand
 
 
@@ -403,8 +453,8 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     base + j, and ``levels[0]`` holds every orbit at potential 0.  On a star
     they follow in closed form (`_star_level`); elsewhere each gate gets one
     BFS pass (`_bfs_level`) that expands a whole BFS level at once, through
-    chunk tables (`_expander`), one lookup per nonzero 4-bit chunk of its
-    mask, when they take at most `TABLE_BYTES_LIMIT` (`_table_fits`): on
+    chunk tables (`_expander`), one lookup per nonzero 8- or 4-bit chunk of
+    its mask, when they take at most `TABLE_BYTES_LIMIT` (`_table_fits`): on
     cycles 7 and 8 and the bicliques measured; larger quotients (Petersen,
     the 3×3 grid) expand over adjacency lists (`_adjacency_expander`).
 

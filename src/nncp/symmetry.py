@@ -54,7 +54,9 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     depends on the coupling alone, so any coupling keeps it
     (``g.trivial_layer``) and every circuit solved there shares its nodes
     and columns, which are read-only; on a star or biclique its columns
-    are None, and each quotient builds its own.
+    are None, and each quotient builds its own.  Where the layer has
+    columns, the coupling keeps the BFS chunk tables built on them too
+    (``g.trivial_tables``, built by the first solve, `lp._expander`).
 
 `snf_elements` still lists S_n(F) outright, as an enumeration oracle for
 tests; nothing on the solve path calls it.
@@ -297,9 +299,14 @@ def _split_counts(sizes: list[int], m: int) -> tuple[int, int]:
 def _small_sides(sizes: list[int], m: int) -> list[tuple[int, ...]]:
     """Every class vector k with Σ k_c = m and 0 <= k_c <= sizes[c], as the
     non-decreasing tuple of classes it puts on the small side (class c
-    k_c times)."""
-    return [small for small in itertools.combinations_with_replacement(range(len(sizes)), m)
-            if all(small.count(c) <= sizes[c] for c in set(small))]
+    k_c times).  A tuple that repeats no class fits, since every class has
+    a qubit, so only the others are counted."""
+    out = []
+    for small in itertools.combinations_with_replacement(range(len(sizes)), m):
+        classes = set(small)
+        if len(classes) == m or all(small.count(c) <= sizes[c] for c in classes):
+            out.append(small)
+    return out
 
 
 def _check_cap(what: str, count: int):

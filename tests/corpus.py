@@ -2,7 +2,10 @@
 
 Each coupling carries five circuits: two with a trivial pattern (a chain
 through every qubit, and one leaving a single qubit idle), one with three
-idle qubits, one with an isolated pair, and the empty circuit.  A row pins
+idle qubits, one with an isolated pair, and the empty circuit.  Every
+instance of the benchmark's workloads (`perfbench/workloads.py`, read by
+path) for seeds 0 and 1 is a row too, named by its workload, seed and
+coupling, with the instance's name as its kind.  A row pins
 what the reduced pipeline gives for one of them: ``opt``, checked at pin
 time against an independent oracle (`solve_spp` for n <= 8, `solve_star_dp`
 on stars); the orbit and arc counts of the quotient; the sha256 of its five
@@ -19,6 +22,7 @@ ties differently, and never an ``opt``; say which rows changed and why.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -26,14 +30,15 @@ import sys
 import time
 
 from nncp.baseline import solve_spp
-from nncp.circuit import Circuit, fixing_pattern
+from nncp.circuit import CNOT, Circuit, RawGate, decompose, fixing_pattern
 from nncp.coupling import make
 from nncp.dp import solve_star_dp
 from nncp.lp import solve_reduced
 from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import _COLUMNS, quotient_graph
 
-PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PATH = os.path.join(ROOT, "tests", "corpus.json")
 SLOW_S = 1.0        # a row whose reduced solve takes longer stays out of tier-1
 
 EDGE_LISTS = {
@@ -56,6 +61,8 @@ COUPLINGS = {
 
 KINDS = ("connected", "one-idle", "idle", "pair", "empty")
 
+BENCHMARK_SEEDS = (0, 1)
+
 
 def circuit(name: str, kind: str, n: int) -> Circuit:
     """The ``kind`` circuit on n qubits, from a seed named after the
@@ -75,12 +82,55 @@ def circuit(name: str, kind: str, n: int) -> Circuit:
     return Circuit(n, [(a, b) if a < b else (b, a) for a, b in gates])
 
 
+def workloads():
+    """The benchmark's `perfbench/workloads.py`, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _label(spec: dict) -> str:
+    if spec["family"] == "general":
+        edges = [tuple(e) for e in spec["edges"]]
+        return next(f"{name}-edges" for name, known in EDGE_LISTS.items() if known == edges)
+    if spec["family"] == "biclique":
+        return f"biclique{spec['split']}-{spec['n']}"
+    return f"{spec['family']}-{spec['n']}"
+
+
+def benchmark_instances():
+    """(coupling name, [benchmark instance]) for every workload and seed of
+    `BENCHMARK_SEEDS`, one name per coupling the seed's instances use, in
+    their order."""
+    bench = workloads()
+    for workload in bench.WORKLOADS:
+        for seed in BENCHMARK_SEEDS:
+            groups: dict[str, list[dict]] = {}
+            for inst in bench.instances(workload, seed):
+                groups.setdefault(_label(inst["coupling"]), []).append(inst)
+            for label, insts in groups.items():
+                yield f"{workload}/{seed}/{label}", insts
+
+
+def _benchmark_coupling(spec: dict):
+    if spec["family"] == "general":
+        return make("general", edges=[tuple(e) for e in spec["edges"]])[0]
+    return make(spec["family"], spec["n"], spec.get("split"))[0]
+
+
 def instances():
     """(coupling name, a newly made coupling, [(kind, circuit)]) in corpus
     order."""
     for name, args in COUPLINGS.items():
         g = make(**args)[0]
         yield name, g, [(kind, circuit(name, kind, g.n)) for kind in KINDS]
+    for name, insts in benchmark_instances():
+        g = _benchmark_coupling(insts[0]["coupling"])
+        yield name, g, [(inst["name"], decompose([RawGate(CNOT, tuple(p)) for p in inst["gates"]],
+                                                 n=inst["n"]))
+                        for inst in insts]
 
 
 def digest(text: str) -> str:
@@ -156,7 +206,8 @@ def main(argv: list[str]) -> int:
     if argv:
         print(__doc__, file=sys.stderr)
         return 2
-    diffs = check(load(), COUPLINGS)
+    rows = load()
+    diffs = check(rows, {row["coupling"] for row in rows})
     print(*diffs, sep="\n")
     print(f"{len(diffs)} fields differ")
     return 1 if diffs else 0

@@ -16,9 +16,9 @@ from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
 from nncp.errors import SolverError
 from nncp.generate import random_class_i
-from nncp.lp import (ReducedPath, _adjacency_expander, _expander, _table_fits,
-                     build_gnfp, build_rspp_scaled, gnfp_lp, simplex_solve,
-                     solve_reduced, write_lp)
+from nncp.lp import (ReducedPath, _adjacency_expander, _chunk_tables, _expander,
+                     _table_expander, _table_fits, build_gnfp, build_rspp_scaled,
+                     gnfp_lp, simplex_solve, solve_reduced, write_lp)
 from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import quotient_graph
 
@@ -293,6 +293,19 @@ def random_deep_instance(seed):
     return c, g
 
 
+# the widest chunk tables the size rule may allow: 8 or 4 orbits per chunk,
+# or none (adjacency lists)
+WIDTHS = (8, 4, 0)
+
+
+def allow_tables(monkeypatch, g, most):
+    """Let the size rule allow chunk tables of at most ``most`` orbits per
+    chunk (none if 0), whatever their size, and drop any tables ``g``
+    keeps, so the next solve on its shared layer builds them anew."""
+    monkeypatch.setattr("nncp.lp._table_fits", lambda q, width=4: width <= most)
+    g.trivial_tables = None
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_per_gate_solver_matches_global_bfs(monkeypatch, seed):
     # the solver runs with each expander on every case, whichever the size
@@ -301,8 +314,8 @@ def test_per_gate_solver_matches_global_bfs(monkeypatch, seed):
     q = quotient_graph(c, g)
     ref = global_01_bfs(q)
     assert verify(reconstruct(q, ref), c, g)["ok"]
-    for tables in (True, False):
-        monkeypatch.setattr("nncp.lp._table_fits", lambda q, tables=tables: tables)
+    for most in WIDTHS:
+        allow_tables(monkeypatch, g, most)
         opt, path = solve_reduced(q)
         assert opt == path.opt == ref.opt
         schedule = reconstruct(q, path)
@@ -373,27 +386,29 @@ def test_replay_matches_first_arc_oracle(monkeypatch, seed):
     # the BFS finds each hop with dst.index per candidate successor, and a
     # star takes the closed-form metric; the oracle scans each orbit's
     # out-arcs in order.  The hop lists, the entry and the optimum must be
-    # the same under both level expanders
+    # the same under every level expander
     c, g = seeded_replay_instance(seed)
     q = quotient_graph(c, g)
     ref = replay_oracle(q)
-    for tables in (True, False):
-        monkeypatch.setattr("nncp.lp._table_fits", lambda q, tables=tables: tables)
+    for most in WIDTHS:
+        allow_tables(monkeypatch, g, most)
         path = solve_reduced(q)[1]
         assert (path.opt, path.entry, path.hops) == (ref.opt, ref.entry, ref.hops)
     assert verify(reconstruct(q, ref), c, g)["ok"]
 
 
-@pytest.mark.parametrize("n, limit, expander", [
-    pytest.param(7, None, "_expander", id="7-_expander"),
-    pytest.param(8, None, "_expander", id="8-_expander"),
-    pytest.param(8, 1 << 20, "_adjacency_expander", id="8-_adjacency_expander"),
+@pytest.mark.parametrize("n, limit, expander, width", [
+    pytest.param(7, None, "_expander", 8, id="7-_expander"),
+    pytest.param(8, None, "_expander", 8, id="8-_expander"),
+    pytest.param(8, 8 << 20, "_expander", 4, id="8-_expander-4-orbit"),
+    pytest.param(8, 1 << 20, "_adjacency_expander", None, id="8-_adjacency_expander"),
 ])
-def test_size_rule_picks_the_expander(monkeypatch, n, limit, expander):
-    # a chain fixes every qubit: cycle-7 has 360 orbits, tables of about
-    # 110 kB, and cycle-8 has 2 520 orbits, tables of about 3.4 MiB.  Both
-    # are under TABLE_BYTES_LIMIT; under a 1 MiB limit cycle-8 expands over
-    # adjacency lists
+def test_size_rule_picks_the_expander(monkeypatch, n, limit, expander, width):
+    # a chain fixes every qubit: cycle-7 has 360 orbits, 8-orbit tables of
+    # about 0.9 MiB, and cycle-8 has 2 520 orbits, 8-orbit tables of about
+    # 26 MiB and 4-orbit ones of about 3.4 MiB.  All are under
+    # TABLE_BYTES_LIMIT; under an 8 MiB limit cycle-8 keeps 4-orbit tables,
+    # and under a 1 MiB limit it expands over adjacency lists
     if limit is not None:
         monkeypatch.setattr("nncp.lp.TABLE_BYTES_LIMIT", limit)
     c = decompose([RawGate(CNOT, (x, x + 1)) for x in range(n - 1)], n=n)
@@ -401,6 +416,7 @@ def test_size_rule_picks_the_expander(monkeypatch, n, limit, expander):
     q = quotient_graph(c, g)
     assert len(q.nodes) == {7: 360, 8: 2520}[n]
     assert _table_fits(q) == (expander == "_expander")
+    assert _table_fits(q, 8) == (width == 8)
     called = []
     for name, f in (("_expander", _expander),
                     ("_adjacency_expander", _adjacency_expander)):
@@ -409,60 +425,99 @@ def test_size_rule_picks_the_expander(monkeypatch, n, limit, expander):
     opt, path = solve_reduced(q)
     assert called == [expander]
     assert verify(reconstruct(q, path), c, g)["ok"]
+    # the shared layer keeps the tables the size rule allowed, if any
+    tables = g.trivial_tables
+    assert (tables is None) == (width is None)
+    if tables is not None:
+        assert len(tables) == -(-len(q.nodes) // width)
+        assert {len(table) for table in tables} == {1 << width}
 
 
 def test_table_limit_splits_the_measured_quotients():
     # the limit reads only the orbit count: biclique:3 n=40 (9 880 orbits)
-    # keeps its tables, Petersen (30 240) and the 3×3 grid (45 360) do not
-    def fits(orbits):
-        return _table_fits(SimpleNamespace(nodes=range(orbits)))
+    # keeps its 4-orbit tables, Petersen (30 240) and the 3×3 grid (45 360)
+    # do not; cycle-8 (2 520) keeps 8-orbit tables.  8-orbit tables fit up
+    # to 3 840 orbits, 4-orbit tables up to 11 440
+    def fits(orbits, width=4):
+        return _table_fits(SimpleNamespace(nodes=range(orbits)), width)
 
     assert fits(9880) and not fits(30240) and not fits(45360)
+    assert fits(2520, 8) and not fits(9880, 8)
+    assert fits(3840, 8) and not fits(3841, 8)
+    assert fits(11440) and not fits(11441)
 
 
-@pytest.mark.parametrize("family, n, chain, orbits", [
-    ("general", 7, 6, 35),      # K_{3,4} as an edge list
-    ("star", 13, 9, 11),        # the chain leaves 3 qubits idle
-    ("cycle", 7, 6, 360),
-], ids=["K34", "star-idle", "cycle"])
-def test_expanders_agree(family, n, chain, orbits):
-    # two orbit counts that are not a multiple of 4, so the top chunk is
-    # partial, and one that is
+def agreement_quotient(name):
+    """A trivial-pattern quotient for `test_expanders_agree`, and its orbit
+    count: on a star only the chain leaves 3 qubits idle."""
+    edges = {"K34": [(i, j) for i in range(3) for j in range(3, 7)], "wheel7": WHEEL7}
+    family, n, chain, orbits = {
+        "K34": ("general", 7, 6, 35),
+        "star-idle": ("star", 13, 9, 11),
+        "cycle": ("cycle", 7, 6, 360),
+        "cycle5": ("cycle", 5, 4, 12),
+        "cycle6": ("cycle", 6, 5, 60),
+        "cycle8": ("cycle", 8, 7, 2520),
+        "wheel7": ("general", 7, 6, 420),
+        "biclique": ("biclique", 7, 6, 35),
+    }[name]
     if family == "general":
-        g, _, _ = make("general", edges=[(i, j) for i in range(3) for j in range(3, 7)])
+        g, _, _ = make("general", edges=edges[name])
     else:
-        g, _, _ = make(family, n=n)
+        g, _, _ = make(family, n=n, m_side=3 if family == "biclique" else None)
     q = quotient_graph(decompose([RawGate(CNOT, (x, x + 1)) for x in range(chain)], n=n), g)
     assert len(q.nodes) == orbits
+    return q
+
+
+@pytest.mark.parametrize("name", ["K34", "star-idle", "cycle", "cycle5", "cycle6", "cycle8",
+                                  "wheel7", "biclique"])
+def test_expanders_agree(name):
+    # the 8-orbit and 4-orbit tables, the adjacency lists and the expander
+    # the solver takes give the same successors.  Most orbit counts are not
+    # a multiple of 8, so the top chunk is partial; 360 and 2 520 are
+    q = agreement_quotient(name)
+    orbits = len(q.nodes)
     succ = [0] * orbits
     for ai in q.arcs:
         succ[q.src(ai)] |= 1 << q.dst[ai]
 
     def reference(mask):
-        return reduce(or_, (succ[u] for u in range(orbits) if mask >> u & 1), 0)
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= succ[low.bit_length() - 1]
+            mask ^= low
+        return out
 
-    top = 4 * ((orbits - 1) // 4)       # the first orbit of the top chunk
     everything = (1 << orbits) - 1
-    masks = [0, everything, everything >> top << top] + [1 << u for u in range(orbits)]
+    masks = [0, everything]
+    for width in (4, 8):
+        top = width * ((orbits - 1) // width)   # the first orbit of the top chunk
+        masks.append(everything >> top << top)
+    masks += [1 << u for u in range(orbits)]
     rng = random.Random(orbits)
     for density in [0.05, 0.3, 0.7, 0.95] * 12 + [0.5, 0.5]:
         masks.append(sum(1 << u for u in range(orbits) if rng.random() < density))
-    tables, adjacency = _expander(q), _adjacency_expander(q)
+    expanders = [_table_expander(_chunk_tables(q, 8)), _table_expander(_chunk_tables(q, 4)),
+                 _adjacency_expander(q), _expander(q)]
     for mask in masks:
-        assert tables(mask) == adjacency(mask) == reference(mask), hex(mask)
+        assert {f(mask) for f in expanders} == {reference(mask)}, hex(mask)
 
 
 @pytest.mark.parametrize("tables", [True, False], ids=["tables", "adjacency"])
 def test_solve_memory_is_linear_in_compliant_orbits(monkeypatch, tables):
     # cycle-7, 1500 gates: 360 orbits, about 120 compliant per gate.  The
     # solve keeps per gate the level masks of its compliant orbits (a few
-    # masks of 360 bits) plus O(orbits + arcs) of scratch for the expander;
-    # the global BFS kept a dist row and a parent entry per (layer, orbit)
-    # state and peaked above 150 MB here.
+    # masks of 360 bits) plus its expander: the coupling's 8-orbit tables
+    # (about 0.9 MiB, built by this solve and kept on the coupling) or
+    # O(orbits + arcs) of adjacency lists; the global BFS kept a dist row
+    # and a parent entry per (layer, orbit) state and peaked above 150 MB
+    # here.
     c = decompose(random_class_i(7, 1500, 5), n=7)
     g, _, _ = make("cycle", n=7)
     q = quotient_graph(c, g)
-    monkeypatch.setattr("nncp.lp._table_fits", lambda q: tables)
+    allow_tables(monkeypatch, g, 8 if tables else 0)
     total = sum(len(ids) for ids in q.compliant)
     tracemalloc.start()
     try:

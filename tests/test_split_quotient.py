@@ -140,3 +140,22 @@ def test_biclique_set_dp_matches_reduced(seed):
     opt, path = solve_reduced(q)
     assert opt == biclique_set_dp(c, n, m_side), (n, m_side)
     assert verify(reconstruct(q, path), c, g)["ok"]
+
+
+def test_small_sides_match_the_count_every_tuple_filter():
+    # the filter counts a tuple's classes only when it repeats one; it must
+    # keep what counting every tuple kept, in the same order, and as many
+    # vectors as `_split_counts` counts
+    def count_every_tuple(sizes, m):
+        return [small for small in itertools.combinations_with_replacement(range(len(sizes)), m)
+                if all(small.count(c) <= sizes[c] for c in set(small))]
+
+    rng = random.Random("small-sides")
+    cases = [([1] * 12, 3), ([2, 2, 1, 1, 1, 1], 2), ([3], 3), ([1, 1], 2)]
+    for _ in range(200):
+        sizes = [rng.choice([1, 1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 9))]
+        cases.append((sizes, rng.randint(1, min(4, sum(sizes)))))
+    for sizes, m in cases:
+        got = symmetry._small_sides(sizes, m)
+        assert got == count_every_tuple(sizes, m), (sizes, m)
+        assert len(got) == symmetry._split_counts(sizes, m)[0], (sizes, m)
