@@ -74,14 +74,10 @@ class CouplingGraph:
     """A connected coupling graph on locations 0..n-1, its family and its
     automorphism group; ``split`` is M for a star (1) or biclique K_{M,N},
     None otherwise.  ``trivial_layer`` is None until `symmetry.quotient_graph`
-    builds the layer (nodes, columns) every trivial-pattern circuit shares on
-    any coupling (the columns are None on a star or biclique, whose
-    quotients build their own); it then holds that read-only layer for as
-    long as the coupling lives, and is freed with it.  ``trivial_tables``
-    is None until the first solve on that shared layer that expands a BFS
-    level builds its chunk tables (`lp._expander`, 8 orbits per chunk where
-    they fit); it then holds them, read-only, as long as the coupling lives:
-    0.9 MiB on cycle-7, 26 MiB on cycle-8.  A star builds none."""
+    builds the `symmetry.Layer` every trivial-pattern circuit shares on the
+    coupling; it then holds that layer, with the columns and the BFS
+    expander kept on it, for as long as the coupling lives (cycle-8: 26 MiB
+    of chunk tables), and the layer is freed with it."""
 
     def __init__(self, n: int, edges: frozenset[tuple[int, int]], family: str,
                  aut: AutGroup, split: int | None = None):
@@ -93,7 +89,6 @@ class CouplingGraph:
         self.aut = aut
         self.split = split
         self.trivial_layer = None
-        self.trivial_tables = None
 
 
 def _is_automorphism(p: Perm, edges: frozenset) -> bool:

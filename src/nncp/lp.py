@@ -23,16 +23,15 @@ follow in closed form from the previous gate's (`_star_level`), and no arc
 column, chunk table or BFS is built.  Elsewhere each gate gets one
 level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials (`_bfs_level`); it stops once this gate's are settled.
-A whole BFS level expands at once: through per-chunk tables of successor
-masks (`_expander`, the Four Russians trick; only nonzero chunks are looked
-up) when they take at most the fixed `TABLE_BYTES_LIMIT` (`_table_fits`),
-otherwise over adjacency lists read from the quotient's ``dst`` column
-(`_adjacency_expander`).  The tables depend on the layer alone, so a
-coupling's shared trivial-pattern layer keeps them (``g.trivial_tables``):
-the first solve on it builds them, with 8 orbits per chunk where those fit
-and 4 otherwise, and every later circuit on the coupling reuses them.  A
-layer built for one circuit gets 4-orbit tables per solve, cheaper to
-build for one use.  Both go through one walk back, which grows
+A whole BFS level expands at once, by the expander the quotient's layer
+keeps (`_expander`, ``Layer.expand``): the first solve on the layer picks
+it, through per-chunk tables of successor masks (the Four Russians trick;
+only nonzero chunks are looked up) when they take at most the fixed
+`TABLE_BYTES_LIMIT` (`_table_fits`), otherwise over adjacency lists read
+from the ``dst`` column (`_adjacency_expander`).  A coupling's shared
+trivial-pattern layer takes 8 orbits per chunk where those fit, and every
+circuit on the coupling reuses them; a layer built for one circuit takes
+4, cheaper to build for one use.  Both go through one walk back, which grows
 spheres backward from the cheapest orbit of the last gate, exact because
 the quotient's adjacency is symmetric, and returns a `ReducedPath`: the
 entry orbit and the orbits the walk enters, one per SWAP, which
@@ -129,7 +128,8 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
     from fractions import Fraction
     if q.m == 0:
         raise ValueError("model needs at least one gate")
-    m, nodes, arcs = q.m, q.nodes, q.arcs
+    m, layer, nodes, arcs = q.m, q.layer, q.nodes, q.arcs
+    src_of, d_out = layer.src, layer.d_out
 
     tags: list[Tag] = []
     for k in range(1, m + 1):
@@ -143,7 +143,7 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
     objective = [Fraction(0)] * nv
     for k in range(1, m + 1):
         for ai in arcs:
-            objective[col[("lam", k, ai)]] = _ratio(q, nodes[q.src(ai)].orbit_size) * q.d_out[ai]
+            objective[col[("lam", k, ai)]] = _ratio(q, nodes[src_of(ai)].orbit_size) * d_out[ai]
 
     rows: list[list[tuple[int, Fraction]]] = []
     rhs: list[Fraction] = []
@@ -166,10 +166,10 @@ def build_rspp_scaled(q: QuotientGraph) -> LinearProgram:
                 acc[u][col[tag]] = Fraction(-1)
         for ai in arcs:
             j = col[("lam", k, ai)]
-            src, dst = q.src(ai), q.dst[ai]
+            src, dst = src_of(ai), layer.dst[ai]
             # self-loop orbitals accumulate d_in - d_out on one row
-            acc[dst][j] = acc[dst].get(j, Fraction(0)) + q.d_in(ai)
-            acc[src][j] = acc[src].get(j, Fraction(0)) - q.d_out[ai]
+            acc[dst][j] = acc[dst].get(j, Fraction(0)) + layer.d_in(ai)
+            acc[src][j] = acc[src].get(j, Fraction(0)) - d_out[ai]
         for u in range(len(nodes)):
             rows.append([(j, cv) for j, cv in acc[u].items() if cv])
             rhs.append(Fraction(0))
@@ -205,7 +205,7 @@ def build_gnfp(q: QuotientGraph) -> GnfpModel:
     from fractions import Fraction
     if q.m == 0:
         raise ValueError("model needs at least one gate")
-    m, nodes = q.m, q.nodes
+    m, layer, nodes = q.m, q.layer, q.nodes
     arcs: list[GnfpArc] = []
     for u, node in enumerate(nodes):
         arcs.append(GnfpArc(("s",), ("v", 1, u), cost=Fraction(0),
@@ -213,12 +213,12 @@ def build_gnfp(q: QuotientGraph) -> GnfpModel:
                             multiplier=Fraction(1, node.orbit_size),
                             tag=("theta", 0, u)))
     for k in range(1, m + 1):
-        for ai in q.arcs:
-            src, dst = q.src(ai), q.dst[ai]
+        for ai in layer.arcs:
+            src, dst = layer.src(ai), layer.dst[ai]
             # the multiplier d_in/d_out is |src|/|dst| by orbit–stabilizer
             arcs.append(GnfpArc(("v", k, src), ("v", k, dst),
                                 cost=Fraction(nodes[src].orbit_size),
-                                upper=Fraction(q.d_out[ai]),
+                                upper=Fraction(layer.d_out[ai]),
                                 multiplier=Fraction(nodes[src].orbit_size,
                                                     nodes[dst].orbit_size),
                                 tag=("lam", k, ai)))
@@ -325,20 +325,19 @@ def _chunk_tables(q: QuotientGraph, width: int) -> list[list[int]]:
 
 def _expander(q: QuotientGraph) -> Callable[[int], int]:
     """The map from a set of orbits to the set of their successors, both as
-    int bitmasks (bit u for orbit u), through chunk tables
-    (`_table_expander`).  The shared trivial-pattern layer of a coupling
-    (``q.dst`` is the ``dst`` of ``g.trivial_layer``) keeps its tables in
-    ``g.trivial_tables``: the first solve that expands a level builds them,
-    with 8 orbits per chunk when they fit `TABLE_BYTES_LIMIT`, else with 4,
-    and every later circuit on the coupling reuses them.  A layer built for
-    one circuit gets 4-orbit tables, built per solve and never kept."""
-    g = q.coupling
-    layer = g.trivial_layer
-    if layer is None or layer[1] is None or q.dst is not layer[1][1]:
-        return _table_expander(_chunk_tables(q, 4))
-    if g.trivial_tables is None:
-        g.trivial_tables = _chunk_tables(q, 8 if _table_fits(q, 8) else 4)
-    return _table_expander(g.trivial_tables)
+    int bitmasks (bit u for orbit u), kept on the quotient's layer
+    (``q.layer.expand``) by the first solve on it.  It reads chunk tables
+    (`_table_expander`) where they fit `TABLE_BYTES_LIMIT`, 8 orbits per
+    chunk where those fit on a trivial pattern's layer, which the coupling
+    shares, else 4; otherwise adjacency lists (`_adjacency_expander`)."""
+    layer = q.layer
+    if layer.expand is None:
+        if not _table_fits(q):
+            layer.expand = _adjacency_expander(q)
+        else:
+            width = 8 if q.fp.trivial and _table_fits(q, 8) else 4
+            layer.expand = _table_expander(_chunk_tables(q, width))
+    return layer.expand
 
 
 def _table_expander(tables: list[list[int]]) -> Callable[[int], int]:
@@ -375,8 +374,8 @@ def _table_expander(tables: list[list[int]]) -> Callable[[int], int]:
 
 
 def _adjacency_expander(q: QuotientGraph) -> Callable[[int], int]:
-    """The same map as `_expander`, over adjacency lists, for quotients
-    whose chunk tables would not fit: it reads the mask's set bits as a
+    """The map of `_expander` over adjacency lists, for quotients whose
+    chunk tables would not fit: it reads the mask's set bits as a
     binary string, lowest orbit first, and marks their successors in a
     byte string read back as the result mask."""
     n = len(q.nodes)
@@ -452,11 +451,10 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     masks), where masks[j] holds the compliant orbits of gate k at potential
     base + j, and ``levels[0]`` holds every orbit at potential 0.  On a star
     they follow in closed form (`_star_level`); elsewhere each gate gets one
-    BFS pass (`_bfs_level`) that expands a whole BFS level at once, through
-    chunk tables (`_expander`), one lookup per nonzero 8- or 4-bit chunk of
-    its mask, when they take at most `TABLE_BYTES_LIMIT` (`_table_fits`): on
-    cycles 7 and 8 and the bicliques measured; larger quotients (Petersen,
-    the 3×3 grid) expand over adjacency lists (`_adjacency_expander`).
+    BFS pass (`_bfs_level`) that expands a whole BFS level at once by the
+    layer's expander (`_expander`): chunk tables, one lookup per nonzero 8-
+    or 4-bit chunk of its mask, on cycles 7 and 8 and the bicliques
+    measured; adjacency lists on larger quotients (Petersen, the 3×3 grid).
 
     The walk goes backward from the cheapest orbit t of the last gate, at
     potential P: spheres around t grow until sphere r meets the previous
@@ -473,8 +471,9 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     if q.coupling.split == 1:
         level, expand = _star_level, lambda mask: every
     else:
-        expand = _expander(q) if _table_fits(q) else _adjacency_expander(q)
+        expand = _expander(q)
         level = partial(_bfs_level, expand)
+        offsets, dst = q.offsets, q.dst     # a star's walk reads no column
     mask_of: dict[int, int] = {}        # per compliant list (shared per pair), its mask
     for ids in q.compliant:
         if id(ids) not in mask_of:
@@ -505,8 +504,8 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
         s = v = _lowest(sphere & prev[j])
         walk = []
         for sphere in inner[:0:-1]:     # one hop down per sphere but t's
-            lo, hi = q.offsets[v], q.offsets[v + 1]
-            v = next(w for w in q.dst[lo:hi] if sphere >> w & 1)
+            lo, hi = offsets[v], offsets[v + 1]
+            v = next(w for w in dst[lo:hi] if sphere >> w & 1)
             walk.append(v)
         if inner:
             walk.append(t)              # the last hop enters t

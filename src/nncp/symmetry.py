@@ -43,20 +43,17 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     way, an arc stores only its out-degree;
   * the quotient graph: orbit nodes, orbital arcs, and per-gate compliance
     marks.  All layers share one node/arc structure since the layers are
-    identical copies; only the compliance marks vary by gate.  The arcs are
-    typed-array columns in CSR form, sorted by source (`QuotientGraph`):
-    per-orbit offsets and per-arc ``dst``, ``u``, ``v`` and ``d_out``, with
-    no object per arc; both builders fill them orbit by orbit.  An orbital
-    holds |src|·d_out concrete moves, which is |dst|·d_in counted from its
-    other end, so `QuotientGraph.d_in` computes the in-degree on demand, for
-    the LP models, from the out-degree and the two orbit sizes.
-    `layer_orbits` builds every layer.  Under a trivial pattern the layer
-    depends on the coupling alone, so any coupling keeps it
-    (``g.trivial_layer``) and every circuit solved there shares its nodes
-    and columns, which are read-only; on a star or biclique its columns
-    are None, and each quotient builds its own.  Where the layer has
-    columns, the coupling keeps the BFS chunk tables built on them too
-    (``g.trivial_tables``, built by the first solve, `lp._expander`).
+    identical copies; only the compliance marks vary by gate.  A `Layer`
+    holds it: the orbits, and the arcs as typed-array columns in CSR form,
+    sorted by source (per-orbit offsets and per-arc ``dst``, ``u``, ``v``
+    and ``d_out``, no object per arc), which both builders fill orbit by
+    orbit.  An orbital holds |src|·d_out concrete moves, which is |dst|·d_in
+    counted from its other end, so `Layer.d_in` computes the in-degree on
+    demand from the out-degree and the two orbit sizes.  A `QuotientGraph`
+    is a layer plus one circuit's compliance lists.  `layer_orbits` builds
+    every layer.  Under a trivial pattern the layer depends on the coupling
+    alone, so any coupling keeps it (``g.trivial_layer``) for every circuit
+    solved there, with its columns and the BFS expander `lp` keeps on it.
 
 `snf_elements` still lists S_n(F) outright, as an enumeration oracle for
 tests; nothing on the solve path calls it.
@@ -80,7 +77,7 @@ ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
 
 Edge = tuple[int, int]
-# a layer's orbitals as columns: offsets, dst, u, v, d_out (see QuotientGraph)
+# a layer's orbitals as columns: offsets, dst, u, v, d_out (see Layer)
 Columns = tuple[array, array, array, array, array]
 
 
@@ -258,11 +255,11 @@ def layer_orbits(fp: FixingPattern, g: CouplingGraph
     """Orbits of a layer and their orbitals, the one builder of a layer.
     Nodes come out sorted by representative, arcs by source node and then
     by edge (u, v), the smallest edge of the arc's B_τ edge class, as the
-    columns of `QuotientGraph`: offsets, dst, u, v and d_out.
+    columns of `Layer`: offsets, dst, u, v and d_out.
 
     A split coupling (star or biclique) lists its orbits in closed form
     from class vectors, with no canonicalization (`_split_nodes`), and
-    returns None for the columns: `QuotientGraph` builds them from the
+    returns None for the columns: the `Layer` builds them from the
     nodes on first read (`_split_columns`).  Cycle and general couplings
     are found by the worklist (`_worklist_orbits`).  The two share no code:
     tests check the closed form against the worklist run on the same star
@@ -357,15 +354,14 @@ def _split_nodes(fp: FixingPattern, g: CouplingGraph) -> list[OrbitNode]:
     return [OrbitNode(rep=rep, orbit_size=g.aut.order * ways) for rep, ways in found]
 
 
-def _split_columns(fp: FixingPattern, g: CouplingGraph, nodes: list[OrbitNode]) -> Columns:
-    """The arcs of K_{M,N}'s orbits ``nodes`` (`_split_nodes`), as columns.
+def _split_columns(fp: FixingPattern, m: int, nodes: list[OrbitNode]) -> Columns:
+    """The arcs of K_{m,N}'s orbits ``nodes`` (`_split_nodes`), as columns.
     A swap trades a class-c qubit on the small side for a class-d qubit on
     the large side: one arc per such (c, d), along the edge from c's first
     small-side location to d's first large-side location of the
     representative, to k − e_c + e_d, with ``d_out = k_c·(|d| − k_d)``;
     c = d is a self-loop.  The arc cap is checked before any column is
     filled."""
-    m = g.split
     classes = fp.classes
     sizes = [len(cl) for cl in classes]
     _check_cap("arc", _split_counts(sizes, m)[1])
@@ -474,14 +470,14 @@ def _canonical_step(q: QuotientGraph):
     """`replay_step` on a cycle or general coupling: take v's first arc
     into w, canonicalize the order, τ ↦ (rep, b), and swap along the edge
     b⁻¹ maps onto the arc's edge."""
-    offsets, dst, us, vs = q.offsets, q.dst, q.u, q.v
+    offsets, dst, us, vs, fp, g = q.offsets, q.dst, q.u, q.v, q.fp, q.coupling
 
     def step(tau: list[int], v: int, w: int) -> tuple[int, int] | None:
         try:
             ai = dst.index(w, offsets[v], offsets[v + 1])
         except ValueError:
             return None
-        _, b = canonical_form(tuple(tau), q.fp, q.coupling)
+        _, b = canonical_form(tuple(tau), fp, g)
         at = b.index                    # b⁻¹ at one point, with no whole inverse
         return pair(at(us[ai]), at(vs[ai]))
 
@@ -598,60 +594,47 @@ layer_orbitals = layer_orbits
 # ---------------------------------------------------------------------------
 # the full quotient structure
 
-# a layer's orbital columns, as QuotientGraph holds them
+# a layer's orbital columns, as Layer holds them
 _COLUMNS = ("offsets", "dst", "u", "v", "d_out")
 
 
-class QuotientGraph:
-    """Shared per-layer orbit/orbital structure plus per-gate compliance.
-
+class Layer:
+    """One layer's orbit/orbital structure, shared by every gate of a
+    circuit, and under a trivial pattern by every circuit on the coupling.
     The orbitals are held as columns (typed arrays), one entry per arc and
     sorted by source: arc ``ai`` moves orbit ``src(ai)`` along the B_τ edge
     class of the edge (``u[ai]``, ``v[ai]``), u < v, into orbit ``dst[ai]``,
     ``d_out[ai]`` ways per member of the source.  Orbit i's arcs are
-    ``offsets[i]:offsets[i + 1]``, so the source is not stored, and neither is
-    the in-degree (`d_in`).  ``arcs`` is the range of arc ids.  On a star or
-    biclique, ``columns`` is None: `_split_columns` builds them from the class
-    vectors the first time one is read, and ``arcs`` is counted without them.
+    ``offsets[i]:offsets[i + 1]``, so neither the source nor the in-degree
+    (`d_in`) is stored; ``arcs`` is the range of arc ids.  On K_{M,N}
+    (``split`` is M) ``columns`` is None: `_split_columns` builds them from
+    the class vectors when one is first read, and ``arcs`` is counted
+    without them.  ``expand`` holds the BFS level expander (`lp._expander`)."""
 
-    ``compliant[k]`` lists the orbit ids whose members put gate k's qubits on
-    adjacent locations; gates on one qubit pair share the list.  The source
-    arcs (one per orbit, out-degree = orbit size) and sink arcs (one per
-    compliant orbit of the last gate, in-degree = orbit size) are implicit."""
-
-    def __init__(self, coupling: CouplingGraph, fp: FixingPattern,
-                 nodes: list[OrbitNode], columns: Columns | None,
-                 compliant: list[list[int]]):
-        self.coupling = coupling
+    def __init__(self, fp: FixingPattern, split: int | None,
+                 nodes: list[OrbitNode], columns: Columns | None):
         self.fp = fp
+        self.split = split
         self.nodes = nodes
         if columns is not None:
             self.offsets, self.dst, self.u, self.v, self.d_out = columns
-        self.compliant = compliant
+        self.expand = None
 
     def __getattr__(self, name: str):
-        # called only for a missing attribute, so once a split quotient's
+        # called only for a missing attribute, so once a split layer's
         # columns are built, reading them costs nothing extra
         if name not in _COLUMNS or "nodes" not in self.__dict__:
             raise AttributeError(name)
-        columns = _split_columns(self.fp, self.coupling, self.nodes)
+        columns = _split_columns(self.fp, self.split, self.nodes)
         for key, col in zip(_COLUMNS, columns):
             setattr(self, key, col)
         return self.__dict__[name]
 
     @property
-    def n(self) -> int:
-        return self.coupling.n
-
-    @property
-    def m(self) -> int:
-        return len(self.compliant)
-
-    @property
     def arcs(self) -> range:
         if "dst" in self.__dict__:
             return range(len(self.dst))
-        return range(_split_counts([len(cl) for cl in self.fp.classes], self.coupling.split)[1])
+        return range(_split_counts([len(cl) for cl in self.fp.classes], self.split)[1])
 
     def src(self, ai: int) -> int:
         """The source orbit of arc ``ai``: the last orbit whose arcs start at
@@ -668,27 +651,51 @@ class QuotientGraph:
         return d_in
 
 
+class QuotientGraph:
+    """A circuit's quotient on ``coupling``: its `Layer`, whose fields it
+    reads through, and ``compliant[k]``, the orbit ids whose members put
+    gate k's qubits on adjacent locations; gates on one qubit pair share the
+    list.  The source arcs (one per orbit, out-degree = orbit size) and sink
+    arcs (one per compliant orbit of the last gate, in-degree = orbit size)
+    are implicit."""
+
+    def __init__(self, coupling: CouplingGraph, layer: Layer, compliant: list[list[int]]):
+        self.coupling = coupling
+        self.layer = layer
+        self.compliant = compliant
+
+    def __getattr__(self, name: str):
+        if name == "layer":             # not set yet: nothing to read through
+            raise AttributeError(name)
+        return getattr(self.layer, name)
+
+    @property
+    def m(self) -> int:
+        return len(self.compliant)
+
+
 def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
     """The quotient of ``c`` on ``g``: the layer from `layer_orbits`, and
     the circuit's own compliance lists.  On any coupling, every circuit
-    with a trivial pattern shares one layer, built by the first such call
+    with a trivial pattern shares one `Layer`, built by the first such call
     and kept in ``g.trivial_layer``; its nodes and columns are read-only.
-    On a star or biclique the layer's columns are None, and each quotient
-    builds its own on first read (`QuotientGraph`)."""
+    A trivial pattern is the same partition for every circuit on n qubits,
+    so the layer's ``fp`` serves them all."""
     if c.n != g.n:
         raise ValueError(f"circuit has {c.n} qubits, coupling {g.n} locations")
     fp = fixing_pattern(c)
-    # every trivial pattern has the same layer on g: build it once
-    if fp.trivial and g.trivial_layer is None:
-        g.trivial_layer = layer_orbits(fp, g)
-    nodes, columns = g.trivial_layer if fp.trivial else layer_orbits(fp, g)
+    layer = g.trivial_layer if fp.trivial else None
+    if layer is None:
+        layer = Layer(fp, g.split, *layer_orbits(fp, g))
+        if fp.trivial:              # every trivial pattern has this layer on g
+            g.trivial_layer = layer
 
     pairs = set(c.gates)
     if g.split is not None:
         # on K_{M,N} a pair is adjacent iff exactly one of its qubits sits on
         # the small side, the representative's first M locations
         on_small: list[set[int]] = [set() for _ in range(g.n)]
-        for i, node in enumerate(nodes):
+        for i, node in enumerate(layer.nodes):
             for x in node.rep[:g.split]:
                 on_small[x].add(i)
         by_pair = {(a, b): sorted(on_small[a] ^ on_small[b]) for a, b in pairs}
@@ -702,7 +709,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
         for a, b in pairs:
             by_pair[a, b] = by_pair[b, a] = []
         holding = by_pair.get
-        for i, node in enumerate(nodes):
+        for i, node in enumerate(layer.nodes):
             rep = node.rep
             for u, v in g.edges:
                 ids = holding((rep[u], rep[v]))
@@ -710,8 +717,7 @@ def quotient_graph(c: Circuit, g: CouplingGraph) -> QuotientGraph:
                     ids.append(i)
     compliant = [by_pair[gate] for gate in c.gates]     # one list per pair
 
-    return QuotientGraph(coupling=g, fp=fp, nodes=nodes, columns=columns,
-                         compliant=compliant)
+    return QuotientGraph(coupling=g, layer=layer, compliant=compliant)
 
 
 def reduction_stats(q: QuotientGraph) -> dict:
@@ -722,7 +728,7 @@ def reduction_stats(q: QuotientGraph) -> dict:
     order |G| that acts freely, the constraints shrink by the ratio
     (m·n!/|G| + 2)/(m·n! + 2), slightly above 1/|G|, and the constraint
     reduction falls just short of 1 − 1/|G|."""
-    n, m = q.n, q.m
+    n, m = q.coupling.n, q.m
     n_fact = math.factorial(n)
     n_edges = len(q.coupling.edges)
     cross = [len(ids) for ids in q.compliant]

@@ -2,15 +2,15 @@
 
 `layer_orbits` is the one builder of a layer.  Under a trivial pattern
 (every class a singleton) a layer's orbits and orbitals depend on the
-coupling alone, so `quotient_graph` builds them once per coupling, into
-``g.trivial_layer``, and every later trivial-pattern circuit on that
-coupling shares them; on a star or biclique the layer's columns are None,
-and each quotient builds its own on first read.  These tests pin down that
-the shared layer gives the same schedules and statistics as a layer built
-afresh, that every layer comes through `layer_orbits` (once per coupling
-for trivial patterns, once per call otherwise), that only trivial patterns
-fill the slot, that a capped build leaves it empty, and that solving never
-writes into it."""
+coupling alone, so `quotient_graph` builds its `Layer` once per coupling,
+into ``g.trivial_layer``, and every later trivial-pattern circuit on that
+coupling shares it; on a star or biclique the layer builds its columns on
+first read, once.  These tests pin down that the shared layer gives the
+same schedules and statistics as a layer built afresh, that every layer
+comes through `layer_orbits` (once per coupling for trivial patterns, once
+per call otherwise), that only trivial patterns fill the slot, that a
+capped build leaves it empty, and that solving never changes its orbits or
+columns."""
 
 import gc
 import hashlib
@@ -27,7 +27,7 @@ from nncp.errors import CapError
 from nncp.generate import random_class_i
 from nncp.lp import solve_reduced
 from nncp.reconstruct import reconstruct, verify
-from nncp.symmetry import layer_orbits, quotient_graph, reduction_stats
+from nncp.symmetry import Layer, layer_orbits, quotient_graph, reduction_stats
 from tests.test_symmetry import GENERAL_GRAPHS, circuit_with_pattern
 
 # (name, coupling builder, n): couplings whose quotients take the worklist,
@@ -71,10 +71,10 @@ def solved(c, g):
                hashlib.sha256(stats.encode()).hexdigest())
 
 
-def layer_copy(nodes, columns):
-    # a star's or biclique's layer has no columns
-    return ([(nd.rep, nd.orbit_size) for nd in nodes],
-            columns and [col.tolist() for col in columns])
+def layer_copy(layer):
+    # reading a star's or biclique's columns builds them
+    return ([(nd.rep, nd.orbit_size) for nd in layer.nodes],
+            [getattr(layer, col).tolist() for col in symmetry._COLUMNS])
 
 
 @pytest.mark.parametrize("name, build, n", COUPLINGS, ids=[case[0] for case in COUPLINGS])
@@ -83,22 +83,17 @@ def test_trivial_patterns_share_one_layer(name, build, n):
     assert g.trivial_layer is None
     c1, c2, c3 = trivial_circuits(n, 3, seed=name)
     q1, digest1 = solved(c1, g)
-    assert g.trivial_layer is not None and g.trivial_layer[0] is q1.nodes
+    assert g.trivial_layer is not None and g.trivial_layer is q1.layer
     for c in (c2, c3):
         q, digest = solved(c, g)
-        assert q.nodes is q1.nodes
+        assert q.layer is q1.layer and q.nodes is q1.nodes and q.fp == q1.fp
         for col in symmetry._COLUMNS:
-            if g.split is None:
-                assert getattr(q, col) is getattr(q1, col)
-            else:
-                # built by each quotient from the shared nodes, never kept
-                assert getattr(q, col) is not getattr(q1, col)
-                assert getattr(q, col) == getattr(q1, col)
-        assert (g.trivial_layer[1] is None) == (g.split is not None)
+            # on a star or biclique, built on the layer by the first read
+            assert getattr(q, col) is getattr(q1, col)
         # the same circuit on a newly made coupling builds its own layer
         fresh = build()
         q_fresh, digest_fresh = solved(c, fresh)
-        assert q_fresh.nodes is not q1.nodes
+        assert q_fresh.layer is not q1.layer and q_fresh.nodes is not q1.nodes
         assert digest == digest_fresh
     assert digest1 == solved(c1, build())[1]
 
@@ -112,7 +107,7 @@ def test_each_coupling_keeps_its_own_layer():
     assert b.trivial_layer is None and wheel.trivial_layer is None
     qb, qw = quotient_graph(c, b), quotient_graph(c, wheel)
     assert qb.nodes is not qa.nodes and qw.nodes is not qa.nodes
-    assert layer_copy(qb.nodes, b.trivial_layer[1]) == layer_copy(qa.nodes, a.trivial_layer[1])
+    assert layer_copy(b.trivial_layer) == layer_copy(a.trivial_layer)
     assert len(qw.nodes) != len(qa.nodes)
 
 
@@ -160,12 +155,12 @@ def test_every_layer_comes_through_layer_orbits(name, build, n, monkeypatch):
     g = build()
     for c in trivial_circuits(n, 10, seed=f"door/{name}"):
         q, _ = solved(c, g)
-        assert q.nodes is g.trivial_layer[0]
+        assert q.layer is g.trivial_layer
     assert calls == [True]
     idle = circuit_with_pattern(n, [(0, 1), (1, 2), (2, 3)])
     for _ in range(3):
         q, _ = solved(idle, g)
-        assert q.nodes is not g.trivial_layer[0]
+        assert q.layer is not g.trivial_layer
     assert calls == [True, False, False, False]
     assert listed == ([] if g.split is None else calls)
 
@@ -182,47 +177,41 @@ def test_a_capped_build_leaves_the_slot_empty(monkeypatch):
 
 
 def test_solving_never_writes_into_the_shared_layer():
+    # a solve keeps its expander on the layer once (none on a star), and
+    # never changes the layer's orbits or columns
     circuits = [decompose(random_class_i(7, 24, seed), n=7) for seed in range(20)]
     assert all(fixing_pattern(c).trivial for c in circuits)
     # 7!/14 orbits on cycle-7, one per centre qubit on star-7, and one per
     # small side on biclique:3, C(7, 3)
     for family, m_side, orbits in [("cycle", None, 360), ("star", None, 7), ("biclique", 3, 35)]:
         g = make(family, n=7, m_side=m_side)[0]
-        first = quotient_graph(circuits[0], g)
-        before = layer_copy(*g.trivial_layer)
+        layer = quotient_graph(circuits[0], g).layer
+        before = layer_copy(layer)
+        expand = None
         for c in circuits:
             q, _ = solved(c, g)
-            assert q.nodes is first.nodes
-            if family == "biclique":
-                # the solve read the columns, which land on the quotient
-                assert "dst" in vars(q) and q.dst is not first.dst
-        nodes, columns = g.trivial_layer
-        assert nodes is first.nodes
-        assert layer_copy(nodes, columns) == before
+            assert q.layer is layer
+            expand = expand or layer.expand
+            assert layer.expand is expand
+        assert (expand is None) == (family == "star")
+        assert layer_copy(layer) == before
+        assert layer_copy(quotient_graph(circuits[0], make(family, n=7, m_side=m_side)[0]).layer) \
+            == before
         assert len(before[0]) == orbits
-        assert (columns is None) == (g.split is not None)
-
-
-def test_layer_orbits_builds_afresh_on_every_call():
-    g = make("cycle", n=7)[0]
-    fp = fixing_pattern(trivial_circuits(7, 1, seed="uncached")[0])
-    (n1, cols1), (n2, cols2) = layer_orbits(fp, g), layer_orbits(fp, g)
-    assert n1 is not n2
-    assert all(a is not b for a, b in zip(cols1, cols2))
-    assert layer_copy(n1, cols1) == layer_copy(n2, cols2)
-    assert g.trivial_layer is None
 
 
 def test_the_layer_is_freed_with_its_coupling():
     # the slot holds the layer after every quotient is gone, and only as
-    # long as the coupling lives: cycle-8 has 8!/16 = 2 520 orbits
+    # long as the coupling lives: cycle-8 has 8!/16 = 2 520 orbits; no solve,
+    # so the layer holds its orbits and columns and no expander tables
     c = decompose(random_class_i(8, 40, seed=0), n=8)
-    solved(c, make("cycle", n=8)[0])        # warm-up: one-time caches and interning
+    quotient_graph(c, make("cycle", n=8)[0])    # warm-up: one-time caches and interning
     gc.collect()
     tracemalloc.start()
     try:
         g = make("cycle", n=8)[0]
-        q, _ = solved(c, g)
+        q = quotient_graph(c, g)
+        assert q.layer is g.trivial_layer and q.layer.expand is None
         del q
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
@@ -233,3 +222,13 @@ def test_the_layer_is_freed_with_its_coupling():
         tracemalloc.stop()
     assert held > 300_000
     assert freed < held / 10
+
+
+def test_layer_orbits_builds_afresh_on_every_call():
+    g = make("cycle", n=7)[0]
+    fp = fixing_pattern(trivial_circuits(7, 1, seed="uncached")[0])
+    (n1, cols1), (n2, cols2) = layer_orbits(fp, g), layer_orbits(fp, g)
+    assert n1 is not n2
+    assert all(a is not b for a, b in zip(cols1, cols2))
+    assert layer_copy(Layer(fp, None, n1, cols1)) == layer_copy(Layer(fp, None, n2, cols2))
+    assert g.trivial_layer is None

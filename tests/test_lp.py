@@ -298,12 +298,12 @@ def random_deep_instance(seed):
 WIDTHS = (8, 4, 0)
 
 
-def allow_tables(monkeypatch, g, most):
+def allow_tables(monkeypatch, q, most):
     """Let the size rule allow chunk tables of at most ``most`` orbits per
-    chunk (none if 0), whatever their size, and drop any tables ``g``
-    keeps, so the next solve on its shared layer builds them anew."""
+    chunk (none if 0), whatever their size, and drop the expander ``q``'s
+    layer keeps, so the next solve on it picks one anew."""
     monkeypatch.setattr("nncp.lp._table_fits", lambda q, width=4: width <= most)
-    g.trivial_tables = None
+    q.layer.expand = None
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -315,7 +315,7 @@ def test_per_gate_solver_matches_global_bfs(monkeypatch, seed):
     ref = global_01_bfs(q)
     assert verify(reconstruct(q, ref), c, g)["ok"]
     for most in WIDTHS:
-        allow_tables(monkeypatch, g, most)
+        allow_tables(monkeypatch, q, most)
         opt, path = solve_reduced(q)
         assert opt == path.opt == ref.opt
         schedule = reconstruct(q, path)
@@ -391,7 +391,7 @@ def test_replay_matches_first_arc_oracle(monkeypatch, seed):
     q = quotient_graph(c, g)
     ref = replay_oracle(q)
     for most in WIDTHS:
-        allow_tables(monkeypatch, g, most)
+        allow_tables(monkeypatch, q, most)
         path = solve_reduced(q)[1]
         assert (path.opt, path.entry, path.hops) == (ref.opt, ref.entry, ref.hops)
     assert verify(reconstruct(q, ref), c, g)["ok"]
@@ -417,18 +417,21 @@ def test_size_rule_picks_the_expander(monkeypatch, n, limit, expander, width):
     assert len(q.nodes) == {7: 360, 8: 2520}[n]
     assert _table_fits(q) == (expander == "_expander")
     assert _table_fits(q, 8) == (width == 8)
-    called = []
-    for name, f in (("_expander", _expander),
+    built = []
+    for name, f in (("_chunk_tables", _chunk_tables),
                     ("_adjacency_expander", _adjacency_expander)):
-        monkeypatch.setattr("nncp.lp." + name, lambda q, name=name, f=f:
-                            called.append(name) or f(q))
-    opt, path = solve_reduced(q)
-    assert called == [expander]
-    assert verify(reconstruct(q, path), c, g)["ok"]
-    # the shared layer keeps the tables the size rule allowed, if any
-    tables = g.trivial_tables
-    assert (tables is None) == (width is None)
-    if tables is not None:
+        monkeypatch.setattr("nncp.lp." + name, lambda q, *width, name=name, f=f:
+                            built.append((name, *width, f(q, *width))) or built[-1][-1])
+    for _ in range(2):
+        opt, path = solve_reduced(q)
+        assert verify(reconstruct(q, path), c, g)["ok"]
+    # the shared layer keeps the expander the size rule picked, built once
+    assert q.layer is g.trivial_layer and q.layer.expand is not None
+    if width is None:
+        assert [name for name, _ in built] == ["_adjacency_expander"]
+    else:
+        [(name, built_width, tables)] = built
+        assert (name, built_width) == ("_chunk_tables", width)
         assert len(tables) == -(-len(q.nodes) // width)
         assert {len(table) for table in tables} == {1 << width}
 
@@ -517,7 +520,7 @@ def test_solve_memory_is_linear_in_compliant_orbits(monkeypatch, tables):
     c = decompose(random_class_i(7, 1500, 5), n=7)
     g, _, _ = make("cycle", n=7)
     q = quotient_graph(c, g)
-    allow_tables(monkeypatch, g, 8 if tables else 0)
+    allow_tables(monkeypatch, q, 8 if tables else 0)
     total = sum(len(ids) for ids in q.compliant)
     tracemalloc.start()
     try:

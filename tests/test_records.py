@@ -12,7 +12,7 @@ from nncp.coupling import AutGroup, CouplingGraph, make
 from nncp.dp import DpTable
 from nncp.lp import GnfpArc, GnfpModel, LinearProgram, LpSolution, ReducedPath
 from nncp.reconstruct import NncpSolution
-from nncp.symmetry import BTau, OrbitNode, QuotientGraph, quotient_graph
+from nncp.symmetry import BTau, Layer, OrbitNode, QuotientGraph, quotient_graph
 
 EMPTY = inspect.Parameter.empty
 
@@ -64,8 +64,9 @@ CASES = {
            lambda x: BTau(1, [[(0, 1)]]), "identity"),
     OrbitNode: ([("rep", EMPTY), ("orbit_size", EMPTY)],
                 lambda x: OrbitNode((0, 1, 2), 6), "identity"),
-    QuotientGraph: ([(name, EMPTY) for name in ("coupling", "fp", "nodes",
-                                                "columns", "compliant")],
+    Layer: ([(name, EMPTY) for name in ("fp", "split", "nodes", "columns")],
+            lambda x: quotient().layer, "identity"),
+    QuotientGraph: ([(name, EMPTY) for name in ("coupling", "layer", "compliant")],
                     lambda x: quotient(), "identity"),
 }
 

@@ -1,7 +1,7 @@
 """The star and biclique quotient, built in closed form from class vectors.
 
 `layer_orbits` lists a split coupling's orbits without canonicalizing, and
-`_split_columns` their arcs, as `QuotientGraph` does on first read.  Four
+`_split_columns` their arcs, as a `Layer` does on first read.  Four
 independent checks pin them down: `layer_orbits` on the same graph given
 as a general edge list, where the worklist runs on the listed group, must
 give the same quotient field by field; so must the worklist run on the split
@@ -52,7 +52,7 @@ def split_layer(fp, g):
     the columns `QuotientGraph` builds from its nodes on first read."""
     nodes, columns = layer_orbits(fp, g)
     assert columns is None
-    return nodes, symmetry._split_columns(fp, g, nodes)
+    return nodes, symmetry._split_columns(fp, g.split, nodes)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "idle", "pairs"])

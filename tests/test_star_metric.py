@@ -125,7 +125,7 @@ def same_schedule_as_the_bfs(c, g):
     levels = closed_form_levels(q)
     opt, path = solve_reduced(q)
     schedule = reconstruct(q, path)
-    assert "dst" not in vars(q)         # the solve and the replay read no arc
+    assert "dst" not in vars(q.layer)   # the solve and the replay read no arc
     pots, ref = arc_bfs(q)
     assert levels[1:] == [as_levels(p) for p in pots[1:]]
     assert (path.opt, path.entry, path.hops) == ref
@@ -177,7 +177,7 @@ def test_a_star_solve_builds_no_arc_table_or_bfs(monkeypatch):
     assert opt > 0 and verify(schedule, c, g)["ok"]
     sizes = [len(cl) for cl in q.fp.classes]
     assert len(q.arcs) == _split_counts(sizes, 1)[1] > 0
-    assert "dst" not in vars(q)
+    assert "dst" not in vars(q.layer)
 
 
 def test_a_star_over_the_arc_cap_solves_and_caps_its_columns(monkeypatch):
@@ -192,7 +192,7 @@ def test_a_star_over_the_arc_cap_solves_and_caps_its_columns(monkeypatch):
     assert opt == 3 and verify(reconstruct(q, path), c, g)["ok"]
     with pytest.raises(CapError, match="arc count 72 exceeds cap 50"):
         q.dst
-    assert "dst" not in vars(q)
+    assert "dst" not in vars(q.layer)
 
 
 def test_a_biclique_over_the_arc_cap_fails_before_its_orbits(monkeypatch):
@@ -210,7 +210,7 @@ def test_arcs_are_counted_before_the_columns_are_built(family, n, m_side):
     g, _, _ = make(family, n=n, m_side=m_side)
     q = quotient_graph(c, g)
     count = _split_counts([len(cl) for cl in fixing_pattern(c).classes], g.split)[1]
-    assert len(q.arcs) == count and "dst" not in vars(q)
+    assert len(q.arcs) == count and "dst" not in vars(q.layer)
     assert len(q.dst) == len(q.arcs) == count
     assert q.offsets[-1] == count and len(q.offsets) == len(q.nodes) + 1
     # the columns are those `_split_columns` builds from a layer built
@@ -219,7 +219,7 @@ def test_arcs_are_counted_before_the_columns_are_built(family, n, m_side):
     nodes, columns = nncp.symmetry.layer_orbits(q.fp, g)
     assert columns is None
     assert [list(col) for col in (q.offsets, dst, q.u, q.v, q.d_out)] == \
-        [list(col) for col in nncp.symmetry._split_columns(q.fp, g, nodes)]
+        [list(col) for col in nncp.symmetry._split_columns(q.fp, g.split, nodes)]
     assert q.dst is dst
 
 

@@ -424,7 +424,7 @@ def test_worklist_orbitals_come_in_reverse_pairs(family, arg, n, pattern):
     g = family_graph(family, arg, n)
     nodes, columns = symmetry.layer_orbits(fp, g)
     # a star's or biclique's columns, as its quotient builds them
-    offsets, dst, _, _, d_out = columns or symmetry._split_columns(fp, g, nodes)
+    offsets, dst, _, _, d_out = columns or symmetry._split_columns(fp, g.split, nodes)
     moves = [(src, dst[ai], nodes[src].orbit_size * d_out[ai])
              for src in range(len(nodes)) for ai in range(offsets[src], offsets[src + 1])]
     assert Counter(moves) == Counter((dst, src, size) for src, dst, size in moves)
