@@ -23,15 +23,23 @@ follow in closed form from the previous gate's (`_star_level`), and no arc
 column, chunk table or BFS is built.  Elsewhere each gate gets one
 level-synchronous BFS from the previous gate's compliant orbits, injected
 at their potentials (`_bfs_level`); it stops once this gate's are settled.
-A whole BFS level expands at once, by the expander the quotient's layer
-keeps (`_expander`, ``Layer.expand``): the first solve on the layer picks
-it, through per-chunk tables of successor masks (the Four Russians trick;
-only nonzero chunks are looked up) when they take at most the fixed
-`TABLE_BYTES_LIMIT` (`_table_fits`), otherwise over adjacency lists read
-from the ``dst`` column (`_adjacency_expander`).  A coupling's shared
-trivial-pattern layer takes 8 orbits per chunk where those fit, and every
-circuit on the coupling reuses them; a layer built for one circuit takes
-4, cheaper to build for one use.  Both go through one walk back, which grows
+A gate on the same pair as the previous gate (the same compliant list)
+keeps its potentials, by the triangle inequality, and gets no pass on
+either kind of coupling.  A whole BFS level expands at once, by the
+expander the quotient's layer keeps (`_expander`, ``Layer.expand``): the
+first solve on the layer picks it, through per-chunk tables of successor
+masks (the Four Russians trick; only nonzero chunks are looked up) when
+they take at most the fixed `TABLE_BYTES_LIMIT` (`_table_fits`),
+otherwise over adjacency lists read from the ``dst`` column
+(`_adjacency_expander`).  A coupling's shared trivial-pattern layer takes
+8 orbits per chunk where those fit, and every circuit on the coupling
+reuses them; a layer built for one circuit takes 4, cheaper to build for
+one use.  Once at most `PULL_MOST` compliant orbits are open, a level is
+first pulled: each open orbit is tested for a successor in the frontier
+by its one-orbit successor mask (``expand.one``), and if all have one the
+level settles them without being expanded (Beamer, Asanović and
+Patterson's direction-optimizing BFS, exact because the adjacency is
+symmetric).  Stars and BFS go through one walk back, which grows
 spheres backward from the cheapest orbit of the last gate, exact because
 the quotient's adjacency is symmetric, and returns a `ReducedPath`: the
 entry orbit and the orbits the walk enters, one per SWAP, which
@@ -45,9 +53,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from functools import partial, reduce
-from itertools import compress, pairwise
-from operator import getitem, or_
+from functools import partial
+from itertools import pairwise
 
 from . import simplex
 from .circuit import Frozen
@@ -66,6 +73,12 @@ NO_PATH = "no compliant path through the quotient graph"
 # 440 MiB) and the 3×3 grid (45 360, 988 MiB) do not.  On cycle-8 the
 # 4-orbit tables made the solve about 4× faster than adjacency lists
 TABLE_BYTES_LIMIT = 64 << 20
+
+# the most open compliant orbits `_bfs_level` tests one by one for a
+# successor in the frontier before it expands a level.  On cycle-7 a BFS
+# pass took 2.5% longer at 8, 5% at 32 and 22% with no cap, where 6× as
+# many levels were tested and 80% of the tests failed
+PULL_MOST = 16
 
 
 class LinearProgram:
@@ -329,7 +342,9 @@ def _expander(q: QuotientGraph) -> Callable[[int], int]:
     (``q.layer.expand``) by the first solve on it.  It reads chunk tables
     (`_table_expander`) where they fit `TABLE_BYTES_LIMIT`, 8 orbits per
     chunk where those fit on a trivial pattern's layer, which the coupling
-    shares, else 4; otherwise adjacency lists (`_adjacency_expander`)."""
+    shares, else 4; otherwise adjacency lists (`_adjacency_expander`).  Its
+    attribute ``one(u)`` gives orbit u's successor mask, which the pull of
+    `_bfs_level` reads."""
     layer = q.layer
     if layer.expand is None:
         if not _table_fits(q):
@@ -344,13 +359,16 @@ def _table_expander(tables: list[list[int]]) -> Callable[[int], int]:
     """The successor map of `_chunk_tables`' tables, by the Four Russians
     trick.  Expanding a set cuts its mask into chunks, top chunk first (an
     8-orbit chunk is a byte of ``mask.to_bytes``, a 4-orbit chunk a hex
-    digit), and ORs one table entry per nonzero chunk: a zero chunk selects
-    no orbit, so its table is skipped.  A set of at most four orbits, as the
-    first sphere of every walk back (one orbit), ORs their one-orbit entries
-    instead, which costs less than cutting the mask."""
+    digit), and ORs one table entry per nonzero chunk in a plain loop: a
+    zero chunk selects no orbit, so its table is skipped.  A set of at most
+    four orbits, as the first sphere of every walk back (one orbit), ORs
+    their one-orbit entries instead, which costs less than cutting the mask.
+    ``expand.one(u)`` is orbit u's one-orbit entry, the successor mask the
+    pull of `_bfs_level` reads: one list of references into the tables."""
     width = len(tables[0]).bit_length() - 1
     chunks, top, low_bits = len(tables), len(tables) - 1, width - 1
     shift = low_bits.bit_length()       # log2(width)
+    one = [tables[top - (u >> shift)][1 << (u & low_bits)] for u in range(chunks << shift)]
     if width == 8:
         chunk_values = partial(int.to_bytes, length=chunks, byteorder="big")
     else:
@@ -360,16 +378,19 @@ def _table_expander(tables: list[list[int]]) -> Callable[[int], int]:
             return (digits % mask).encode().translate(_NIBBLES)
 
     def expand(mask: int) -> int:
+        out = 0
         if mask.bit_count() <= 4:       # a few orbits: OR their one-orbit entries
-            out = 0
             while mask:
                 low = mask & -mask
-                u = low.bit_length() - 1
-                out |= tables[top - (u >> shift)][1 << (u & low_bits)]
+                out |= one[low.bit_length() - 1]
                 mask ^= low
             return out
-        values = chunk_values(mask)
-        return reduce(or_, map(getitem, compress(tables, values), filter(None, values)), 0)
+        for table, value in zip(tables, chunk_values(mask)):
+            if value:
+                out |= table[value]
+        return out
+
+    expand.one = one.__getitem__
     return expand
 
 
@@ -377,10 +398,11 @@ def _adjacency_expander(q: QuotientGraph) -> Callable[[int], int]:
     """The map of `_expander` over adjacency lists, for quotients whose
     chunk tables would not fit: it reads the mask's set bits as a
     binary string, lowest orbit first, and marks their successors in a
-    byte string read back as the result mask."""
+    byte string read back as the result mask.  ``expand.one(u)`` ORs orbit
+    u's ``dst`` slice into a mask, so nothing per orbit is kept for it."""
     n = len(q.nodes)
     succ = [q.dst[lo:hi] for lo, hi in pairwise(q.offsets)]
-    one = ord("1")
+    mark = ord("1")
 
     def expand(mask: int) -> int:
         bits = format(mask, f"0{n}b")[::-1]
@@ -388,9 +410,17 @@ def _adjacency_expander(q: QuotientGraph) -> Callable[[int], int]:
         u = bits.find("1")
         while u >= 0:
             for v in succ[u]:
-                hit[v] = one
+                hit[v] = mark
             u = bits.find("1", u + 1)
         return int(hit[::-1], 2)
+
+    def one(u: int) -> int:
+        mask = 0
+        for v in succ[u]:
+            mask |= 1 << v
+        return mask
+
+    expand.one = one
     return expand
 
 
@@ -415,21 +445,42 @@ def _star_level(prev: tuple[int, list[int]], left: int) -> tuple[int, list[int]]
     return base, [kept, rest] if rest else [kept]
 
 
+def _pulled(one: Callable[[int], int], pending: int, frontier: int) -> bool:
+    """Whether every orbit of ``pending`` has a successor in ``frontier``,
+    by its one-orbit successor mask ``one(u)``."""
+    while pending:
+        low = pending & -pending
+        if not one(low.bit_length() - 1) & frontier:
+            return False
+        pending ^= low
+    return True
+
+
 def _bfs_level(expand: Callable[[int], int], prev: tuple[int, list[int]],
                left: int) -> tuple[int, list[int]]:
     """Gate k+1's level masks by one level-synchronous BFS over the
     quotient, from gate k's level masks injected at their potentials, that
     stops once every orbit of ``left`` (gate k+1's compliant orbits) is
-    settled."""
+    settled.
+
+    While at most `PULL_MOST` orbits of ``left`` are open, a level that
+    would expand a nonempty frontier is pulled first: every open orbit
+    that this level does not inject is tested for a successor in the
+    frontier (`_pulled`, by ``expand.one``).  If all pass, this level
+    settles them all and the pass ends without expanding it; an orbit with
+    a successor in the frontier is a successor of it, since a SWAP undoes
+    itself.  Otherwise the level expands as usual."""
     prev_base, injected = prev
     masks: list[int] = []               # from the first level that settles one
     settled = frontier = 0
     j = 0                               # the level is at potential prev_base + j
     while left and (frontier or j < len(injected)):
-        reached = expand(frontier) if frontier else 0
-        if j < len(injected):
-            reached |= injected[j]
-        reached &= ~settled
+        inject = injected[j] if j < len(injected) else 0
+        if frontier and left.bit_count() <= PULL_MOST and _pulled(
+                expand.one, left & ~inject, frontier):
+            masks.append(left)          # this level settles every open orbit
+            return prev_base + j + 1 - len(masks), masks
+        reached = ((expand(frontier) if frontier else 0) | inject) & ~settled
         settled |= reached
         hit = reached & left
         if hit or masks:
@@ -455,6 +506,11 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     layer's expander (`_expander`): chunk tables, one lookup per nonzero 8-
     or 4-bit chunk of its mask, on cycles 7 and 8 and the bicliques
     measured; adjacency lists on larger quotients (Petersen, the 3×3 grid).
+    A gate whose compliant list is the previous gate's (the same pair;
+    `quotient_graph` makes one list per pair) takes the previous (base,
+    masks) as they are, on a star too: an orbit's potential at gate k is
+    at most any other's plus their distance, by the triangle inequality,
+    so another BFS would give the same masks.
 
     The walk goes backward from the cheapest orbit t of the last gate, at
     potential P: spheres around t grow until sphere r meets the previous
@@ -466,7 +522,9 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
     apart.  A hop from v enters the destination of v's first out-arc, in
     ``dst`` order, that lies in the next sphere, the arc the replay takes;
     the last hop always enters t, so a star, whose spheres reach one SWAP
-    at most, reads no arc column."""
+    at most, reads no arc column.  At a same-pair boundary t lies in the
+    previous gate's level at P, so sphere 0 meets it and the boundary gets
+    an empty hop list."""
     every = (1 << len(q.nodes)) - 1
     if q.coupling.split == 1:
         level, expand = _star_level, lambda mask: every
@@ -483,8 +541,11 @@ def _shortest_quotient_path(q: QuotientGraph) -> ReducedPath:
             mask_of[id(ids)] = mask
     # gate 0 stands for the source: every orbit, at potential 0
     levels = [(0, [every])]
+    last = None
     for ids in q.compliant:
-        levels.append(level(levels[-1], mask_of[id(ids)]))
+        # the same pair as the previous gate: the same potentials
+        levels.append(levels[-1] if ids is last else level(levels[-1], mask_of[id(ids)]))
+        last = ids
 
     base, masks = levels[-1]
     t = _lowest(masks[0])

@@ -1,9 +1,10 @@
 """The differential corpus: instances made from seeds, with pinned results.
 
-Each coupling carries five circuits: two with a trivial pattern (a chain
+Each coupling carries six circuits: two with a trivial pattern (a chain
 through every qubit, and one leaving a single qubit idle), one with three
-idle qubits, one with an isolated pair, and the empty circuit.  Every
-instance of the benchmark's workloads (`perfbench/workloads.py`, read by
+idle qubits, one with an isolated pair, the empty circuit, and the first
+circuit with each gate repeated 1-3 times back to back (same-pair runs).
+Every instance of the benchmark's workloads (`perfbench/workloads.py`, read by
 path) for seeds 0 and 1 is a row too, named by its workload, seed and
 coupling, with the instance's name as its kind.  A row pins
 what the reduced pipeline gives for one of them: ``opt``, checked at pin
@@ -59,7 +60,7 @@ COUPLINGS = {
        for name, edges in EDGE_LISTS.items()},
 }
 
-KINDS = ("connected", "one-idle", "idle", "pair", "empty")
+KINDS = ("connected", "one-idle", "idle", "pair", "empty", "runs")
 
 BENCHMARK_SEEDS = (0, 1)
 
@@ -67,8 +68,12 @@ BENCHMARK_SEEDS = (0, 1)
 def circuit(name: str, kind: str, n: int) -> Circuit:
     """The ``kind`` circuit on n qubits, from a seed named after the
     instance: a shuffled chain through its active qubits plus random gates
-    among them, so its gate graph is connected there."""
+    among them, so its gate graph is connected there.  The ``runs`` circuit
+    repeats each gate of the ``connected`` one 1-3 times back to back."""
     rng = random.Random(f"corpus/{name}/{kind}")
+    if kind == "runs":
+        gates = circuit(name, "connected", n).gates
+        return Circuit(n, [gate for gate in gates for _ in range(rng.randint(1, 3))])
     if kind == "empty":
         return Circuit(n, [])
     qs = rng.sample(range(n), n)

@@ -16,9 +16,9 @@ from nncp.circuit import CNOT, RawGate, decompose
 from nncp.coupling import make
 from nncp.errors import SolverError
 from nncp.generate import random_class_i
-from nncp.lp import (ReducedPath, _adjacency_expander, _chunk_tables, _expander,
-                     _table_expander, _table_fits, build_gnfp, build_rspp_scaled,
-                     gnfp_lp, simplex_solve, solve_reduced, write_lp)
+from nncp.lp import (ReducedPath, _adjacency_expander, _bfs_level, _chunk_tables, _expander,
+                     _lowest, _pulled, _star_level, _table_expander, _table_fits, build_gnfp,
+                     build_rspp_scaled, gnfp_lp, simplex_solve, solve_reduced, write_lp)
 from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import quotient_graph
 
@@ -397,6 +397,54 @@ def test_replay_matches_first_arc_oracle(monkeypatch, seed):
     assert verify(reconstruct(q, ref), c, g)["ok"]
 
 
+def runs_instance(seed):
+    """A circuit whose gates come in same-pair runs of 1-4 on a cycle, an
+    edge list, a star or a biclique, sometimes with idle qubits."""
+    rng = random.Random(f"runs-{seed}")
+    family, arg, n = [("cycle", None, 7), ("general", WHEEL7, 7), ("star", None, 9),
+                      ("biclique", 3, 7)][seed % 4]
+    qubits = rng.sample(range(n), rng.randint(n - 2, n))
+    pairs = []
+    for _ in range(rng.randint(5, 15)):
+        pairs += [tuple(rng.sample(qubits, 2))] * rng.randint(1, 4)
+    c = decompose([RawGate(CNOT, p) for p in pairs], n=n)
+    if family == "general":
+        return c, make("general", edges=arg)[0]
+    return c, make(family, n=n, m_side=arg)[0]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_same_pair_runs_match_the_oracles(monkeypatch, seed):
+    # a gate on the previous gate's pair keeps its potentials, and the walk
+    # back gives that boundary no hop: the same path as both oracles' under
+    # every level expander
+    c, g = runs_instance(seed)
+    q = quotient_graph(c, g)
+    assert any(a is b for a, b in zip(q.compliant, q.compliant[1:]))
+    ref = replay_oracle(q)
+    assert global_01_bfs(q).opt == ref.opt
+    for most in WIDTHS:
+        allow_tables(monkeypatch, q, most)
+        path = solve_reduced(q)[1]
+        assert (path.opt, path.entry, path.hops) == (ref.opt, ref.entry, ref.hops)
+    assert verify(reconstruct(q, path), c, g)["ok"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_level_pass_per_pair_change(monkeypatch, seed):
+    # _bfs_level (or _star_level on a star) runs once per gate whose pair
+    # differs from the previous gate's, and not for a repeated pair
+    c, g = runs_instance(seed)
+    q = quotient_graph(c, g)
+    name, level = ("_star_level", _star_level) if g.split == 1 else ("_bfs_level", _bfs_level)
+    calls = []
+    monkeypatch.setattr("nncp.lp." + name,
+                        lambda *args: calls.append(args[-1]) or level(*args))
+    solve_reduced(q)
+    changes = sum(1 for k, gate in enumerate(c.gates) if k == 0 or gate != c.gates[k - 1])
+    assert changes < c.m and len(calls) == changes
+
+
 @pytest.mark.parametrize("n, limit, expander, width", [
     pytest.param(7, None, "_expander", 8, id="7-_expander"),
     pytest.param(8, None, "_expander", 8, id="8-_expander"),
@@ -506,6 +554,22 @@ def test_expanders_agree(name):
                  _adjacency_expander(q), _expander(q)]
     for mask in masks:
         assert {f(mask) for f in expanders} == {reference(mask)}, hex(mask)
+
+    # the pull's test: every orbit of a set has a successor in the frontier,
+    # by each expander's one-orbit successor masks, the top chunk's too
+    for f in expanders:
+        assert [f.one(u) for u in range(orbits)] == succ
+    cases = {True: 0, False: 0}
+    pendings = [mask for mask in masks if mask]
+    for pending in pendings:
+        # the pending set's successors cover it; without those of its
+        # lowest orbit they do not; a random frontier mostly does not
+        whole = reference(pending)
+        for frontier in (whole, whole & ~succ[_lowest(pending)], rng.getrandbits(orbits)):
+            covered = all(succ[u] & frontier for u in range(orbits) if pending >> u & 1)
+            assert {_pulled(f.one, pending, frontier) for f in expanders} == {covered}
+            cases[covered] += 1
+    assert min(cases.values()) >= len(pendings), cases
 
 
 @pytest.mark.parametrize("tables", [True, False], ids=["tables", "adjacency"])
