@@ -39,21 +39,22 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     witness names the reverse edge.  One edge per class is enough, because
     τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e) land in
     the same orbit.  The orbits of one B_τ share their arcs' edges and
-    out-degrees, so only the destinations are each orbit's own.  Either
-    way, an arc stores only its out-degree;
+    out-degrees (a `_Shape`), so an arc stores only its destination;
   * the quotient graph: orbit nodes, orbital arcs, and per-gate compliance
     marks.  All layers share one node/arc structure since the layers are
     identical copies; only the compliance marks vary by gate.  A `Layer`
     holds it: the orbits, and the arcs as typed-array columns in CSR form,
-    sorted by source (per-orbit offsets and per-arc ``dst``, ``u``, ``v``
-    and ``d_out``, no object per arc), which both builders fill orbit by
-    orbit.  An orbital holds |src|·d_out concrete moves, which is |dst|·d_in
-    counted from its other end, so `Layer.d_in` computes the in-degree on
-    demand from the out-degree and the two orbit sizes.  A `QuotientGraph`
-    is a layer plus one circuit's compliance lists.  `layer_orbits` builds
-    every layer.  Under a trivial pattern the layer depends on the coupling
-    alone, so any coupling keeps it (``g.trivial_layer``) for every circuit
-    solved there, with its columns and the BFS expander `lp` keeps on it.
+    sorted by source (per-orbit offsets and per-arc ``dst``, no object per
+    arc).  The ``u``, ``v`` and ``d_out`` columns, which the solve path
+    never reads, are built on first read from each orbit's shape, or from
+    a star's or biclique's class vectors.  An orbital holds |src|·d_out
+    concrete moves, which is |dst|·d_in counted from its other end, so
+    `Layer.d_in` computes the in-degree from the out-degree and the two
+    orbit sizes.  A `QuotientGraph` is a layer plus one circuit's
+    compliance lists.  `layer_orbits` builds every layer.  Under a trivial
+    pattern the layer depends on the coupling alone, so any coupling keeps
+    it (``g.trivial_layer``) for every circuit solved there, with its
+    columns and the BFS expander `lp` keeps on it.
 
 `snf_elements` still lists S_n(F) outright, as an enumeration oracle for
 tests; nothing on the solve path calls it.
@@ -77,7 +78,7 @@ ORBIT_NODE_CAP = 5_000_000
 SNF_ELEMENT_CAP = 100_000
 
 Edge = tuple[int, int]
-# a layer's orbitals as columns: offsets, dst, u, v, d_out (see Layer)
+# a layer's orbitals as logical columns: offsets, dst, u, v, d_out (see Layer)
 Columns = tuple[array, array, array, array, array]
 
 
@@ -251,17 +252,17 @@ def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
 
 
 def layer_orbits(fp: FixingPattern, g: CouplingGraph
-                 ) -> tuple[list[OrbitNode], Columns | None]:
+                 ) -> tuple[list[OrbitNode], tuple[array, array, list[_Shape]] | None]:
     """Orbits of a layer and their orbitals, the one builder of a layer.
     Nodes come out sorted by representative, arcs by source node and then
-    by edge (u, v), the smallest edge of the arc's B_τ edge class, as the
-    columns of `Layer`: offsets, dst, u, v and d_out.
+    by edge (u, v), the smallest edge of the arc's B_τ edge class.
 
     A split coupling (star or biclique) lists its orbits in closed form
     from class vectors, with no canonicalization (`_split_nodes`), and
-    returns None for the columns: the `Layer` builds them from the
+    returns None for the arcs: the `Layer` builds its columns from the
     nodes on first read (`_split_columns`).  Cycle and general couplings
-    are found by the worklist (`_worklist_orbits`).  The two share no code:
+    are found by the worklist (`_worklist_orbits`), which returns the arcs
+    as offsets, dst and each orbit's `_Shape`.  The two share no code:
     tests check the closed form against the worklist run on the same star
     or biclique given as a general edge list."""
     if g.split is not None:
@@ -394,10 +395,10 @@ def _split_columns(fp: FixingPattern, m: int, nodes: list[OrbitNode]) -> Columns
 
 
 def _empty_columns() -> Columns:
-    """Offsets [0] and empty dst, u, v and d_out columns.  Orbit ids (under
-    `ORBIT_NODE_CAP`) and locations are C ints.  An offset counts arcs, up to
-    orbits·|E|, and a d_out is at most |E|, which is M·N on K_{M,N}: either
-    may pass 2^31 − 1, so those two are 64-bit."""
+    """Offsets [0] and empty dst, u, v and d_out columns, for every layer.
+    Orbit ids (under `ORBIT_NODE_CAP`) and locations are C ints.  An offset
+    counts arcs, up to orbits·|E|, and a d_out is at most |E|, which is M·N
+    on K_{M,N}: either may pass 2^31 − 1, so those two are 64-bit."""
     return array("q", [0]), array("i"), array("i"), array("i"), array("q")
 
 
@@ -469,8 +470,8 @@ def _split_step(q: QuotientGraph, entry: Perm):
 def _canonical_step(q: QuotientGraph):
     """`replay_step` on a cycle or general coupling: take v's first arc
     into w, canonicalize the order, τ ↦ (rep, b), and swap along the edge
-    b⁻¹ maps onto the arc's edge."""
-    offsets, dst, us, vs, fp, g = q.offsets, q.dst, q.u, q.v, q.fp, q.coupling
+    b⁻¹ maps onto the arc's edge, read from v's shape."""
+    offsets, dst, shapes, fp, g = q.offsets, q.dst, q.shapes, q.fp, q.coupling
 
     def step(tau: list[int], v: int, w: int) -> tuple[int, int] | None:
         try:
@@ -479,7 +480,7 @@ def _canonical_step(q: QuotientGraph):
             return None
         _, b = canonical_form(tuple(tau), fp, g)
         at = b.index                    # b⁻¹ at one point, with no whole inverse
-        return pair(at(us[ai]), at(vs[ai]))
+        return pair(*map(at, shapes[v].firsts[ai - offsets[v]]))
 
     return step
 
@@ -488,7 +489,8 @@ class _Shape:
     """What an orbit's arcs share with every orbit of the same B_τ: the
     orbit size, the class index of each edge (keyed by the edge in either
     orientation), each class's first edge, and the arcs' u, v and d_out
-    columns.  Only the destinations are the orbit's own."""
+    rows, which a `Layer` joins into columns on first read.  Only the
+    destinations are the orbit's own."""
     __slots__ = ("size", "class_of", "firsts", "u", "v", "d_out")
 
     def __init__(self, bt: BTau, group_order: int):
@@ -506,8 +508,9 @@ class _Shape:
 
 
 def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
-                     ) -> tuple[list[OrbitNode], Columns]:
-    """`layer_orbits` for any coupling, in one worklist pass.
+                     ) -> tuple[list[OrbitNode], tuple[array, array, list[_Shape]]]:
+    """`layer_orbits` for any coupling, in one worklist pass: the orbits,
+    and the arcs as offsets, dst and each orbit's shape.
 
     B_τ is computed when an orbit is found (never under a trivial pattern,
     where every B_τ is {1}), and the orbits of one B_τ share its `_Shape`;
@@ -568,23 +571,20 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
                 dests[j][orbit_shapes[j].class_of[b[u], b[v]]] = i
             dest[k] = j
 
-    # renumber the orbits by representative, and fill the columns to match
+    # renumber the orbits by representative, and fill offsets and dst to match
     order = sorted(range(len(reps)), key=reps.__getitem__)
     new_id = [0] * len(order)
     for k, i in enumerate(order):
         new_id[i] = k
     renumber = new_id.__getitem__
     nodes = []
-    offsets, dst, us, vs, d_out = columns = _empty_columns()
-    for i in order:
-        shape = orbit_shapes[i]
+    shapes = list(map(orbit_shapes.__getitem__, order))
+    offsets, dst = _empty_columns()[:2]
+    for i, shape in zip(order, shapes):
         nodes.append(OrbitNode(rep=reps[i], orbit_size=shape.size))
         dst.fromlist(list(map(renumber, dests[i])))
-        us += shape.u
-        vs += shape.v
-        d_out += shape.d_out
         offsets.append(len(dst))
-    return nodes, columns
+    return nodes, (offsets, dst, shapes)
 
 
 # perfbench/spans.py wraps this name; nothing calls it
@@ -601,31 +601,41 @@ _COLUMNS = ("offsets", "dst", "u", "v", "d_out")
 class Layer:
     """One layer's orbit/orbital structure, shared by every gate of a
     circuit, and under a trivial pattern by every circuit on the coupling.
-    The orbitals are held as columns (typed arrays), one entry per arc and
+    The orbitals are read as columns (typed arrays), one entry per arc and
     sorted by source: arc ``ai`` moves orbit ``src(ai)`` along the B_τ edge
     class of the edge (``u[ai]``, ``v[ai]``), u < v, into orbit ``dst[ai]``,
     ``d_out[ai]`` ways per member of the source.  Orbit i's arcs are
     ``offsets[i]:offsets[i + 1]``, so neither the source nor the in-degree
-    (`d_in`) is stored; ``arcs`` is the range of arc ids.  On K_{M,N}
-    (``split`` is M) ``columns`` is None: `_split_columns` builds them from
-    the class vectors when one is first read, and ``arcs`` is counted
-    without them.  ``expand`` holds the BFS level expander (`lp._expander`)."""
+    (`d_in`) is stored; ``arcs`` is the range of arc ids.  ``columns`` is
+    the worklist's offsets, dst and ``shapes`` (each orbit's `_Shape`), or
+    None on K_{M,N} (``split`` is M).  A column not stored is built when
+    first read: u, v and d_out joined from the shapes, or every column from
+    the class vectors (`_split_columns`), with ``arcs`` counted without
+    them.  ``expand`` holds the BFS level expander (`lp._expander`)."""
 
-    def __init__(self, fp: FixingPattern, split: int | None,
-                 nodes: list[OrbitNode], columns: Columns | None):
+    def __init__(self, fp: FixingPattern, split: int | None, nodes: list[OrbitNode],
+                 columns: tuple[array, array, list[_Shape]] | None):
         self.fp = fp
         self.split = split
         self.nodes = nodes
         if columns is not None:
-            self.offsets, self.dst, self.u, self.v, self.d_out = columns
+            self.offsets, self.dst, self.shapes = columns
         self.expand = None
 
     def __getattr__(self, name: str):
-        # called only for a missing attribute, so once a split layer's
-        # columns are built, reading them costs nothing extra
+        # called only for a missing attribute, so once a layer's columns are
+        # built, reading them costs nothing extra
         if name not in _COLUMNS or "nodes" not in self.__dict__:
             raise AttributeError(name)
-        columns = _split_columns(self.fp, self.split, self.nodes)
+        if "shapes" in self.__dict__:
+            us, vs, d_out = _empty_columns()[2:]
+            for shape in self.shapes:
+                us += shape.u
+                vs += shape.v
+                d_out += shape.d_out
+            columns = self.offsets, self.dst, us, vs, d_out
+        else:
+            columns = _split_columns(self.fp, self.split, self.nodes)
         for key, col in zip(_COLUMNS, columns):
             setattr(self, key, col)
         return self.__dict__[name]

@@ -22,7 +22,7 @@ from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
 from nncp.generate import random_class_i, random_class_ii
 from nncp.lp import solve_reduced
 from nncp.reconstruct import reconstruct, verify
-from nncp.symmetry import layer_orbits, quotient_graph
+from nncp.symmetry import Layer, layer_orbits, quotient_graph
 from tests.test_split_canonical import general_form, split_graph, use_split_oracles
 
 
@@ -42,17 +42,18 @@ def sparse_gates(n, kind, rng):
     return gates
 
 
-def as_fields(nodes, columns):
+def as_fields(layer):
     # the columns compare element by element: offsets, dst, u, v and d_out
-    return [(nd.rep, nd.orbit_size) for nd in nodes], columns
+    return ([(nd.rep, nd.orbit_size) for nd in layer.nodes],
+            [getattr(layer, col) for col in symmetry._COLUMNS])
 
 
 def split_layer(fp, g):
-    """`layer_orbits` on a star or biclique, whose columns are None, with
-    the columns `QuotientGraph` builds from its nodes on first read."""
+    """`layer_orbits` on a star or biclique, whose columns are None, as a
+    `Layer`, which builds them from its nodes on first read."""
     nodes, columns = layer_orbits(fp, g)
     assert columns is None
-    return nodes, symmetry._split_columns(fp, g.split, nodes)
+    return Layer(fp, g.split, nodes, columns)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "idle", "pairs"])
@@ -65,8 +66,9 @@ def test_closed_form_matches_the_general_form(kind):
         m_side = rng.randint(1, (n - 1) // 2)
         c = decompose([RawGate(CNOT, p) for p in sparse_gates(n, kind, rng)], n=n)
         fp = fixing_pattern(c)
-        assert as_fields(*split_layer(fp, split_graph(n, m_side))) == \
-            as_fields(*layer_orbits(fp, general_form(n, m_side))), (n, m_side, fp.classes)
+        assert as_fields(split_layer(fp, split_graph(n, m_side))) == \
+            as_fields(Layer(fp, None, *layer_orbits(fp, general_form(n, m_side)))), \
+            (n, m_side, fp.classes)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "idle", "pairs"])
@@ -79,11 +81,12 @@ def test_closed_form_matches_worklist(kind, monkeypatch):
         g = split_graph(n, m_side)
         c = decompose([RawGate(CNOT, p) for p in sparse_gates(n, kind, rng)], n=n)
         fp = fixing_pattern(c)
-        nodes, columns = split_layer(fp, g)
-        assert as_fields(nodes, columns) == as_fields(*symmetry._worklist_orbits(fp, g)), \
+        layer = split_layer(fp, g)
+        assert as_fields(layer) == \
+            as_fields(Layer(fp, g.split, *symmetry._worklist_orbits(fp, g))), \
             (n, m_side, fp.classes)
         assert symmetry._split_counts([len(cl) for cl in fp.classes], m_side) \
-            == (len(nodes), len(columns[1]))
+            == (len(layer.nodes), len(layer.dst))
 
 
 def test_polynomial_size_at_n1000():

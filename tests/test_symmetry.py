@@ -10,8 +10,10 @@ from nncp.circuit import CNOT, FixingPattern, RawGate, decompose, fixing_pattern
 from nncp.coupling import coupling_from_descriptor, make
 from nncp.errors import CapError
 from nncp.generate import random_class_i
+from nncp.lp import solve_reduced
 from nncp import symmetry
 from nncp.perm import compose, inverse, swap
+from nncp.reconstruct import reconstruct, verify
 from nncp.symmetry import (b_tau, canonical_form, layer_orbits,
                            quotient_graph, reduction_stats, snf_elements)
 from tests.test_stabilizer_chain import patterns
@@ -382,6 +384,49 @@ def test_quotient_memory_per_arc():
     assert retained / len(q.arcs) <= 40
 
 
+def test_trivial_worklist_layer_memory_per_arc():
+    # a worklist layer stores only offsets, dst and one shape per orbit: its
+    # retained total with the nodes measured about 32 bytes per arc on a
+    # trivial cycle-8 layer, where storing u, v and d_out per arc took 48
+    c = circuit_with_pattern(8, patterns(8)["trivial"])
+    quotient_graph(c, make("cycle", n=8)[0])    # warm-up: one-time caches and interning
+    g, _, _ = make("cycle", n=8)                # a new coupling: its layer is built anew
+    tracemalloc.start()
+    try:
+        q = quotient_graph(c, g)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.fp.trivial and q.layer is g.trivial_layer
+    assert len(q.arcs) == 20_160
+    assert retained / len(q.arcs) <= 40
+
+
+@pytest.mark.parametrize("graph, n, pattern", [
+    (None, 7, "trivial"), ("wheel7", 7, "idle"), ("K34", 7, "pairs-idle")])
+def test_worklist_layer_builds_u_v_d_out_on_first_read(graph, n, pattern):
+    # the whole solve reads only offsets and dst; u, v and d_out are built
+    # when first read, and equal each representative's B_τ rows: per edge
+    # class, its first edge and its size
+    c = circuit_with_pattern(n, patterns(n)[pattern])
+    g = family_graph("cycle", None, n) if graph is None else family_graph("general", graph, n)
+    q = quotient_graph(c, g)
+    assert q.fp.trivial == (pattern == "trivial")
+    _, path = solve_reduced(q)
+    assert verify(reconstruct(q, path), c, g)["ok"]
+    assert not {"u", "v", "d_out"} & set(vars(q.layer))
+    us, vs, d_out = q.u, q.v, q.d_out
+    rows = []
+    for i, node in enumerate(q.nodes):
+        classes = b_tau(node.rep, q.fp, g).edge_orbits
+        assert q.offsets[i + 1] - q.offsets[i] == len(classes)
+        rows += [(cl[0][0], cl[0][1], len(cl)) for cl in classes]
+    assert list(zip(us, vs, d_out)) == rows
+    assert {"u", "v", "d_out"} <= set(vars(q.layer))
+    if pattern != "trivial":
+        assert max(d_out) > 1
+
+
 @pytest.mark.parametrize("family, arg", FAMILIES)
 @pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
 def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypatch):
@@ -422,9 +467,9 @@ def test_worklist_orbitals_come_in_reverse_pairs(family, arg, n, pattern):
              "idle": [(1, 3)]}[pattern]
     fp = fixing_pattern(circuit_with_pattern(n, pairs))
     g = family_graph(family, arg, n)
-    nodes, columns = symmetry.layer_orbits(fp, g)
-    # a star's or biclique's columns, as its quotient builds them
-    offsets, dst, _, _, d_out = columns or symmetry._split_columns(fp, g.split, nodes)
+    layer = symmetry.Layer(fp, g.split, *symmetry.layer_orbits(fp, g))
+    # the columns as the quotient reads them, built on first read
+    nodes, offsets, dst, d_out = layer.nodes, layer.offsets, layer.dst, layer.d_out
     moves = [(src, dst[ai], nodes[src].orbit_size * d_out[ai])
              for src in range(len(nodes)) for ai in range(offsets[src], offsets[src + 1])]
     assert Counter(moves) == Counter((dst, src, size) for src, dst, size in moves)
