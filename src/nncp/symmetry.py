@@ -27,16 +27,21 @@ relabelings that fix each fixing-pattern class) and b in Aut(Coup(E))
     qubits in ascending order along the locations.  The canonical form is
     that minimum taken down the chain as well.  S_n(F) = Π_c Sym(c), of
     order Π_c |c|!, is never enumerated, so idle qubits and isolated pairs
-    cost nothing extra;
+    cost nothing extra.  The walk (`_least_fill`) works on the class word
+    alone, and the elements still tied at its end are one coset of the
+    representative's B_τ, so it also returns |B_τ|;
   * B_τ — the stabilizer of τ's class word in Aut(Coup(E)), found by a walk
     down the stabilizer chain that keeps each level's children whose
     location holds the level's class; its order gives the orbit size via
     orbit–stabilizer, and its edge classes give the out-degrees;
   * on cycle/general, the orbits and orbitals come from one worklist pass
-    (`_worklist_orbits`): each orbit's representative is moved along the
-    first edge of each B_τ edge class, which gives the arc and any new
-    orbit; each orbital and its reverse share one canonicalization, and the
-    witness names the reverse edge.  One edge per class is enough, because
+    (`_worklist_orbits`): each orbit's representative (its class word, under
+    a non-trivial pattern) is moved along the first edge of each B_τ edge
+    class, which gives the arc and any new orbit.  One walk serves each
+    orbital and its reverse, and its witness names the reverse edge; an
+    edge inside one pattern class is a self-loop with no walk; a new
+    orbit's |B_τ| is the walk's count of tied elements, so `b_tau` runs
+    only where it is above 1.  One edge per class is enough, because
     τ·b = a·τ (a in S_n(F)) for b in B_τ, so moves along e and b(e) land in
     the same orbit.  The orbits of one B_τ share their arcs' edges and
     out-degrees (a `_Shape`), so an arc stores only its destination;
@@ -205,50 +210,69 @@ def canonical_form(tau: Perm, fp: FixingPattern, g: CouplingGraph
     its lexicographically smallest member.  Returns the representative and
     a witness ``b`` with ``rep == compose(a, compose(tau, inverse(b)))`` for
     some qubit relabeling ``a`` in S_n(F) (``a`` never matters downstream:
-    it moves qubit labels, not locations).
-
-    The left S_n(F)-orbit of τ·b⁻¹ is the set of orders sharing its class
-    word, and the smallest of them is that word's fill: each location takes
-    the smallest unused qubit of its class.  The fill is minimized down
-    Aut's stabilizer chain (``aut.chain``), keeping every child that ties
-    for the smallest next qubit; of the minimizing elements the witness is
-    the first in ``aut.elements``.  S_n(F) itself is never listed.  A
-    trivial pattern is plain coset canonicalization.  Cycle and general
-    couplings only: a star or biclique raises ValueError, as its orbits
-    are class vectors (`_split_nodes`)."""
+    it moves qubit labels, not locations).  A trivial pattern is plain
+    coset canonicalization (`canonical_right`); any other walks τ's class
+    word (`_least_fill`).  Cycle and general couplings only: a star or
+    biclique raises ValueError, as its orbits are class vectors
+    (`_split_nodes`)."""
     if fp.trivial:
         return canonical_right(tau, g)
-    word = _class_word(tau, fp)
+    return _least_fill(_class_word(tau, fp), fp, g)[:2]
 
-    # Walk the stabilizer chain with the frontier of tied nodes.  Every
-    # survivor has put the same qubits on locations 0..k-1, so ``used`` is
-    # shared, and child y is worth the next unused qubit of y's class.
+
+def _least_fill(word: list[int], fp: FixingPattern, g: CouplingGraph
+                ) -> tuple[Perm, Perm, int]:
+    """The canonical representative ρ of every order with class word
+    ``word``, a witness b, and the number of elements that reach ρ, which is
+    |B_ρ|.  The pattern must not be trivial.
+
+    An order's left S_n(F)-orbit is the set of orders sharing its class
+    word, and the smallest of them is that word's fill: each location takes
+    the smallest unused qubit of its class.  The fill of the word moved by
+    b⁻¹ is minimized over b in Aut down its stabilizer chain
+    (``aut.chain``), keeping every child that ties for the smallest next
+    qubit.  Once a single element is left, the rest
+    of the fill follows its inverse images.  The elements left at the end
+    map ``word`` onto ρ's word, so they are one coset of B_ρ; the witness is
+    the first of them in ``aut.elements``.  With one pattern class every
+    element gives the fill 0..n-1.  S_n(F) itself is never listed."""
     aut = enumerated_aut(g)
+    classes = fp.classes
+    n = g.n
+    if len(classes) == 1:
+        return tuple(range(n)), aut.elements[0], aut.order
     inv = aut.inverse_images
     cls = fp.class_index
-    classes = fp.classes
     used = [0] * len(classes)
+    head = [cl[0] for cl in classes]        # each class's next unused qubit
     rep = []
+    # Every survivor has put the same qubits on locations 0..k-1, so ``used``
+    # is shared, and child y is worth the next unused qubit of y's class
     frontier = [aut.chain]
-    for k in range(g.n):
-        best = None
-        survivors = []
+    k = 0
+    while k < n and (len(frontier) > 1 or frontier[0].__class__ is dict):
+        best = n
         for node in frontier:
             # a collapsed leaf holds one element: its next inverse image
             kids = node.items() if node.__class__ is dict else ((inv[node][k], node),)
             for y, child in kids:
-                c = word[y]
-                q = classes[c][used[c]]
-                if best is None or q < best:
+                q = head[word[y]]
+                if q < best:
                     best = q
                     survivors = [child]
                 elif q == best:
                     survivors.append(child)
         rep.append(best)
-        used[cls[best]] += 1
+        c = cls[best]
+        used[c] += 1
+        head[c] = classes[c][used[c]] if used[c] < len(classes[c]) else n
         frontier = survivors
-    # the survivors are leaves now; the witness is the first in aut.elements
-    return tuple(rep), aut.elements[min(frontier)]
+        k += 1
+    for y in inv[frontier[0]][k:]:
+        c = word[y]
+        rep.append(classes[c][used[c]])
+        used[c] += 1
+    return tuple(rep), aut.elements[min(frontier)], len(frontier)
 
 
 def layer_orbits(fp: FixingPattern, g: CouplingGraph
@@ -487,20 +511,15 @@ def _canonical_step(q: QuotientGraph):
 
 class _Shape:
     """What an orbit's arcs share with every orbit of the same B_τ: the
-    orbit size, the class index of each edge (keyed by the edge in either
-    orientation), each class's first edge, and the arcs' u, v and d_out
+    orbit size, each edge class's first edge, and the arcs' u, v and d_out
     rows, which a `Layer` joins into columns on first read.  Only the
     destinations are the orbit's own."""
-    __slots__ = ("size", "class_of", "firsts", "u", "v", "d_out")
+    __slots__ = ("size", "firsts", "u", "v", "d_out")
 
     def __init__(self, bt: BTau, group_order: int):
         size, remainder = divmod(group_order, bt.order)
         assert remainder == 0
         self.size = size
-        self.class_of = {}
-        for k, cl in enumerate(bt.edge_orbits):
-            for u, v in cl:
-                self.class_of[u, v] = self.class_of[v, u] = k
         self.firsts = [cl[0] for cl in bt.edge_orbits]
         self.u = array("i", [u for u, _ in self.firsts])
         self.v = array("i", [v for _, v in self.firsts])
@@ -512,49 +531,76 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
     """`layer_orbits` for any coupling, in one worklist pass: the orbits,
     and the arcs as offsets, dst and each orbit's shape.
 
-    B_τ is computed when an orbit is found (never under a trivial pattern,
-    where every B_τ is {1}), and the orbits of one B_τ share its `_Shape`;
-    every B_τ of {1} shares one.  Per B_τ edge class, the representative
-    moved along the class's first edge names the destination orbit (new if
-    unseen), and the class size is ``d_out``.  Each orbital and its reverse
-    share one canonicalization; the witness names the reverse edge.  If
-    orbit i's representative ρ moved along (u, v) canonicalizes to
-    (ρ_j, b), then ρ_j = a·ρ·(u v)·b⁻¹ for some a in S_n(F), so ρ_j moved
-    along (b(u), b(v)) is a·ρ·b⁻¹, in orbit i.  When j comes later, that
-    edge's class of B_{ρ_j} takes i as its destination with no
-    canonicalization; so there is one call for the start order, one per
-    self-loop and one per pair of reverse arcs."""
-    group_order = fp.group_order * g.aut.order
-    identity = _Shape(_IdentityBTau(g.edges), group_order)
-    shapes: dict[tuple, _Shape] = {}        # the others, by order and edge classes
+    Per B_τ edge class, the representative moved along the class's first
+    edge names the destination orbit (new if unseen), and the class size is
+    ``d_out``.  Under a trivial pattern the move is canonicalized by
+    `canonical_right`, and every B_τ is {1}.  Otherwise the worklist moves
+    the representative's class word, and `_least_fill` returns the new
+    orbit's |B_τ| with its representative; `b_tau` runs only where that
+    order is above 1.  The orbits of one B_τ share its `_Shape`; every B_τ of
+    {1} shares one.  An edge whose two qubits share a pattern class moves
+    the order within S_n(F), so it is a self-loop with no walk.
 
-    def shape_of(rep: Perm) -> _Shape:
-        if fp.trivial:
+    Each other orbital and its reverse share one walk; the witness names
+    the reverse edge.  If orbit i's representative ρ moved along (u, v)
+    canonicalizes to (ρ_j, b), then ρ_j = a·ρ·(u v)·b⁻¹ for some a in S_n(F),
+    so ρ_j moved along (b(u), b(v)) is a·ρ·b⁻¹, in orbit i.  When j comes
+    later, that edge's class of B_{ρ_j} takes i as its destination with no
+    walk; so there is one walk for the start order, one per self-loop
+    between qubits of two classes and one per pair of reverse arcs."""
+    group_order = fp.group_order * g.aut.order
+
+    def indexed(bt: BTau) -> tuple[_Shape, dict[Edge, int]]:
+        # the shape, and the index of each edge's class keyed by the edge in
+        # either orientation, which only this build reads
+        class_of = {}
+        for k, cl in enumerate(bt.edge_orbits):
+            for u, v in cl:
+                class_of[u, v] = class_of[v, u] = k
+        return _Shape(bt, group_order), class_of
+
+    identity = indexed(_IdentityBTau(g.edges))
+    shapes: dict[tuple, tuple[_Shape, dict[Edge, int]]] = {}    # by order and edge classes
+
+    def shape_of(rep: Perm, ties: int) -> tuple[_Shape, dict[Edge, int]]:
+        if ties == 1:
             return identity
         bt = b_tau(rep, fp, g)
-        if bt.order == 1:
-            return identity
         key = (bt.order, *map(tuple, bt.edge_orbits))
         shape = shapes.get(key)
         if shape is None:
-            shape = shapes[key] = _Shape(bt, group_order)
+            shape = shapes[key] = indexed(bt)
         return shape
 
-    start, _ = canonical_form(tuple(range(g.n)), fp, g)
+    # the worklist moves an order under a trivial pattern, a class word
+    # otherwise, starting from the identity order's
+    trivial = fp.trivial
+    word_of = fp.class_index.__getitem__
+    if trivial:
+        start, ties = canonical_right(tuple(range(g.n)), g)[0], 1
+    else:
+        start, _, ties = _least_fill(list(fp.class_index), fp, g)
     reps = [start]
     index = {start: 0}
-    orbit_shapes = [shape_of(start)]
+    orbit_shapes = [shape_of(start, ties)]
     # per orbit, the destination of each of its shape's edge classes, in
     # discovery ids; None until a move or a reverse move names it
-    dests: list[list[int | None]] = [[None] * len(orbit_shapes[0].firsts)]
+    dests: list[list[int | None]] = [[None] * len(orbit_shapes[0][0].firsts)]
     for i, rep in enumerate(reps):          # grows as orbits are found
         dest = dests[i]
-        moved = list(rep)                   # rep, with one edge swapped at a time
-        for k, (u, v) in enumerate(orbit_shapes[i].firsts):
+        moved = list(rep) if trivial else list(map(word_of, rep))   # one swap at a time
+        for k, (u, v) in enumerate(orbit_shapes[i][0].firsts):
             if dest[k] is not None:
                 continue
+            if moved[u] == moved[v]:        # one class: a relabeling in S_n(F)
+                dest[k] = i
+                continue
             moved[u], moved[v] = moved[v], moved[u]
-            dst_rep, b = canonical_form(tuple(moved), fp, g)
+            if trivial:
+                dst_rep, b = canonical_right(tuple(moved), g)
+                ties = 1
+            else:
+                dst_rep, b, ties = _least_fill(moved, fp, g)
             moved[u], moved[v] = moved[v], moved[u]
             j = index.get(dst_rep)
             if j is None:
@@ -565,10 +611,10 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
                 j = len(reps)
                 index[dst_rep] = j
                 reps.append(dst_rep)
-                orbit_shapes.append(shape_of(dst_rep))
-                dests.append([None] * len(orbit_shapes[j].firsts))
+                orbit_shapes.append(shape_of(dst_rep, ties))
+                dests.append([None] * len(orbit_shapes[j][0].firsts))
             if j > i:
-                dests[j][orbit_shapes[j].class_of[b[u], b[v]]] = i
+                dests[j][orbit_shapes[j][1][b[u], b[v]]] = i
             dest[k] = j
 
     # renumber the orbits by representative, and fill offsets and dst to match
@@ -578,7 +624,7 @@ def _worklist_orbits(fp: FixingPattern, g: CouplingGraph
         new_id[i] = k
     renumber = new_id.__getitem__
     nodes = []
-    shapes = list(map(orbit_shapes.__getitem__, order))
+    shapes = [orbit_shapes[i][0] for i in order]
     offsets, dst = _empty_columns()[:2]
     for i, shape in zip(order, shapes):
         nodes.append(OrbitNode(rep=reps[i], orbit_size=shape.size))

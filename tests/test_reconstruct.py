@@ -292,7 +292,7 @@ def test_split_replay_matches_the_canonicalizing_replay_on_200_qubits():
 def test_split_replay_never_canonicalizes(family, m_side, monkeypatch):
     # the whole solve, build and compliance marking included, runs on class
     # vectors: SPARSE7 leaves two qubits idle and one pair isolated
-    for name in ("canonical_form", "canonical_right", "b_tau"):
+    for name in ("canonical_form", "_least_fill", "canonical_right", "b_tau"):
         def boom(*args, name=name, **kwargs):
             raise AssertionError(f"{name} called on a split coupling")
 

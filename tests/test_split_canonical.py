@@ -28,7 +28,7 @@ import pytest
 
 from nncp import symmetry
 from nncp.baseline import brute_automorphisms, brute_pattern_stabilizer
-from nncp.circuit import CNOT, RawGate, decompose, fixing_pattern
+from nncp.circuit import CNOT, FixingPattern, RawGate, decompose, fixing_pattern
 from nncp.coupling import make
 from nncp.perm import compose, inverse
 from nncp.symmetry import canonical_form
@@ -69,14 +69,30 @@ def split_b_tau(tau, fp, g):
     return symmetry._finish(math.prod(map(math.factorial, size.values())), groups.values())
 
 
+def least_fill_oracle(word, fp, g):
+    """`symmetry._least_fill` from `sides_oracle`: the word's own fill is an
+    order with that word, and the elements reaching the representative are
+    one coset of its B_τ."""
+    fill = {c: iter(cl) for c, cl in enumerate(fp.classes)}
+    rep, b = sides_oracle(tuple(next(fill[c]) for c in word), fp, g)
+    return rep, b, split_b_tau(rep, fp, g).order
+
+
+def right_oracle(tau, g):
+    """`canonical_right` from `sides_oracle`, under the trivial pattern."""
+    return sides_oracle(tau, FixingPattern(tuple((q,) for q in range(g.n))), g)
+
+
 def use_split_oracles(monkeypatch):
-    """Let the worklist run on a star or biclique: `canonical_form` and
-    `b_tau` answer from the oracles above on split couplings."""
-    for name, oracle in (("canonical_form", sides_oracle), ("b_tau", split_b_tau)):
+    """Let the worklist run on a star or biclique: the walks it calls
+    (`canonical_right` under a trivial pattern, `_least_fill` otherwise)
+    and `b_tau` answer from the oracles above on split couplings."""
+    for name, oracle in (("canonical_right", right_oracle), ("_least_fill", least_fill_oracle),
+                         ("b_tau", split_b_tau)):
         real = getattr(symmetry, name)
 
-        def patched(tau, fp, g, real=real, oracle=oracle):
-            return (real if g.split is None else oracle)(tau, fp, g)
+        def patched(*args, real=real, oracle=oracle):
+            return (real if args[-1].split is None else oracle)(*args)
 
         monkeypatch.setattr(symmetry, name, patched)
 

@@ -6,6 +6,8 @@ through `nncp.coupling`: every element's coset member (or greedy fill) is
 formed, and the first element in image order that reaches the minimum is
 the witness; B_τ is the elements that keep τ's class word."""
 
+import functools
+import math
 import random
 
 import networkx as nx
@@ -17,7 +19,8 @@ from nncp.coupling import canonical_right, make
 from nncp.lp import solve_reduced
 from nncp.perm import inverse
 from nncp.reconstruct import reconstruct, verify
-from nncp.symmetry import b_tau, canonical_form, quotient_graph
+from nncp import symmetry
+from nncp.symmetry import b_tau, canonical_form, layer_orbits, quotient_graph
 
 
 def grid(rows, cols):
@@ -245,3 +248,108 @@ def test_b_tau_walk_matches_element_filter(family, arg):
         assert [cl[0] for cl in bt.edge_orbits] == sorted(cl[0] for cl in bt.edge_orbits)
         nontrivial += order > 1
     assert nontrivial > PARTITIONS_PER_GRAPH // 10
+
+
+# --- the class-word walk's tied leaves ---------------------------------------------
+
+def scan_least_fill(word, fp, group):
+    """The smallest fill of ``word``'s images over the group, the first b
+    reaching it, and how many elements reach it."""
+    fills = []
+    for b, b_inv in group:
+        used = [0] * len(fp.classes)
+        cand = []
+        for y in b_inv:
+            c = word[y]
+            cand.append(fp.classes[c][used[c]])
+            used[c] += 1
+        fills.append((tuple(cand), b))
+    best = min(fill for fill, _ in fills)
+    reaching = [b for fill, b in fills if fill == best]
+    return best, reaching[0], len(reaching)
+
+
+@pytest.mark.parametrize("family, arg", B_TAU_GRAPHS)
+def test_least_fill_counts_the_minimizing_elements(family, arg):
+    # one pattern class (every qubit idle) ties every element at once
+    g = build(family, arg)
+    group = with_inverses(networkx_group(g))
+    rng = random.Random(f"least/{family}/{arg}")
+    fps = [FixingPattern((tuple(range(g.n)),))]
+    fps += [fp for fp in (random_partition(g.n, rng) for _ in range(60)) if not fp.trivial]
+    for fp in fps:
+        tau = list(range(g.n))
+        rng.shuffle(tau)
+        word = [fp.class_index[q] for q in tau]
+        assert symmetry._least_fill(word, fp, g) == scan_least_fill(word, fp, group), \
+            (fp.classes, tau)
+
+
+def random_layer_patterns(g, rng, count, sizes, most_orbits=6000):
+    """``count`` random non-trivial partitions of g's qubits into classes
+    whose sizes are drawn from ``sizes``, each predicted to give at most
+    ``most_orbits`` orbits (n!/(|S_n(F)|·|Aut|) is a lower bound on the
+    count)."""
+    out = []
+    while len(out) < count:
+        qubits = list(range(g.n))
+        rng.shuffle(qubits)
+        classes = []
+        while qubits:
+            k = rng.choice(sizes)
+            classes.append(tuple(sorted(qubits[:k])))
+            del qubits[:k]
+        fp = FixingPattern(tuple(sorted(classes)))
+        if not fp.trivial and math.factorial(g.n) <= most_orbits * fp.group_order * g.aut.order:
+            out.append(fp)
+    return out
+
+
+LAYER_GRAPHS = ([("cycle", n) for n in range(5, 10)]
+                + [("general", name) for name in ("wheel7", "k34", "grid3x3", "petersen")])
+
+
+@functools.cache
+def random_layers(family, arg):
+    g = build(family, arg)
+    rng = random.Random(f"layers/{family}/{arg}")
+    # mostly singletons, then coarse classes, under which many orbits have
+    # |B_τ| > 1
+    fps = random_layer_patterns(g, rng, 2, (1, 1, 2, 3))
+    fps += random_layer_patterns(g, rng, 1, (2, 3, 4))
+    return g, [(fp, symmetry.Layer(fp, None, *layer_orbits(fp, g))) for fp in fps]
+
+
+@pytest.mark.parametrize("family, arg", LAYER_GRAPHS)
+def test_least_fill_ties_are_b_tau_of_every_orbit(family, arg):
+    # the walk that finds an orbit counts its tied leaves, which is the
+    # orbit's |B_τ|, so the worklist calls `b_tau` only where it is above 1
+    g, layers = random_layers(family, arg)
+    above_one = 0
+    for fp, layer in layers:
+        for node in layer.nodes:
+            word = [fp.class_index[q] for q in node.rep]
+            rep, _, ties = symmetry._least_fill(word, fp, g)
+            order = b_tau(node.rep, fp, g).order
+            assert (rep, ties) == (node.rep, order), (fp.classes, node.rep)
+            assert node.orbit_size * order == fp.group_order * g.aut.order
+            above_one += order > 1
+    assert above_one > 0
+
+
+@pytest.mark.parametrize("family, arg", LAYER_GRAPHS)
+def test_same_class_edges_are_self_loops(family, arg):
+    # swapping two qubits of one class is a relabeling in S_n(F): the arc of
+    # that edge's B_τ class leads back to its own orbit
+    g, layers = random_layers(family, arg)
+    same_class = 0
+    for fp, layer in layers:
+        cls = fp.class_index
+        for i, node in enumerate(layer.nodes):
+            for k, cl in enumerate(b_tau(node.rep, fp, g).edge_orbits):
+                same = {cls[node.rep[u]] == cls[node.rep[v]] for u, v in cl}
+                assert len(same) == 1           # B_τ keeps the class word
+                if same == {True}:
+                    assert layer.dst[layer.offsets[i] + k] == i, (fp.classes, node.rep, cl)
+                    same_class += 1
+    assert same_class > 0

@@ -427,28 +427,45 @@ def test_worklist_layer_builds_u_v_d_out_on_first_read(graph, n, pattern):
         assert max(d_out) > 1
 
 
+@pytest.mark.parametrize("graph, n, pattern", [
+    (None, 7, "trivial"), (None, 7, "idle"), ("K34", 7, "pairs-idle")])
+def test_worklist_shapes_keep_no_edge_index(graph, n, pattern):
+    # the index from an edge to its B_τ class names reverse arcs while the
+    # worklist runs; a built layer's shapes keep only their rows
+    c = circuit_with_pattern(n, patterns(n)[pattern])
+    g = family_graph("cycle", None, n) if graph is None else family_graph("general", graph, n)
+    q = quotient_graph(c, g)
+    assert q.shapes and not any(hasattr(shape, "class_of") for shape in q.shapes)
+
+
 @pytest.mark.parametrize("family, arg", FAMILIES)
 @pytest.mark.parametrize("pattern", ["trivial", "pairs", "idle"])
 def test_quotient_canonicalizes_each_orbital_once(family, arg, pattern, monkeypatch):
-    # worklist: one call for the start order, one per self-loop and one per
-    # pair of reverse arcs, whose witness names the other arc; a split
-    # coupling is built from class vectors, with none
+    # worklist: one walk (`canonical_right` under a trivial pattern,
+    # `_least_fill` otherwise) for the start order, one per pair of reverse
+    # arcs, whose witness names the other arc, and one per self-loop whose
+    # edge holds qubits of two classes; a swap inside one class is a
+    # self-loop with no walk.  A split coupling is built from class vectors,
+    # with none
     calls = []
-    real = symmetry.canonical_form
+    for name in ("canonical_right", "_least_fill"):
+        def counting(*args, real=getattr(symmetry, name)):
+            calls.append(None)
+            return real(*args)
 
-    def counting(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(symmetry, "canonical_form", counting)
+        monkeypatch.setattr(symmetry, name, counting)
     c = circuit_with_pattern(5, PATTERNS[pattern])
     g = family_graph(family, arg, 5)
     q = quotient_graph(c, g)
     if g.split is not None:
         assert len(calls) == 0
     else:
-        loops = sum(q.src(ai) == q.dst[ai] for ai in q.arcs)
-        assert len(calls) == 1 + (len(q.arcs) - loops) // 2 + loops
+        cls = q.fp.class_index
+        loops = [ai for ai in q.arcs if q.src(ai) == q.dst[ai]]
+        walked = [ai for ai in loops
+                  if cls[q.nodes[q.dst[ai]].rep[q.u[ai]]] != cls[q.nodes[q.dst[ai]].rep[q.v[ai]]]]
+        assert len(calls) == 1 + (len(q.arcs) - len(loops)) // 2 + len(walked)
+        assert len(walked) < len(loops) or pattern == "trivial"
 
 
 @pytest.mark.parametrize("family, arg, n", [
